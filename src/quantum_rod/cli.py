@@ -349,8 +349,8 @@ def run_fall_time(cfg: dict[str, Any]) -> Payload:
 
 def run_evolve(cfg: dict[str, Any]) -> Payload:
     B = _resolve_barrier(cfg)
-    if cfg["t_max"] <= 0.0 or cfg["n_times"] < 2:
-        raise InvalidParameterError("need t-max > 0 and n-times >= 2")
+    if not (math.isfinite(cfg["t_max"]) and cfg["t_max"] > 0.0) or cfg["n_times"] < 2:
+        raise InvalidParameterError("need finite t-max > 0 and n-times >= 2")
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     method = cfg["method"]
 

@@ -125,6 +125,25 @@ def test_config_error_exits(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", [
+    ["--method", "direct", "--sigma", "nan"],
+    ["--method", "direct", "--dt", "nan"],
+    ["--method", "direct", "--t-max", "nan"],
+    ["--method", "eigen", "--sigma", "nan"],
+    ["--method", "eigen", "--t-max", "nan"],
+    ["--method", "direct", "--dt", "inf"],
+    ["--method", "direct", "--t-max", "inf"],
+    ["--method", "direct", "--B", "inf"],
+])
+def test_evolve_nonfinite_input_exits(capsys, bad):
+    argv = ["evolve", "--B", "100", "--grid-n", "401", "--n-levels", "30",
+            "--t-max", "0.1", "--n-times", "2"] + bad
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_numerical_error_exits(capsys):
     code = main(["spectrum", "--B", "1e6", "--n-levels", "20",
                  "--grid-n", "201"])

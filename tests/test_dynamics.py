@@ -11,8 +11,9 @@ from quantum_rod.errors import (
     DomainError,
     InsufficientBasisError,
     InvalidParameterError,
+    StepSizeError,
 )
-from quantum_rod.spectrum import make_grid, solve_spectrum
+from quantum_rod.spectrum import make_grid, potential, solve_spectrum
 from quantum_rod.summit import FIT_GAMMA, summit_scale
 from quantum_rod.units import RodParams, derive_scales
 
@@ -120,6 +121,21 @@ def test_expand_guards(basis_b1e4_raw):
     other = dynamics.prepare_gaussian(0.05, make_grid(1001))
     with pytest.raises(InvalidParameterError):
         dynamics.expand(other, basis_b1e4_raw)
+    # A NaN capture must fail the deficit check, not slip through it.
+    nan_state = dynamics.InitialState(sigma=0.05, grid=grid,
+                                      values=np.full(len(grid), np.nan),
+                                      renormalized=False)
+    with pytest.raises(InsufficientBasisError):
+        dynamics.expand(nan_state, small)
+
+
+def test_expand_matches_per_mode_quadrature(basis_b1e4_raw):
+    grid = basis_b1e4_raw.wavefunctions[0].grid
+    state = dynamics.prepare_gaussian(0.05, grid)
+    coeffs = dynamics.expand(state, basis_b1e4_raw)
+    loop = np.array([float(simpson(wf.values * state.values, x=grid))
+                     for wf in basis_b1e4_raw.wavefunctions])
+    assert np.array_equal(coeffs, loop)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +304,78 @@ def test_evolve_validation():
         dynamics.evolve_direct(state, 100.0, 1e-3, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(InvalidParameterError):
         dynamics.evolve_direct(state, 100.0, 1e-3, np.array([-1.0, 1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            dynamics.evolve_direct(state, 100.0, bad, times)
+        with pytest.raises(InvalidParameterError):
+            dynamics.evolve_direct(state, bad, 1e-3, times, times_unit="natural")
+        with pytest.raises(InvalidParameterError):
+            dynamics.evolve_direct(state, 100.0, 1e-3, np.array([0.0, bad]))
+        with pytest.raises(InvalidParameterError):
+            dynamics.evolve_direct(state, 100.0, 1e-3, np.array([bad, 1.0]))
+        with pytest.raises(InvalidParameterError):
+            dynamics.evolve_direct(state, 100.0, 1e-3, times, energy_shift=bad)
+        with pytest.raises(InvalidParameterError):
+            dynamics.prepare_gaussian(bad, grid)
+    nan_state = dynamics.InitialState(sigma=0.1, grid=grid,
+                                      values=np.full(len(grid), np.nan),
+                                      renormalized=False)
+    with pytest.raises(InvalidParameterError):
+        dynamics.evolve_direct(nan_state, 100.0, 1e-3, times)
+
+
+def test_evolve_direct_matches_dense_crank_nicolson():
+    # Each CN step solves (1 + zH) psi' = (1 - zH) psi with z = i dtau/2,
+    # H shifted by the initial energy; iterate that with dense linear
+    # algebra on a small grid and compare with the banded stepper.
+    B = 20.0
+    grid = make_grid(41)
+    h = grid[1] - grid[0]
+    state = dynamics.prepare_gaussian(0.3, grid)
+    e_ref = dynamics.energy_expectation(state, B)
+    times = np.array([0.0, 0.035, 0.05])   # 6 steps, then 3 of another size
+    dt = 0.006
+    res = dynamics.evolve_direct(state, B, dt, times, times_unit="natural",
+                                 snapshot_times=times)
+
+    n = len(grid) - 2
+    ham = (np.diag(2.0 / h**2 + potential(grid[1:-1], B) - e_ref)
+           - np.diag(np.full(n - 1, 1.0 / h**2), 1)
+           - np.diag(np.full(n - 1, 1.0 / h**2), -1))
+    eye = np.eye(n)
+    psi = state.values[1:-1].astype(complex)
+    t_now = 0.0
+    for k, t in enumerate(times[1:], start=1):
+        steps = math.ceil((t - t_now) / dt - 1e-12)
+        z = 0.5j * (t - t_now) / steps
+        for _ in range(steps):
+            psi = np.linalg.solve(eye + z * ham, (eye - z * ham) @ psi)
+        t_now = t
+        expected = psi * np.exp(-1j * e_ref * t)
+        assert np.max(np.abs(res.snapshots[k][1:-1] - expected)) < 1e-13
+        assert res.snapshots[k][0] == res.snapshots[k][-1] == 0.0
+
+
+def test_evolve_direct_typed_failures(monkeypatch):
+    grid = make_grid(41)
+    state = dynamics.prepare_gaussian(0.3, grid)
+    times = np.array([0.0, 0.05])
+    real_zgttrf = dynamics.zgttrf
+
+    def singular(*args):
+        return (*real_zgttrf(*args)[:5], 3)
+
+    monkeypatch.setattr(dynamics, "zgttrf", singular)
+    with pytest.raises(StepSizeError, match="singular"):
+        dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
+    monkeypatch.undo()
+
+    def nan_solve(*args, **kwargs):
+        return np.full_like(args[5], np.nan), 0
+
+    monkeypatch.setattr(dynamics, "zgttrs", nan_solve)
+    with pytest.raises(StepSizeError, match="norm drifted"):
+        dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
 
 
 # ---------------------------------------------------------------------------
