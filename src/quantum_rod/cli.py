@@ -173,20 +173,21 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     return cfg
 
 
-def _resolve_barrier(cfg: dict[str, Any], required: bool = True) -> float:
+def _resolve_barrier(cfg: dict[str, Any]) -> float:
     """Barrier height from either --B or the rod parameters, never both."""
     have_rod = cfg.get("mass") is not None or cfg.get("length") is not None
     if cfg.get("B") is not None:
         if have_rod:
             raise InvalidParameterError(
                 "give either --B or the rod parameters, not both")
-        return float(cfg["B"])
-    if have_rod:
-        scales = derive_scales(_rod_params(cfg))
-        return scales.B
-    if required:
+        B = float(cfg["B"])
+    elif have_rod:
+        B = derive_scales(_rod_params(cfg)).B
+    else:
         raise InvalidParameterError("need --B or --mass and --length")
-    return math.nan
+    if not (math.isfinite(B) and B >= 0.0):
+        raise InvalidParameterError(f"B must be finite and non-negative, got {B}")
+    return B
 
 
 def _rod_params(cfg: dict[str, Any]) -> RodParams:

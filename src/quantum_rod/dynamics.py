@@ -441,8 +441,8 @@ class SpreadingTime:
 
 def spreading_time(sigma_over_s: float, scales: DerivedScales) -> SpreadingTime:
     """Spreading time for a Gaussian of width alpha = sigma/s: 2 alpha^2 / omega_c."""
-    if sigma_over_s <= 0.0:
-        raise InvalidParameterError("sigma/s must be positive")
+    if not (sigma_over_s > 0.0 and math.isfinite(sigma_over_s)):
+        raise InvalidParameterError("sigma/s must be finite and positive")
     value = 2.0 * sigma_over_s**2
     return SpreadingTime(alpha=sigma_over_s, omega_c_units=value,
                          seconds=time_to_seconds(value, scales))

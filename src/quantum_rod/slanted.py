@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import InvalidParameterError, RegimeError
-from .spectrum import EVEN, ODD, SpectrumResult, Wavefunction
+from .spectrum import EVEN, ODD, PotentialSpec, SpectrumResult, Wavefunction
 
 REGIME_FACTOR = 10.0  # required separation on both sides of the 2x2 window
 
@@ -156,6 +156,9 @@ def tilt_sweep(basis: SpectrumResult, n: int,
     """
     if basis.tilt != 0.0:
         raise InvalidParameterError("sweep needs an untilted basis")
+    deltas = np.asarray(delta_thetas, dtype=float)
+    for delta in deltas:
+        PotentialSpec(basis.B, float(delta))  # the solver's rule: finite, |tilt| < 0.1
     doublets = basis.doublets()
     if n >= len(doublets):
         raise RegimeError(f"doublet {n} not present in the basis")
@@ -168,7 +171,7 @@ def tilt_sweep(basis: SpectrumResult, n: int,
                                  basis.wavefunction(EVEN, n))
 
     out = []
-    for delta in np.asarray(delta_thetas, dtype=float):
+    for delta in deltas:
         problem = TwoLevelProblem(n=n, delta_theta=float(delta),
                                   e_plus=d.e_plus, e_minus=d.e_minus,
                                   coupling=basis.B * float(delta) * element)

@@ -47,8 +47,8 @@ class PotentialSpec:
     tilt: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.B < 0.0:
-            raise InvalidParameterError(f"B must be non-negative, got {self.B}")
+        if not (math.isfinite(self.B) and self.B >= 0.0):
+            raise InvalidParameterError(f"B must be finite and non-negative, got {self.B}")
         if not abs(self.tilt) < 0.1:
             raise InvalidParameterError(f"|tilt| must be < 0.1 rad, got {self.tilt}")
 

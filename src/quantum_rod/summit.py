@@ -8,8 +8,8 @@ even/odd solutions to WKB waves on both sides replaces the familiar
 turning-point pi/4 by an epsilon-dependent phase correction built from
 arg Gamma(1/2 + i*epsilon).
 
-The exact arg Gamma comes from an in-house Lanczos evaluation of the
-complex log-gamma; the smooth fit used throughout the quantization is
+The exact arg Gamma comes from `scipy.special.loggamma`; the smooth fit
+used throughout the quantization is
 
     (1/2) arg Gamma(1/2 + i*eps) ~ (eps/2) * ln sqrt((eps/e)^2 + (1/4g)^2)
 
@@ -19,55 +19,28 @@ few hundredths of a radian out to |eps| ~ 5.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+from scipy.special import loggamma
 
 from .errors import DomainError, InvalidParameterError, RegimeError
-from .roots import bracketed_root
 from .spectrum import EVEN, ODD
+from .wkb import phase_integral
 
 HALF_PI = 0.5 * math.pi
 
 FIT_GAMMA = 1.78107          # exp(Euler-Mascheroni) as used in the phase fit
 FIT_C = 1.0 / (4.0 * FIT_GAMMA)
 
-# Lanczos g=7, n=9 coefficients (Godfrey's table).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z) by the Lanczos approximation."""
-    z = complex(z)
-    if z.real < 0.5:
-        # Reflection keeps the evaluation in the well-conditioned half plane.
-        return cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - log_gamma(1.0 - z)
-    zz = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
 
 def half_arg_gamma_exact(epsilon: float) -> float:
     """(1/2) arg Gamma(1/2 + i*epsilon), continuous through epsilon = 0."""
-    return 0.5 * log_gamma(complex(0.5, epsilon)).imag
+    return 0.5 * float(loggamma(complex(0.5, epsilon)).imag)
 
 
 def half_arg_gamma_fit(epsilon: float) -> float:
@@ -215,12 +188,6 @@ def summit_scale(B: float) -> float:
     return (2.0 / B) ** 0.25
 
 
-def _outer_action(energy: float, B: float, lower: float) -> float:
-    val, _ = quad(lambda t: math.sqrt(max(energy - B * math.cos(t), 0.0)),
-                  lower, HALF_PI, limit=200)
-    return val
-
-
 def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) -> float:
     """Total accumulated phase at the wall for a near-summit energy.
 
@@ -248,7 +215,7 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
             stacklevel=2,
         )
     inner = quadratic_action(eps, xi_eff)
-    outer = _outer_action(energy, B, delta_theta)
+    outer = phase_integral(energy, B, delta_theta, HALF_PI)
     pc = phase_delta(eps)
     correction = pc.delta_plus if parity == EVEN else pc.delta_minus
     return inner + outer + correction
@@ -288,9 +255,7 @@ def summit_quantize(
                 root = float(energies[k])
                 break
             if values[k] * values[k + 1] < 0.0:
-                root = bracketed_root(residual, float(energies[k]),
-                                      float(energies[k + 1]),
-                                      f_lo=values[k], f_hi=values[k + 1])
+                root = brentq(residual, float(energies[k]), float(energies[k + 1]))
                 break
     if root is None:
         raise RegimeError(

@@ -25,9 +25,9 @@ import warnings
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import DomainError, InvalidParameterError, RegimeError
-from .roots import bracketed_root
 
 HALF_PI = 0.5 * math.pi
 
@@ -198,7 +198,10 @@ def single_well_quantize(n: int, B: float) -> float:
             "use the summit or high-energy quantization"
         )
     lo, hi = 1e-12 * B, B * (1.0 - 1e-12)
-    return bracketed_root(lambda e: well_action(e, B) - target, lo, hi)
+    if well_action(lo, B) - target > 0.0:
+        # brentq would raise a bare ValueError; keep the typed error
+        raise InvalidParameterError(f"no sign change in [{lo}, {hi}]")
+    return brentq(lambda e: well_action(e, B) - target, lo, hi)
 
 
 def low_energy_levels(n: int, B: float) -> float:
@@ -237,7 +240,7 @@ def high_energy_quantize(n: int, B: float) -> float:
             "use the single-well quantization"
         )
     hi = (n + 1.0) ** 2 + 2.0 * B
-    energy = bracketed_root(lambda e: full_action(e, B) - target, B, hi)
+    energy = brentq(lambda e: full_action(e, B) - target, B, hi)
     if B > 0.0 and energy < 5.0 * B:
         warnings.warn(
             f"E={energy:.4g} is not far above the barrier B={B:.4g}; "

@@ -1,11 +1,8 @@
-"""In-house Airy evaluation, its zeros, and the linear-well level model."""
-import math
-
-import numpy as np
+"""Airy zeros, their WKB stand-ins, and the linear-well level model."""
 import pytest
 import scipy.special as sp
 
-from quantum_rod.airy import ai, ai_deriv, airy_zero, linear_well_energy, wkb_lambda
+from quantum_rod.airy import airy_zero, linear_well_energy, wkb_lambda
 from quantum_rod.errors import DomainError, InvalidParameterError
 from quantum_rod.spectrum import solve_spectrum
 
@@ -15,28 +12,12 @@ LAMBDA_EXACT = [2.338, 4.088, 5.521, 6.787, 7.944, 9.023]
 LAMBDA_WKB = [2.320, 4.082, 5.517, 6.784, 7.942, 9.021]
 
 
-def test_ai_against_scipy():
-    xs = np.linspace(-12.0, 8.0, 4001)
-    ref_ai, ref_aip, _, _ = sp.airy(xs)
-    for x, ra, rp in zip(xs, ref_ai, ref_aip):
-        assert ai(float(x)) == pytest.approx(ra, rel=1e-7, abs=1e-12)
-        assert ai_deriv(float(x)) == pytest.approx(rp, rel=1e-7, abs=1e-12)
-
-
-def test_ai_special_values():
-    # Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3).
-    assert ai(0.0) == pytest.approx(3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0),
-                                    rel=1e-14)
-    assert ai_deriv(0.0) == pytest.approx(-(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0),
-                                          rel=1e-14)
-
-
 def test_airy_zeros_against_scipy():
     ref = sp.ai_zeros(6)[0]
     for n in range(6):
         lam = airy_zero(n)
         assert lam == pytest.approx(-ref[n], abs=1e-8)
-        assert abs(ai(-lam)) < 1e-10
+        assert abs(sp.airy(-lam)[0]) < 1e-10
 
 
 def test_airy_zero_guards():
@@ -66,8 +47,9 @@ def test_linear_well_energy():
     assert linear_well_energy(2, 1e4, exact=False) == pytest.approx(
         1e4 ** (2.0 / 3.0) * wkb_lambda(2), rel=1e-12)
     assert linear_well_energy(0, 0.0) == 0.0
-    with pytest.raises(InvalidParameterError):
-        linear_well_energy(0, -1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            linear_well_energy(0, bad)
 
 
 def test_linear_well_matches_deep_spectrum():

@@ -144,6 +144,30 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--B", "nan", "--grid-n", "201"],
+    ["spectrum", "--B", "inf", "--grid-n", "201"],
+    ["wkb-compare", "--B", "nan", "--n-max", "0", "--grid-n", "201"],
+    ["wkb-compare", "--B", "inf", "--n-max", "0", "--grid-n", "201"],
+    ["slant", "--B", "nan", "--n", "0", "--grid-n", "201"],
+    ["slant", "--B", "inf", "--n", "0", "--grid-n", "201"],
+    ["evolve", "--B", "nan", "--grid-n", "201", "--n-levels", "10"],
+    ["evolve", "--B", "inf", "--grid-n", "201", "--n-levels", "10"],
+    ["summit", "--B", "nan"],
+    ["summit", "--B", "inf"],
+    ["airy", "--B", "nan"],
+    ["airy", "--B", "inf"],
+    ["slant", "--B", "100", "--n", "0", "--grid-n", "401", "--tilts", "nan"],
+    ["slant", "--B", "100", "--n", "0", "--grid-n", "401", "--tilts", "0.2"],
+    ["fall-time", "--mass", "1e-3", "--length", "0.1", "--alpha", "nan"],
+])
+def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_numerical_error_exits(capsys):
     code = main(["spectrum", "--B", "1e6", "--n-levels", "20",
                  "--grid-n", "201"])

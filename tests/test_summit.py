@@ -3,14 +3,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as sp
 from scipy.integrate import quad
 
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.summit import (
     FIT_GAMMA,
     gamma_phase,
-    log_gamma,
     phase_delta,
     quadratic_action,
     summit_action,
@@ -24,20 +22,6 @@ from quantum_rod.summit import (
 
 B = 1.0e4
 QUARTER_PI = 0.25 * math.pi
-
-
-def test_log_gamma_against_scipy():
-    for z in (complex(0.5, 1.0), complex(0.3, 0.4), complex(2.0, -3.0),
-              complex(4.2, 0.0), complex(0.5, -2.5)):
-        assert abs(log_gamma(z) - sp.loggamma(z)) < 1e-12
-
-
-def test_gamma_modulus_identity():
-    # |Gamma(1/2 + i*eps)|^2 = pi / cosh(pi*eps).
-    for eps in (0.0, 0.5, 1.5, 3.0):
-        lhs = 2.0 * log_gamma(complex(0.5, eps)).real
-        rhs = math.log(math.pi / math.cosh(math.pi * eps))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
 def test_gamma_phase_at_zero_and_antisymmetry():

@@ -5,6 +5,7 @@ import pytest
 
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.spectrum import pairing_table
+from quantum_rod.summit import summit_phase, summit_quantize
 from quantum_rod.wkb import (
     barrier_action,
     classical_frequency,
@@ -154,6 +155,31 @@ def test_single_well_regime_guard():
         single_well_quantize(0, 0.0)
     with pytest.raises(InvalidParameterError):
         single_well_quantize(-1, B)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("b", [1e2, 1e4, 1e6])
+def test_quantized_levels_satisfy_their_conditions(b):
+    # Each root finder's answer, fed back into its own condition, to 1e-9.
+    n_top = int(max_well_action(b) / math.pi - 0.75)
+    for n in (0, n_top // 2, n_top):
+        e = single_well_quantize(n, b)
+        assert well_action(e, b) == pytest.approx((n + 0.75) * math.pi, rel=1e-9)
+    n_floor = int(full_action(b, b) / math.pi) + 1
+    for n in (n_floor, 2 * n_floor):
+        e = high_energy_quantize(n, b)
+        assert full_action(e, b) == pytest.approx(n * math.pi, rel=1e-9)
+    for parity in ("even", "odd"):
+        target = (n_top + 0.75) * math.pi
+        e = summit_quantize(n_top, b, parity)
+        assert summit_phase(e, b, parity) == pytest.approx(target, rel=1e-9)
+
+
+def test_doublet_prediction_reference_rod_is_typed_failure():
+    # For the 1 g, 10 cm rod the bracket floor 1e-12*B already lies above
+    # the ground level, so there is no sign change to bracket.
+    with pytest.raises(InvalidParameterError):
+        doublet_prediction(0, 2.940325636472887e59)
 
 
 def test_low_energy_closed_form():
