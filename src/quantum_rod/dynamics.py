@@ -6,7 +6,8 @@ The initial state is the minimum-uncertainty Gaussian
 
 truncated to the physical domain and renormalized.  Two propagators are
 provided: an eigenbasis expansion (analytic in time, exactly norm and
-energy conserving) and a Crank-Nicolson integrator on the same grid.
+energy conserving) and a Crank-Nicolson integrator stepping the same
+discrete operator, `spectrum.grid_hamiltonian`.
 Crank-Nicolson is unitary for any step, so its norm and energy are
 conserved to rounding; its phase error per mode scales as (E*dt)^3, so
 the integrator internally shifts the Hamiltonian by the initial energy
@@ -16,6 +17,9 @@ absolute energy.  The tridiagonal Crank-Nicolson matrix is LU-factored
 once per step size (LAPACK `gttrf`), and each step is then one `gttrs`
 back-substitution with the stored factors.
 
+Both propagators only yield the state at each output time; one driver,
+`_series`, checks the times and records observables and snapshots.
+
 Times are quoted in units of 1/omega_c by default ('omega_c'), which
 requires B > 0; 'natural' selects the raw time unit 2J/hbar conjugate
 to the internal energy unit.
@@ -23,6 +27,7 @@ to the internal energy unit.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     StepSizeError,
 )
-from .spectrum import HALF_PI, SpectrumResult, potential
+from .spectrum import HALF_PI, SpectrumResult, grid_hamiltonian, potential
 from .summit import FIT_GAMMA, summit_scale, wavepacket_phase_derivative
 from .units import DerivedScales, time_to_seconds
 
@@ -61,10 +66,13 @@ def prepare_gaussian(sigma: float, grid: np.ndarray) -> InitialState:
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
+    try:
+        values = math.pi ** (-0.25) * sigma ** (-0.5) * np.exp(-grid**2 / (2.0 * sigma**2))
+    except OverflowError as exc:
+        raise InvalidParameterError(f"sigma={sigma} is too large to square") from exc
     if sigma > 0.3:
         warnings.warn(f"sigma={sigma} is not small against the quarter circle",
                       stacklevel=2)
-    values = math.pi ** (-0.25) * sigma ** (-0.5) * np.exp(-grid**2 / (2.0 * sigma**2))
     raw_norm = float(simpson(values**2, x=grid))
     values = values / math.sqrt(raw_norm)
     return InitialState(sigma=sigma, grid=grid, values=values,
@@ -105,11 +113,7 @@ def _hamiltonian_apply(psi: np.ndarray, grid: np.ndarray, B: float) -> np.ndarra
 
 def energy_expectation(state: InitialState, B: float) -> float:
     """Grid energy <psi|H|psi> in units of hbar^2/2J."""
-    psi = state.values
-    hpsi = _hamiltonian_apply(psi, state.grid, B)
-    num = float(simpson(psi * hpsi, x=state.grid))
-    den = float(simpson(psi**2, x=state.grid))
-    return num / den
+    return _observables(state.values, state.grid, B, FALL_THRESHOLD)[1]
 
 
 def expand(state: InitialState, basis: SpectrumResult,
@@ -159,12 +163,6 @@ def _tau_factor(B: float, times_unit: str) -> float:
     raise InvalidParameterError(f"unknown times_unit {times_unit!r}")
 
 
-def _snapshot_wanted(t: float, snapshot_times: np.ndarray | None) -> bool:
-    if snapshot_times is None or len(snapshot_times) == 0:
-        return False
-    return bool(np.min(np.abs(snapshot_times - t)) <= 1e-9 * max(1.0, abs(t)))
-
-
 def _observables(psi: np.ndarray, grid: np.ndarray, B: float,
                  theta_fall: float) -> tuple[float, float, float, float]:
     dens = np.abs(psi) ** 2
@@ -176,6 +174,34 @@ def _observables(psi: np.ndarray, grid: np.ndarray, B: float,
     return norm, energy, mean_abs, fallen
 
 
+def _series(states, times: np.ndarray, times_unit: str, grid: np.ndarray, B: float,
+            theta_fall: float, snapshot_times: np.ndarray | None) -> EvolutionResult:
+    """Observables and snapshots of `states`, one full-grid state per time.
+
+    `states` is advanced only after `times` passes the check here.  A state
+    is kept as a snapshot when its time is within 1e-9 of a snapshot time.
+    """
+    if not (times.ndim == 1 and np.all(np.isfinite(times))
+            and np.all(np.diff(times) > 0.0) and np.all(times >= 0.0)):
+        raise InvalidParameterError(
+            "times must be a 1-D array, finite, strictly increasing and >= 0")
+    snap_req = np.asarray([] if snapshot_times is None else snapshot_times, dtype=float)
+    observables = np.empty((4, len(times)))
+    snaps, snap_ts = [], []
+    for i, (t, psi) in enumerate(zip(times, states)):
+        observables[:, i] = _observables(psi, grid, B, theta_fall)
+        if len(snap_req) and np.min(np.abs(snap_req - t)) <= 1e-9 * max(1.0, abs(t)):
+            snaps.append(psi)
+            snap_ts.append(t)
+    norm, energy, mean_abs, fall = observables
+    return EvolutionResult(
+        times=times, times_unit=times_unit, norm=norm, energy=energy,
+        mean_abs_theta=mean_abs, fall_prob=fall,
+        snapshot_times=np.array(snap_ts) if snaps else None,
+        snapshots=np.stack(snaps) if snaps else None,
+    )
+
+
 def evolve_eigen(
     coefficients: np.ndarray,
     basis: SpectrumResult,
@@ -184,32 +210,20 @@ def evolve_eigen(
     theta_fall: float = FALL_THRESHOLD,
     snapshot_times: np.ndarray | None = None,
 ) -> EvolutionResult:
-    """Analytic propagation psi(t) = sum c_n exp(-i E_n tau) psi_n."""
+    """Analytic propagation psi(t) = sum c_n exp(-i E_n tau) psi_n.
+
+    Times must be finite, strictly increasing and >= 0.
+    """
     times = np.asarray(times, dtype=float)
     factor = _tau_factor(basis.B, times_unit)
-    grid = basis.wavefunctions[0].grid
     modes = np.stack([wf.values for wf in basis.wavefunctions])
     energies = basis.energies
-    snap_req = np.asarray(snapshot_times, dtype=float) if snapshot_times is not None else None
+    def eigen_states():
+        for t in times:
+            yield (coefficients * np.exp(-1j * energies * (t * factor))) @ modes
 
-    norm = np.empty(len(times))
-    energy = np.empty(len(times))
-    mean_abs = np.empty(len(times))
-    fall = np.empty(len(times))
-    snaps, snap_ts = [], []
-    for i, t in enumerate(times):
-        phases = np.exp(-1j * energies * (t * factor))
-        psi = (coefficients * phases) @ modes
-        norm[i], energy[i], mean_abs[i], fall[i] = _observables(psi, grid, basis.B, theta_fall)
-        if _snapshot_wanted(float(t), snap_req):
-            snaps.append(psi)
-            snap_ts.append(t)
-    return EvolutionResult(
-        times=times, times_unit=times_unit, norm=norm, energy=energy,
-        mean_abs_theta=mean_abs, fall_prob=fall,
-        snapshot_times=np.array(snap_ts) if snaps else None,
-        snapshots=np.stack(snaps) if snaps else None,
-    )
+    return _series(eigen_states(), times, times_unit, basis.wavefunctions[0].grid,
+                   basis.B, theta_fall, snapshot_times)
 
 
 def evolve_direct(
@@ -238,78 +252,52 @@ def evolve_direct(
     a norm drift beyond 1e-6 (or a NaN norm) raises StepSizeError.
     """
     times = np.asarray(times, dtype=float)
-    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)
-            and times[0] >= 0.0):
-        raise InvalidParameterError(
-            "times must be finite, strictly increasing and >= 0")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(B):
         raise InvalidParameterError(f"B must be finite, got {B}")
     factor = _tau_factor(B, times_unit)
     grid = state.grid
-    h = grid[1] - grid[0]
     if not np.all(np.isfinite(state.values)):
         raise InvalidParameterError("initial state has non-finite values")
     e_ref = energy_expectation(state, B) if energy_shift is None else energy_shift
     if not math.isfinite(e_ref):
         raise InvalidParameterError(f"energy shift must be finite, got {e_ref}")
 
-    diag = 2.0 / h**2 + potential(grid[1:-1], B) - e_ref
-    off = -1.0 / h**2
-    n = len(diag)
+    diag, off = grid_hamiltonian(grid, B)
+    diag = diag - e_ref
 
-    psi = state.values.astype(complex)[1:-1]
-    snap_req = np.asarray(snapshot_times, dtype=float) if snapshot_times is not None else None
+    def cn_states():
+        psi = state.values.astype(complex)[1:-1]
+        t_now = 0.0
+        for t in times:
+            span = t - t_now
+            if span > 0.0:
+                steps = max(1, math.ceil(span / dt - 1e-12))
+                dtau = (span / steps) * factor
+                z_plus = 0.5j * dtau
+                off_plus = np.full(len(diag) - 1, z_plus * off)
+                dl, d, du, du2, ipiv, info = zgttrf(off_plus, 1.0 + z_plus * diag, off_plus)
+                if info != 0:
+                    raise StepSizeError(
+                        f"Crank-Nicolson matrix is singular (zgttrf info={info}) at dt={dt}")
+                z = -0.5j * dtau
+                diag_minus = 1.0 + z * diag
+                off_minus = z * off
+                for _ in range(steps):
+                    rhs = psi * diag_minus
+                    rhs[1:] += off_minus * psi[:-1]
+                    rhs[:-1] += off_minus * psi[1:]
+                    psi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+                t_now = t
+            full = np.zeros(len(grid), dtype=complex)
+            full[1:-1] = psi * np.exp(-1j * e_ref * (t * factor))
+            norm = float(simpson(np.abs(full) ** 2, x=grid))
+            if not abs(norm - 1.0) <= 1e-6:
+                raise StepSizeError(f"norm drifted to {norm:.2e} at t={t}; reduce dt")
+            yield full
 
-    norm = np.empty(len(times))
-    energy = np.empty(len(times))
-    mean_abs = np.empty(len(times))
-    fall = np.empty(len(times))
-    snaps, snap_ts = [], []
-
-    def record(i: int, t: float) -> None:
-        full = np.zeros(len(grid), dtype=complex)
-        full[1:-1] = psi * np.exp(-1j * e_ref * (t * factor))
-        norm[i], energy[i], mean_abs[i], fall[i] = _observables(full, grid, B, theta_fall)
-        if not abs(norm[i] - 1.0) <= 1e-6:
-            raise StepSizeError(f"norm drifted to {norm[i]:.2e} at t={t}; reduce dt")
-        if _snapshot_wanted(float(t), snap_req):
-            snaps.append(full)
-            snap_ts.append(t)
-
-    t_now = 0.0
-    i0 = 0
-    if times[0] == 0.0:
-        record(0, 0.0)
-        i0 = 1
-    for i in range(i0, len(times)):
-        span = times[i] - t_now
-        steps = max(1, math.ceil(span / dt - 1e-12))
-        dtau = (span / steps) * factor
-        z_plus = 0.5j * dtau
-        off_plus = np.full(n - 1, z_plus * off)
-        dl, d, du, du2, ipiv, info = zgttrf(off_plus, 1.0 + z_plus * diag, off_plus)
-        if info != 0:
-            raise StepSizeError(
-                f"Crank-Nicolson matrix is singular (zgttrf info={info}) at dt={dt}")
-        z = -0.5j * dtau
-        diag_minus = 1.0 + z * diag
-        off_minus = z * off
-        for _ in range(steps):
-            rhs = psi * diag_minus
-            rhs[1:] += off_minus * psi[:-1]
-            rhs[:-1] += off_minus * psi[1:]
-            psi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-        t_now = times[i]
-        record(i, t_now)
-
-    return EvolutionResult(
-        times=times, times_unit=times_unit, norm=norm, energy=energy,
-        mean_abs_theta=mean_abs, fall_prob=fall,
-        snapshot_times=np.array(snap_ts) if snaps else None,
-        snapshots=np.stack(snaps) if snaps else None,
-    )
+    return _series(cn_states(), times, times_unit, grid, B, theta_fall, snapshot_times)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +318,10 @@ def classical_fall_time(delta_theta: float, theta_end: float = HALF_PI) -> Class
 
     exact: quadrature of dtheta / sqrt(2 (cos delta_theta - cos theta));
     asymptotic: ln[8(sqrt(2)-1)] - ln(delta_theta), the small-angle form.
+    delta_theta^2 must be a normal float: delta_theta > 1.5e-154.
     """
-    if not 0.0 < delta_theta < theta_end <= HALF_PI:
-        raise DomainError("need 0 < delta_theta < theta_end <= pi/2")
+    if not math.sqrt(sys.float_info.min) < delta_theta < theta_end <= HALF_PI:
+        raise DomainError("need 1.5e-154 < delta_theta < theta_end <= pi/2")
 
     # theta = delta_theta * cosh(v) flattens the rest-point singularity:
     # cos(dt) - cos(dt cosh v) ~ (dt sinh v)^2 / 2, so g(v) -> 1 at v = 0
@@ -443,6 +432,9 @@ def spreading_time(sigma_over_s: float, scales: DerivedScales) -> SpreadingTime:
     """Spreading time for a Gaussian of width alpha = sigma/s: 2 alpha^2 / omega_c."""
     if not (sigma_over_s > 0.0 and math.isfinite(sigma_over_s)):
         raise InvalidParameterError("sigma/s must be finite and positive")
-    value = 2.0 * sigma_over_s**2
+    try:
+        value = 2.0 * sigma_over_s**2
+    except OverflowError as exc:
+        raise InvalidParameterError(f"sigma/s={sigma_over_s} is too large to square") from exc
     return SpreadingTime(alpha=sigma_over_s, omega_c_units=value,
                          seconds=time_to_seconds(value, scales))

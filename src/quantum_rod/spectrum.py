@@ -6,17 +6,19 @@ In units of hbar^2/2J the Hamiltonian is
 
 with hard walls (Dirichlet conditions) at theta = +/- pi/2 where the rod
 hits the table.  The solver uses second-order central finite differences
-on a uniform grid; the resulting symmetric tridiagonal matrix is
-diagonalized with LAPACK.  Eigenvalues are Richardson-extrapolated from
-the base grid and a doubled grid, which removes the leading O(h^2)
-discretization error and leaves the reported energies accurate to a few
-parts in 1e7 at the default resolution for energies of order 1e4.
+on a uniform grid; the symmetric tridiagonal matrix `grid_hamiltonian`,
+which `dynamics` steps too, is diagonalized with LAPACK.  Eigenvalues
+are Richardson-extrapolated from the base grid and a doubled grid, which
+removes the leading O(h^2) discretization error and leaves the reported
+energies accurate to a few parts in 1e7 at the default resolution for
+energies of order 1e4.
 
-For tilt = 0 every level has definite parity about theta = 0.  Pairs of
-levels closer than `parity_fix_gap` are rotated back onto even/odd
-combinations before classification, because below the resolvable
-splitting LAPACK returns an arbitrary mixture of the two members of a
-tunneling doublet.
+For tilt = 0 the matrix is also persymmetric, so its eigenvectors
+alternate in parity: level k is (even, odd)[k % 2] with per-parity
+index k // 2, labels taken from the level order.  Only doublets
+(2j, 2j+1) closer than `PARITY_FIX_GAP` are rotated back onto even/odd
+combinations, because below the resolvable splitting LAPACK returns an
+arbitrary mixture of the two members of a tunneling doublet.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DomainError, InvalidParameterError, ResolutionError
 
 HALF_PI = 0.5 * math.pi
+PARITY_FIX_GAP = 1e-2   # doublets closer than this are rotated onto definite parity
+RESOLUTION_RTOL = 0.02  # largest trusted relative eigenvalue drift under grid doubling
 
 Parity = Literal["even", "odd"]
 
@@ -136,33 +140,34 @@ def make_grid(grid_n: int, half_width: float = HALF_PI) -> np.ndarray:
     return np.linspace(-half_width, half_width, grid_n)
 
 
+def grid_hamiltonian(grid: np.ndarray, B: float, tilt: float = 0.0) -> tuple[np.ndarray, float]:
+    """Three-point Hamiltonian on the grid interior, hard walls at the ends.
+
+    Returns (diag, off): the diagonal 2/h^2 + V and the off-diagonal -1/h^2.
+    """
+    h = grid[1] - grid[0]
+    return 2.0 / h**2 + potential(grid[1:-1], B, tilt), -1.0 / h**2
+
+
 def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=False):
     theta = make_grid(grid_n, half_width)
-    h = theta[1] - theta[0]
-    diag = 2.0 / h**2 + potential(theta[1:-1], B, tilt)
-    off = np.full(grid_n - 3, -1.0 / h**2)
-    if eigvals_only:
-        vals = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, n_levels - 1)
-        )
-        return theta, vals, None
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
-    return theta, vals, vecs
+    diag, off = grid_hamiltonian(theta, B, tilt)
+    out = eigh_tridiagonal(diag, np.full(grid_n - 3, off), eigvals_only=eigvals_only,
+                           select="i", select_range=(0, n_levels - 1))
+    return (theta, out, None) if eigvals_only else (theta, *out)
 
 
-def _fix_parity_mixing(vecs: np.ndarray, energies: np.ndarray, gap: float) -> None:
-    """Rotate near-degenerate pairs onto definite-parity combinations.
+def _fix_parity_mixing(vecs: np.ndarray, energies: np.ndarray) -> None:
+    """Rotate near-degenerate doublets onto definite-parity combinations.
 
     Operates in place on the interior eigenvector columns.  For each
-    neighbouring pair closer than `gap`, the even and odd combinations
-    are rebuilt from whichever input vector carries the larger share of
-    each symmetry (always at least half), then assigned with the even
-    state on the lower slot, as required for a tunneling doublet.
+    doublet (2j, 2j+1) closer than PARITY_FIX_GAP, the even and odd
+    combinations are rebuilt from whichever input vector carries the
+    larger share of each symmetry (always at least half), then assigned
+    with the even state on the lower slot, as in a tunneling doublet.
     """
-    k = 0
-    while k + 1 < len(energies):
-        if energies[k + 1] - energies[k] >= gap:
-            k += 1
+    for k in range(0, len(energies) - 1, 2):
+        if energies[k + 1] - energies[k] >= PARITY_FIX_GAP:
             continue
         va, vb = vecs[:, k], vecs[:, k + 1]
         sym_a, sym_b = va + va[::-1], vb + vb[::-1]
@@ -171,7 +176,6 @@ def _fix_parity_mixing(vecs: np.ndarray, energies: np.ndarray, gap: float) -> No
         odd = anti_a if np.linalg.norm(anti_a) >= np.linalg.norm(anti_b) else anti_b
         vecs[:, k] = even / np.linalg.norm(even)
         vecs[:, k + 1] = odd / np.linalg.norm(odd)
-        k += 2
 
 
 @dataclass
@@ -189,9 +193,6 @@ class SpectrumResult:
     def energies(self) -> np.ndarray:
         return np.array([lv.energy for lv in self.levels])
 
-    def by_parity(self, parity: Parity) -> list[EnergyLevel]:
-        return [lv for lv in self.levels if lv.parity == parity]
-
     def level(self, parity: Parity, n: int) -> EnergyLevel:
         for lv in self.levels:
             if lv.parity == parity and lv.index == n:
@@ -207,18 +208,6 @@ class SpectrumResult:
     def doublets(self) -> list[Doublet]:
         return pairing_table(self)
 
-    def to_record(self) -> dict:
-        """JSON-ready summary: parameters plus (n, parity, energy) rows."""
-        return {
-            "B": self.B,
-            "tilt": self.tilt,
-            "grid_n": self.grid_n,
-            "levels": [
-                {"n": lv.index, "parity": lv.parity, "energy": lv.energy}
-                for lv in self.levels
-            ],
-        }
-
 
 def solve_spectrum(
     B: float,
@@ -227,15 +216,13 @@ def solve_spectrum(
     tilt: float = 0.0,
     half_width: float = HALF_PI,
     refine: bool = True,
-    parity_fix_gap: float = 1e-2,
-    resolution_rtol: float = 0.02,
 ) -> SpectrumResult:
     """Solve for the lowest n_levels stationary states.
 
     Eigenvalues are extrapolated from grid_n and 2*grid_n - 1 points;
     eigenfunctions are returned on the base grid.  Raises
     ResolutionError when the eigenvalue drift under grid doubling
-    exceeds `resolution_rtol` relative, i.e. when even the extrapolated
+    exceeds RESOLUTION_RTOL relative, i.e. when even the extrapolated
     values should not be trusted.
 
     With refine=False the energies are the raw eigenvalues of the
@@ -249,7 +236,7 @@ def solve_spectrum(
         raise InvalidParameterError("n_levels must be >= 1")
     if grid_n < 10 * n_levels:
         raise InvalidParameterError(
-            f"grid_n={grid_n} too coarse for {n_levels} levels (need >= {10 * n_levels})"
+            f"grid_n={grid_n} too coarse for {n_levels} levels (need >= {10 * n_levels + 1})"
         )
     if grid_n % 2 == 0:
         raise InvalidParameterError("grid_n must be odd so the grid contains theta = 0")
@@ -264,7 +251,7 @@ def solve_spectrum(
         drift = np.abs(raw_fine - raw)
         refined = (4.0 * raw_fine - raw) / 3.0
         rel_drift = drift / np.maximum(np.abs(refined), 1.0)
-        if np.max(rel_drift) > resolution_rtol:
+        if np.max(rel_drift) > RESOLUTION_RTOL:
             raise ResolutionError(
                 f"eigenvalue drift {np.max(rel_drift):.2e} under grid doubling; "
                 f"increase grid_n beyond {grid_n}"
@@ -275,11 +262,10 @@ def solve_spectrum(
 
     symmetric = tilt == 0.0
     if symmetric:
-        _fix_parity_mixing(vecs, refined, parity_fix_gap)
+        _fix_parity_mixing(vecs, refined)
 
     levels: list[EnergyLevel] = []
     wavefunctions: list[Wavefunction] = []
-    n_even = n_odd = 0
     for k in range(n_levels):
         full = np.zeros(grid_n)
         full[1:-1] = vecs[:, k]
@@ -287,16 +273,7 @@ def solve_spectrum(
         first = np.argmax(np.abs(full) > 1e-8 * np.max(np.abs(full)))
         if full[first] < 0.0:
             full = -full
-        if symmetric:
-            score = float(np.dot(full, full[::-1]))
-            if score > 0.0:
-                parity, idx = EVEN, n_even
-                n_even += 1
-            else:
-                parity, idx = ODD, n_odd
-                n_odd += 1
-        else:
-            parity, idx = None, k
+        parity, idx = ((EVEN, ODD)[k % 2], k // 2) if symmetric else (None, k)
         levels.append(EnergyLevel(index=idx, parity=parity,
                                   energy=float(refined[k]), drift=float(drift[k])))
         wavefunctions.append(Wavefunction(grid=theta, values=full))
@@ -311,8 +288,7 @@ def pairing_table(result: SpectrumResult) -> list[Doublet]:
     """Even/odd doublets with splitting, even-ladder gap and their ratio."""
     if result.tilt != 0.0:
         raise InvalidParameterError("pairing requires the untilted potential")
-    evens = sorted(result.by_parity(EVEN), key=lambda lv: lv.index)
-    odds = sorted(result.by_parity(ODD), key=lambda lv: lv.index)
+    evens, odds = result.levels[0::2], result.levels[1::2]  # labels follow level order
     count = min(len(evens) - 1, len(odds))
     if count < 1:
         raise InvalidParameterError("need at least two even and one odd level")
@@ -345,17 +321,3 @@ def mathieu_residual(result: SpectrumResult, k: int) -> float:
     residual = d2 + (lv.energy - v) * psi[2:-2]
     return float(np.max(np.abs(residual)) / (max(abs(lv.energy), 1.0) * np.max(np.abs(psi))))
 
-
-def levels_from_record(record: dict) -> tuple[dict, list[EnergyLevel]]:
-    """Parse the record format produced by SpectrumResult.to_record."""
-    try:
-        meta = {"B": float(record["B"]), "tilt": float(record["tilt"]),
-                "grid_n": int(record["grid_n"])}
-        levels = [
-            EnergyLevel(index=int(row["n"]), parity=row["parity"],
-                        energy=float(row["energy"]))
-            for row in record["levels"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameterError(f"malformed spectrum record: {exc}") from exc
-    return meta, levels

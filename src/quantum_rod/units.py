@@ -31,12 +31,13 @@ class RodParams:
     hbar: float = HBAR_SI  # J*s
 
     def __post_init__(self) -> None:
-        if not (self.mass > 0.0):
-            raise InvalidParameterError(f"mass must be positive, got {self.mass}")
-        if not (self.length > 0.0):
-            raise InvalidParameterError(f"length must be positive, got {self.length}")
-        if self.gravity < 0.0:
-            raise InvalidParameterError(f"gravity must be non-negative, got {self.gravity}")
+        if not (math.isfinite(self.mass) and self.mass > 0.0):
+            raise InvalidParameterError(f"mass must be positive and finite, got {self.mass}")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise InvalidParameterError(f"length must be positive and finite, got {self.length}")
+        if not (math.isfinite(self.gravity) and self.gravity >= 0.0):
+            raise InvalidParameterError(
+                f"gravity must be non-negative and finite, got {self.gravity}")
         if not (self.hbar > 0.0):
             raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
 
@@ -72,13 +73,22 @@ def derive_scales(params: RodParams) -> DerivedScales:
     """Compute the mechanical and dimensionless scales for a rod.
 
     For gravity = 0 the barrier vanishes (V0 = B = omega_c = 0) and the
-    summit scale s is reported as infinity.
+    summit scale s is reported as infinity.  Scales that leave the float
+    range (J; for gravity > 0 also omega_c, B, s) raise InvalidParameterError.
     """
-    J = params.mass * params.length**2 / 3.0
-    V0 = params.mass * params.gravity * params.length / 2.0
-    omega_c = math.sqrt(V0 / J)
-    B = V0 / (params.hbar**2 / (2.0 * J))
-    s = math.sqrt(params.hbar / (J * omega_c)) if omega_c > 0.0 else math.inf
+    out_of_range = (f"mass={params.mass}, length={params.length} and gravity={params.gravity} "
+                    "give rod scales outside the floating-point range")
+    try:
+        J = params.mass * params.length**2 / 3.0
+        V0 = params.mass * params.gravity * params.length / 2.0
+        omega_c = math.sqrt(V0 / J)
+        B = V0 / (params.hbar**2 / (2.0 * J))
+        s = math.sqrt(params.hbar / (J * omega_c)) if omega_c > 0.0 else math.inf
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidParameterError(out_of_range) from exc
+    checked = (J, omega_c, B, s) if params.gravity > 0.0 else (J,)
+    if not all(0.0 < v < math.inf for v in checked):
+        raise InvalidParameterError(out_of_range)
     return DerivedScales(J=J, V0=V0, omega_c=omega_c, B=B, s=s, hbar=params.hbar)
 
 

@@ -160,6 +160,21 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["slant", "--B", "100", "--n", "0", "--grid-n", "401", "--tilts", "nan"],
     ["slant", "--B", "100", "--n", "0", "--grid-n", "401", "--tilts", "0.2"],
     ["fall-time", "--mass", "1e-3", "--length", "0.1", "--alpha", "nan"],
+    ["spectrum", "--mass", "inf", "--length", "0.1"],
+    ["spectrum", "--mass", "1e300", "--length", "0.1"],
+    ["spectrum", "--mass", "1e-3", "--length", "inf"],
+    ["spectrum", "--mass", "1e-3", "--length", "1e-300"],
+    ["spectrum", "--mass", "1e-3", "--length", "1e300"],
+    ["fall-time", "--mass", "inf", "--length", "0.1"],
+    ["fall-time", "--mass", "1e300", "--length", "0.1"],
+    ["fall-time", "--mass", "1e-3", "--length", "inf"],
+    ["fall-time", "--mass", "1e-3", "--length", "1e-300"],
+    ["fall-time", "--mass", "1e-3", "--length", "1e300"],
+    ["fall-time", "--mass", "1e-3", "--length", "0.1", "--gravity", "inf"],
+    ["fall-time", "--mass", "1e-3", "--length", "0.1", "--gravity", "1e300"],
+    ["fall-time", "--mass", "1e-3", "--length", "0.1", "--delta-theta", "1e-300"],
+    ["fall-time", "--mass", "1e-3", "--length", "0.1", "--alpha", "1e300"],
+    ["evolve", "--B", "100", "--sigma", "1e300", "--grid-n", "401", "--n-levels", "30"],
 ])
 def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
     assert main(argv) == 2

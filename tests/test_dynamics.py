@@ -13,7 +13,7 @@ from quantum_rod.errors import (
     InvalidParameterError,
     StepSizeError,
 )
-from quantum_rod.spectrum import make_grid, potential, solve_spectrum
+from quantum_rod.spectrum import grid_hamiltonian, make_grid, potential, solve_spectrum
 from quantum_rod.summit import FIT_GAMMA, summit_scale
 from quantum_rod.units import RodParams, derive_scales
 
@@ -294,6 +294,12 @@ def test_evolve_validation():
     grid = make_grid(401)
     state = dynamics.prepare_gaussian(0.1, grid)
     times = np.array([0.0, 1.0])
+    basis = solve_spectrum(100.0, 30, grid_n=401, refine=False)
+    coeffs = dynamics.expand(state, basis)
+    for bad_times in ([0.0, math.nan, 0.3], [0.0, math.inf], [-math.inf, 1.0],
+                      [-1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.5]):
+        with pytest.raises(InvalidParameterError):
+            dynamics.evolve_eigen(coeffs, basis, np.array(bad_times))
     with pytest.raises(InvalidParameterError):
         dynamics.evolve_direct(state, 100.0, 1e-3, times, times_unit="lab")
     with pytest.raises(InvalidParameterError):
@@ -322,6 +328,23 @@ def test_evolve_validation():
                                       renormalized=False)
     with pytest.raises(InvalidParameterError):
         dynamics.evolve_direct(nan_state, 100.0, 1e-3, times)
+
+
+def test_hamiltonian_apply_matches_grid_hamiltonian():
+    # The stencil behind the observables and the energy shift is the
+    # tridiagonal operator that the eigensolver and Crank-Nicolson use.
+    B = 300.0
+    grid = make_grid(101)
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
+    psi[0] = psi[-1] = 0.0
+    diag, off = grid_hamiltonian(grid, B)
+    expected = diag * psi[1:-1]
+    expected[1:] += off * psi[1:-2]
+    expected[:-1] += off * psi[2:-1]
+    got = dynamics._hamiltonian_apply(psi, grid, B)
+    assert got[0] == got[-1] == 0.0
+    assert np.max(np.abs(got[1:-1] - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_evolve_direct_matches_dense_crank_nicolson():

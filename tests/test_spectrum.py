@@ -7,7 +7,6 @@ from scipy.integrate import simpson
 
 from quantum_rod.errors import DomainError, InvalidParameterError, ResolutionError
 from quantum_rod.spectrum import (
-    levels_from_record,
     make_grid,
     mathieu_residual,
     pairing_table,
@@ -46,6 +45,23 @@ def test_free_rod_ground_state_amplitude():
     assert res.wavefunction("even", 0).at(0.0) == pytest.approx(
         math.sqrt(2.0 / math.pi), rel=1e-10)
     assert res.wavefunction("odd", 0).at(0.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _sign_changes(values):
+    # Samples below 1e-8 of the peak (the walls, and deep-well tails that
+    # hold only rounding noise) are skipped; a node inside such a stretch
+    # still shows as a sign change between the samples around it.
+    kept = values[np.abs(values) > 1e-8 * np.max(np.abs(values))]
+    return int(np.count_nonzero(np.sign(kept[1:]) != np.sign(kept[:-1])))
+
+
+@pytest.mark.parametrize("B", [0.0, 1e2, 1e4])
+def test_level_order_fixes_nodes_and_parity(B, spectrum_b1e4):
+    # Level k has k interior nodes, so its parity is (even, odd)[k % 2].
+    res = spectrum_b1e4 if B == 1e4 else solve_spectrum(B, 30, grid_n=401)
+    for k, (lv, wf) in enumerate(zip(res.levels, res.wavefunctions)):
+        assert _sign_changes(wf.values) == k
+        assert (lv.parity, lv.index) == (("even", "odd")[k % 2], k // 2)
 
 
 def test_wavefunction_invariants(spectrum_b1e4):
@@ -111,8 +127,9 @@ def test_resolution_guard():
 def test_parameter_validation():
     with pytest.raises(InvalidParameterError):
         solve_spectrum(100.0, 5, grid_n=200)       # even grid
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"need >= 301\)"):
         solve_spectrum(100.0, 30, grid_n=201)      # too coarse
+    solve_spectrum(100.0, 30, grid_n=301)          # the value the message names
     with pytest.raises(InvalidParameterError):
         solve_spectrum(100.0, 0)
     with pytest.raises(InvalidParameterError):
@@ -150,11 +167,3 @@ def test_tilted_levels_have_no_parity():
     with pytest.raises(InvalidParameterError):
         pairing_table(res)
 
-
-def test_record_round_trip():
-    res = solve_spectrum(50.0, 4, grid_n=401)
-    meta, levels = levels_from_record(res.to_record())
-    assert meta["B"] == 50.0 and meta["grid_n"] == 401
-    assert [lv.energy for lv in levels] == [lv.energy for lv in res.levels]
-    with pytest.raises(InvalidParameterError):
-        levels_from_record({"B": 1.0})

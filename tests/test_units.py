@@ -65,6 +65,10 @@ def test_invalid_parameters():
         RodParams(mass=1e-3, length=0.1, gravity=-9.81)
     with pytest.raises(InvalidParameterError):
         RodParams(mass=1e-3, length=0.1, hbar=0.0)
+    for bad in (math.nan, math.inf):
+        for field in ("mass", "length", "gravity"):
+            with pytest.raises(InvalidParameterError):
+                RodParams(**{"mass": 1e-3, "length": 0.1, field: bad})
 
 
 def test_energy_round_trip(scales_ref):
