@@ -46,6 +46,7 @@ from .summit import FIT_GAMMA, summit_scale, wavepacket_phase_derivative
 from .units import DerivedScales, time_to_seconds
 
 FALL_THRESHOLD = HALF_PI - 0.1  # |theta| beyond which the rod counts as fallen
+MAX_CN_STEPS = 10**7  # most Crank-Nicolson steps one evolve_direct call may take
 
 
 @dataclass
@@ -67,13 +68,16 @@ def prepare_gaussian(sigma: float, grid: np.ndarray) -> InitialState:
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
     try:
-        values = math.pi ** (-0.25) * sigma ** (-0.5) * np.exp(-grid**2 / (2.0 * sigma**2))
+        with np.errstate(divide="ignore", invalid="ignore"):  # underflow: see raw_norm
+            values = math.pi ** (-0.25) * sigma ** (-0.5) * np.exp(-grid**2 / (2.0 * sigma**2))
     except OverflowError as exc:
         raise InvalidParameterError(f"sigma={sigma} is too large to square") from exc
     if sigma > 0.3:
         warnings.warn(f"sigma={sigma} is not small against the quarter circle",
                       stacklevel=2)
     raw_norm = float(simpson(values**2, x=grid))
+    if not (math.isfinite(raw_norm) and raw_norm > 0.0):
+        raise InvalidParameterError(f"sigma={sigma} leaves no representable state on the grid")
     values = values / math.sqrt(raw_norm)
     return InitialState(sigma=sigma, grid=grid, values=values,
                         renormalized=abs(raw_norm - 1.0) > 1e-12)
@@ -248,7 +252,8 @@ def evolve_direct(
     The matrix 1 + i dtau/2 H is LU-factored once per step size, i.e.
     once per output interval, and each step is one `gttrs`
     back-substitution on the explicit right-hand side.  Non-finite
-    `B`, `dt`, `times`, state or energy shift raise InvalidParameterError;
+    `B`, `dt`, `times`, state or energy shift raise InvalidParameterError,
+    as do times that could take more than MAX_CN_STEPS steps;
     a norm drift beyond 1e-6 (or a NaN norm) raises StepSizeError.
     """
     times = np.asarray(times, dtype=float)
@@ -268,12 +273,18 @@ def evolve_direct(
     diag = diag - e_ref
 
     def cn_states():
+        # Runs only once `_series` has checked the times.  An interval takes
+        # at most one step more than span/dt, so the total is bounded before
+        # ceil (which raises on inf) is reached; a nan sum fails the test too.
+        spans = np.diff(times, prepend=0.0)
+        ratios = [float(span) / dt for span in spans]
+        if not sum(ratios) + len(ratios) <= MAX_CN_STEPS:
+            raise InvalidParameterError(
+                f"times up to {times[-1]} at dt={dt} could take more than {MAX_CN_STEPS} steps")
         psi = state.values.astype(complex)[1:-1]
-        t_now = 0.0
-        for t in times:
-            span = t - t_now
+        for t, span, ratio in zip(times, spans, ratios):
             if span > 0.0:
-                steps = max(1, math.ceil(span / dt - 1e-12))
+                steps = max(1, math.ceil(ratio - 1e-12))
                 dtau = (span / steps) * factor
                 z_plus = 0.5j * dtau
                 off_plus = np.full(len(diag) - 1, z_plus * off)
@@ -289,7 +300,6 @@ def evolve_direct(
                     rhs[1:] += off_minus * psi[:-1]
                     rhs[:-1] += off_minus * psi[1:]
                     psi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-                t_now = t
             full = np.zeros(len(grid), dtype=complex)
             full[1:-1] = psi * np.exp(-1j * e_ref * (t * factor))
             norm = float(simpson(np.abs(full) ** 2, x=grid))

@@ -13,12 +13,19 @@ removes the leading O(h^2) discretization error and leaves the reported
 energies accurate to a few parts in 1e7 at the default resolution for
 energies of order 1e4.
 
-For tilt = 0 the matrix is also persymmetric, so its eigenvectors
-alternate in parity: level k is (even, odd)[k % 2] with per-parity
-index k // 2, labels taken from the level order.  Only doublets
-(2j, 2j+1) closer than `PARITY_FIX_GAP` are rotated back onto even/odd
-combinations, because below the resolvable splitting LAPACK returns an
-arbitrary mixture of the two members of a tunneling doublet.
+For tilt = 0 the matrix commutes with the reflection theta -> -theta,
+so it splits into two half-size tridiagonal blocks that are solved on
+their own.  With c the interior index of theta = 0, the odd block is the
+leading c x c corner (psi vanishes at the centre).  The even block adds
+the centre row; folding psi[c+1] = psi[c-1] onto it and rescaling the
+centre amplitude by 1/sqrt(2) keeps it symmetric, with sqrt(2) times the
+usual off-diagonal on that last row.  Even level j is global level 2j
+and odd level j is 2j+1, so parity labels follow the level order, and
+the eigenvectors unfold onto the full grid with exact parity; no
+rotation of near-degenerate doublets is needed.  A doublet below the
+bisection tolerance, eps*(max|diag| + 2|off|), cannot be resolved, so
+its odd member is set to the even value: the splitting reads exactly 0,
+as bisection of the full matrix would return it.
 """
 from __future__ import annotations
 
@@ -34,7 +41,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DomainError, InvalidParameterError, ResolutionError
 
 HALF_PI = 0.5 * math.pi
-PARITY_FIX_GAP = 1e-2   # doublets closer than this are rotated onto definite parity
 RESOLUTION_RTOL = 0.02  # largest trusted relative eigenvalue drift under grid doubling
 
 Parity = Literal["even", "odd"]
@@ -150,32 +156,50 @@ def grid_hamiltonian(grid: np.ndarray, B: float, tilt: float = 0.0) -> tuple[np.
 
 
 def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=False):
+    """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
+
+    Unless eigvals_only, the eigenvectors come back as one full-grid array
+    per level, zero at the walls and not yet normalized.  At tilt 0 the
+    half-size block vectors are unfolded straight into these arrays, so no
+    second n_levels x grid_n copy is held.
+    """
     theta = make_grid(grid_n, half_width)
     diag, off = grid_hamiltonian(theta, B, tilt)
-    out = eigh_tridiagonal(diag, np.full(grid_n - 3, off), eigvals_only=eigvals_only,
-                           select="i", select_range=(0, n_levels - 1))
-    return (theta, out, None) if eigvals_only else (theta, *out)
+    if tilt != 0.0:
+        out = eigh_tridiagonal(diag, np.full(grid_n - 3, off), eigvals_only=eigvals_only,
+                               select="i", select_range=(0, n_levels - 1))
+        if eigvals_only:
+            return theta, out, None
+        return theta, out[0], [np.pad(v, 1) for v in out[1].T]
 
-
-def _fix_parity_mixing(vecs: np.ndarray, energies: np.ndarray) -> None:
-    """Rotate near-degenerate doublets onto definite-parity combinations.
-
-    Operates in place on the interior eigenvector columns.  For each
-    doublet (2j, 2j+1) closer than PARITY_FIX_GAP, the even and odd
-    combinations are rebuilt from whichever input vector carries the
-    larger share of each symmetry (always at least half), then assigned
-    with the even state on the lower slot, as in a tunneling doublet.
-    """
-    for k in range(0, len(energies) - 1, 2):
-        if energies[k + 1] - energies[k] >= PARITY_FIX_GAP:
+    c = (grid_n - 3) // 2  # interior index of theta = 0
+    off_even = np.full(c, off)
+    off_even[-1] *= math.sqrt(2.0)  # the symmetrized centre row
+    energies = np.empty(n_levels)
+    values = None if eigvals_only else [np.zeros(grid_n) for _ in range(n_levels)]
+    for p, (d, e) in enumerate(((diag[:c + 1], off_even), (diag[:c], off_even[:-1]))):
+        count = (n_levels + 1 - p) // 2  # level 2j is even j, level 2j + 1 is odd j
+        if count == 0:
             continue
-        va, vb = vecs[:, k], vecs[:, k + 1]
-        sym_a, sym_b = va + va[::-1], vb + vb[::-1]
-        anti_a, anti_b = va - va[::-1], vb - vb[::-1]
-        even = sym_a if np.linalg.norm(sym_a) >= np.linalg.norm(sym_b) else sym_b
-        odd = anti_a if np.linalg.norm(anti_a) >= np.linalg.norm(anti_b) else anti_b
-        vecs[:, k] = even / np.linalg.norm(even)
-        vecs[:, k + 1] = odd / np.linalg.norm(odd)
+        out = eigh_tridiagonal(d, e, eigvals_only=eigvals_only, select="i",
+                               select_range=(0, count - 1))
+        if eigvals_only:
+            energies[p::2] = out
+            continue
+        energies[p::2], vecs = out
+        for full, v in zip(values[p::2], vecs.T):
+            full[1:c + 1] = v[:c]
+            if p == 0:
+                full[c + 1] = math.sqrt(2.0) * v[c]
+                full[c + 2:-1] = full[c:0:-1]
+            else:
+                full[c + 2:-1] = -full[c:0:-1]
+    # A doublet within dstebz's own absolute tolerance is unresolved: tie it,
+    # as bisection of the full matrix does.
+    even, odd = energies[0:n_levels - 1:2], energies[1::2]
+    tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
+    odd[tied] = even[tied]
+    return theta, energies, values
 
 
 @dataclass
@@ -243,7 +267,7 @@ def solve_spectrum(
     if not (0.0 < half_width <= HALF_PI):
         raise InvalidParameterError("half_width must lie in (0, pi/2]")
 
-    theta, raw, vecs = _interior_eigensolve(B, tilt, grid_n, n_levels, half_width)
+    theta, raw, values = _interior_eigensolve(B, tilt, grid_n, n_levels, half_width)
     if refine:
         _, raw_fine, _ = _interior_eigensolve(
             B, tilt, 2 * grid_n - 1, n_levels, half_width, eigvals_only=True
@@ -261,18 +285,13 @@ def solve_spectrum(
         drift = np.full(n_levels, math.nan)
 
     symmetric = tilt == 0.0
-    if symmetric:
-        _fix_parity_mixing(vecs, refined)
-
     levels: list[EnergyLevel] = []
     wavefunctions: list[Wavefunction] = []
-    for k in range(n_levels):
-        full = np.zeros(grid_n)
-        full[1:-1] = vecs[:, k]
+    for k, full in enumerate(values):
         full /= math.sqrt(simpson(full**2, x=theta))
         first = np.argmax(np.abs(full) > 1e-8 * np.max(np.abs(full)))
         if full[first] < 0.0:
-            full = -full
+            full *= -1.0  # in place: `values` still holds this array
         parity, idx = ((EVEN, ODD)[k % 2], k // 2) if symmetric else (None, k)
         levels.append(EnergyLevel(index=idx, parity=parity,
                                   energy=float(refined[k]), drift=float(drift[k])))

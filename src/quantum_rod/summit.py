@@ -281,7 +281,7 @@ def summit_phase_difference(xi_end: float = 60.0, rtol: float = 1e-10) -> float:
     sols = []
     for y0 in ([1.0, 0.0], [0.0, 1.0]):
         sol = solve_ivp(rhs, (0.0, xi_end), y0, t_eval=window,
-                        rtol=rtol, atol=1e-13, method="RK45")
+                        rtol=rtol, atol=1e-13, method="DOP853")
         if not sol.success:
             raise RegimeError(f"summit ODE integration failed: {sol.message}")
         sols.append(sol)

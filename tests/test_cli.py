@@ -175,6 +175,10 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["fall-time", "--mass", "1e-3", "--length", "0.1", "--delta-theta", "1e-300"],
     ["fall-time", "--mass", "1e-3", "--length", "0.1", "--alpha", "1e300"],
     ["evolve", "--B", "100", "--sigma", "1e300", "--grid-n", "401", "--n-levels", "30"],
+    ["evolve", "--B", "100", "--method", "direct", "--t-max", "1e300"],
+    ["evolve", "--B", "100", "--method", "direct", "--dt", "1e-300"],
+    ["evolve", "--B", "100", "--sigma", "1e-300", "--grid-n", "401", "--n-levels", "30"],
+    ["evolve", "--B", "100", "--sigma", "1e-300", "--method", "direct", "--grid-n", "401"],
 ])
 def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
     assert main(argv) == 2

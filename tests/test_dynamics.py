@@ -47,6 +47,11 @@ def test_prepare_gaussian_guards():
     assert wide.renormalized   # visible truncation at the walls
     with pytest.warns(UserWarning):
         dynamics.prepare_gaussian(0.31, grid)   # anything over 0.3 warns
+    # Every sample underflows: 2 sigma^2 is 0 at 1e-300, and at 1e-18 even
+    # the sample nearest theta = 0 on 401 points (2.2e-16 away) is exp(-2e4).
+    for sigma, points in ((1e-300, 2001), (1e-18, 401)):
+        with pytest.raises(InvalidParameterError, match="no representable state"):
+            dynamics.prepare_gaussian(sigma, make_grid(points))
 
 
 def test_uncertainty_product_is_minimal():
@@ -328,6 +333,12 @@ def test_evolve_validation():
                                       renormalized=False)
     with pytest.raises(InvalidParameterError):
         dynamics.evolve_direct(nan_state, 100.0, 1e-3, times)
+    # The step count is bounded before any step is taken, over all intervals
+    # together: the last case takes 1e6 steps in each of ten.
+    for dt, bad_times in ((1e-3, [0.0, 1e300]), (1e-300, [0.0, 1.0]),
+                          (1e-300, [0.0, 1e300]), (1e-7, np.linspace(0.0, 1.0, 11))):
+        with pytest.raises(InvalidParameterError, match="steps"):
+            dynamics.evolve_direct(state, 100.0, dt, np.array(bad_times))
 
 
 def test_hamiltonian_apply_matches_grid_hamiltonian():

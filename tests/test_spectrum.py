@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal
 
 from quantum_rod.errors import DomainError, InvalidParameterError, ResolutionError
 from quantum_rod.spectrum import (
+    grid_hamiltonian,
     make_grid,
     mathieu_residual,
     pairing_table,
@@ -69,15 +71,50 @@ def test_wavefunction_invariants(spectrum_b1e4):
         assert wf.norm() == pytest.approx(1.0, abs=1e-8)
         assert wf.values[0] == 0.0 and wf.values[-1] == 0.0
         sign = 1.0 if lv.parity == "even" else -1.0
-        asym = np.max(np.abs(wf.values - sign * wf.mirrored()))
-        assert asym < 1e-6 * np.max(np.abs(wf.values))
+        assert np.array_equal(wf.values, sign * wf.mirrored())
 
 
 def test_orthonormality(spectrum_b1e4):
+    # The lowest 20 doublets lie far below the bisection tolerance, yet the
+    # block eigenvectors form an orthonormal eigenbasis of the grid operator.
     grid = spectrum_b1e4.wavefunctions[0].grid
-    block = np.array([wf.values for wf in spectrum_b1e4.wavefunctions[:40]])
-    gram = np.array([[simpson(a * b, x=grid) for b in block] for a in block])
-    assert np.max(np.abs(gram - np.eye(40))) < 1e-10
+    block = np.array([wf.values for wf in spectrum_b1e4.wavefunctions[:72]])
+    gram = np.array([simpson(block * psi, x=grid, axis=1) for psi in block])
+    assert np.max(np.abs(gram - np.eye(72))) < 1e-10
+    diag, off = grid_hamiltonian(grid, spectrum_b1e4.B)
+    scale = np.max(np.abs(diag)) + 2.0 * abs(off)
+    for psi in block:
+        inner = psi[1:-1]
+        h_psi = diag * inner + off * (psi[:-2] + psi[2:])
+        residual = h_psi - (inner @ h_psi) / (inner @ inner) * inner
+        assert np.linalg.norm(residual) < 1e-12 * scale * np.linalg.norm(inner)
+
+
+def _full_matrix_levels(B, n_levels, grid_n):
+    # The whole (grid_n - 2)-point three-point matrix, bisected at once.
+    grid = make_grid(grid_n)
+    h = grid[1] - grid[0]
+    diag = 2.0 / h**2 + B * np.cos(grid[1:-1])
+    return eigh_tridiagonal(diag, np.full(grid_n - 3, -1.0 / h**2), eigvals_only=True,
+                            select="i", select_range=(0, n_levels - 1))
+
+
+@pytest.mark.parametrize("B", [0.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("n_levels", [1, 41])
+def test_parity_blocks_match_full_matrix(B, n_levels):
+    grid_n = 2001
+    res = solve_spectrum(B, n_levels, grid_n=grid_n, refine=False)
+    ref = _full_matrix_levels(B, n_levels, grid_n)
+    h = math.pi / (grid_n - 1)
+    assert np.max(np.abs(res.energies - ref)) <= 8 * np.finfo(float).eps * (4 / h**2 + B)
+    for j in range(n_levels // 2):   # a doublet the full matrix ties stays tied
+        if ref[2 * j + 1] == ref[2 * j]:
+            assert res.energies[2 * j + 1] == res.energies[2 * j]
+    for lv, wf in zip(res.levels, res.wavefunctions):
+        sign = 1.0 if lv.parity == "even" else -1.0
+        assert np.array_equal(wf.values, sign * wf.values[::-1])
+    assert [(lv.parity, lv.index) for lv in res.levels] == [
+        (("even", "odd")[k % 2], k // 2) for k in range(n_levels)]
 
 
 def test_crossover_doublets(spectrum_b1e4):

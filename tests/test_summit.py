@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv, jvp
 
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.summit import (
@@ -143,6 +144,28 @@ def test_summit_quantize_rejects_deep_levels():
         summit_quantize(0, B, "even")
 
 
+def _bessel_phase_difference():
+    # psi'' + xi^2 psi = 0 is solved exactly by sqrt(xi) J_{-/+1/4}(xi^2/2),
+    # the even and odd summit solutions.  Their instantaneous WKB phases are
+    # read off the window and with the estimator of the ODE route.
+    xi = np.linspace(42.0, 60.0, 201)
+    z = 0.5 * xi**2
+
+    def phase(nu):
+        psi = np.sqrt(xi) * jv(nu, z)
+        dpsi = jv(nu, z) / (2.0 * np.sqrt(xi)) + xi**1.5 * jvp(nu, z)
+        return np.unwrap(np.arctan2(-dpsi / np.sqrt(xi), psi * np.sqrt(xi)))
+
+    return float(np.median(np.mod(phase(-0.25) - phase(0.25), 2.0 * math.pi)))
+
+
 def test_summit_phase_difference_ode():
-    # Independent wave-equation route to the pi/4 parity offset.
-    assert summit_phase_difference() == pytest.approx(QUARTER_PI, abs=1e-3)
+    # Independent wave-equation route to the pi/4 parity offset; the
+    # integration itself matches the exact solutions far below that bound.
+    diff = summit_phase_difference()
+    assert diff == pytest.approx(QUARTER_PI, abs=1e-3)
+    assert diff == pytest.approx(_bessel_phase_difference(), abs=1e-9)
+
+
+def test_summit_phase_difference_bessel():
+    assert _bessel_phase_difference() == pytest.approx(QUARTER_PI, abs=1e-3)
