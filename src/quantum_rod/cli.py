@@ -45,12 +45,14 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import make_grid, pairing_table, solve_spectrum
+from .spectrum import make_grid, min_grid_n, pairing_table, solve_spectrum
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
 _NUMERICAL_ERRORS = (ResolutionError, RegimeError, InsufficientBasisError,
                      StepSizeError)
+
+_GRID_N = 4001  # default base grid of the stationary subcommands
 
 # (flag, type, default, help); None default means optional/absent
 _COMMON = [
@@ -70,20 +72,20 @@ _SCHEMAS: dict[str, list[tuple[str, type, Any, str]]] = {
     "spectrum": _COMMON + _ROD + [
         ("B", float, None, "dimensionless barrier height 2J*V0/hbar^2"),
         ("n-levels", int, 10, "number of levels (both parities combined)"),
-        ("grid-n", int, 4001, "base grid size (odd)"),
+        ("grid-n", int, _GRID_N, "base grid size (odd)"),
         ("tilt", float, 0.0, "table tilt delta_theta in rad"),
     ],
     "wkb-compare": _COMMON + _ROD + [
         ("B", float, None, "dimensionless barrier height"),
         ("n-min", int, 0, "first doublet index"),
         ("n-max", int, 9, "last doublet index"),
-        ("grid-n", int, 4001, "base grid size (odd)"),
+        ("grid-n", int, _GRID_N, "base grid size (odd)"),
     ],
     "summit": _COMMON + _ROD + [
         ("B", float, None, "dimensionless barrier height"),
         ("n-min", int, None, "first per-parity level index (default: near summit)"),
         ("n-max", int, None, "last per-parity level index"),
-        ("grid-n", int, 4001, "base grid size (odd)"),
+        ("grid-n", int, _GRID_N, "base grid size (odd)"),
         ("xi-match", float, 3.0, "matching point of the parabolic region"),
     ],
     "airy": _COMMON + [
@@ -108,7 +110,7 @@ _SCHEMAS: dict[str, list[tuple[str, type, Any, str]]] = {
         ("B", float, None, "dimensionless barrier height"),
         ("n", int, 18, "doublet index"),
         ("tilts", float, [1e-3], "tilt values delta_theta in rad"),
-        ("grid-n", int, 4001, "base grid size (odd)"),
+        ("grid-n", int, _GRID_N, "base grid size (odd)"),
     ],
 }
 
@@ -270,7 +272,12 @@ def run_summit(cfg: dict[str, Any]) -> Payload:
     if not 0 <= n_min <= n_max:
         raise InvalidParameterError("need 0 <= n-min <= n-max")
 
-    result = solve_spectrum(B, 2 * (n_max + 1) + 4, grid_n=cfg["grid_n"])
+    n_levels = 2 * (n_max + 1) + 4
+    if cfg["grid_n"] < min_grid_n(n_levels):
+        raise InvalidParameterError(
+            f"the summit rows need the lowest {n_levels} levels, which takes "
+            f"--grid-n >= {min_grid_n(n_levels)} (default {_GRID_N})")
+    result = solve_spectrum(B, n_levels, grid_n=cfg["grid_n"])
     hw = math.sqrt(2.0 * B)
     header = ["n", "parity", "epsilon", "energy_model", "energy", "error"]
     rows = []

@@ -13,9 +13,17 @@ conserved to rounding; its phase error per mode scales as (E*dt)^3, so
 the integrator internally shifts the Hamiltonian by the initial energy
 expectation and restores the corresponding global phase afterwards,
 which keeps the error controlled by the energy spread instead of the
-absolute energy.  The tridiagonal Crank-Nicolson matrix is LU-factored
-once per step size (LAPACK `gttrf`), and each step is then one `gttrs`
-back-substitution with the stored factors.
+absolute energy.
+
+The untilted operator commutes with theta -> -theta, so Crank-Nicolson
+steps the even and odd parts of the state on their own, on the two
+half-size blocks of `spectrum.parity_blocks`; a part that is exactly
+zero (the odd part of the even Gaussian) is never stepped.  With
+A = i dtau/2 H, one step (1 + A)^-1 (1 - A) psi is written as
+2 (1 + A)^-1 psi - psi: each block's (1 + A)/2 is LU-factored once per
+step size (LAPACK `gttrf`), and a step is one `gttrs` back-substitution
+with the stored factors and one subtraction, with no explicit
+right-hand side.
 
 Both propagators only yield the state at each output time; one driver,
 `_series`, checks the times and records observables and snapshots.
@@ -41,12 +49,21 @@ from .errors import (
     InvalidParameterError,
     StepSizeError,
 )
-from .spectrum import HALF_PI, SpectrumResult, grid_hamiltonian, potential
+from .spectrum import (
+    HALF_PI,
+    SpectrumResult,
+    fold_parity,
+    grid_hamiltonian,
+    parity_blocks,
+    potential,
+    unfold_parity,
+)
 from .summit import FIT_GAMMA, summit_scale, wavepacket_phase_derivative
 from .units import DerivedScales, time_to_seconds
 
 FALL_THRESHOLD = HALF_PI - 0.1  # |theta| beyond which the rod counts as fallen
 MAX_CN_STEPS = 10**7  # most Crank-Nicolson steps one evolve_direct call may take
+PHASE_TOL = 1e-8  # largest rounding error, in rad, of an eigenbasis phase E*tau
 
 
 @dataclass
@@ -216,13 +233,22 @@ def evolve_eigen(
 ) -> EvolutionResult:
     """Analytic propagation psi(t) = sum c_n exp(-i E_n tau) psi_n.
 
-    Times must be finite, strictly increasing and >= 0.
+    Times must be finite, strictly increasing and >= 0, and short enough
+    that double precision holds every phase E_n tau to PHASE_TOL:
+    eps * max|E_n| * tau <= PHASE_TOL, else InvalidParameterError.
     """
     times = np.asarray(times, dtype=float)
     factor = _tau_factor(basis.B, times_unit)
     modes = np.stack([wf.values for wf in basis.wavefunctions])
     energies = basis.energies
     def eigen_states():
+        # Runs only once `_series` has checked the times, so times[-1] is
+        # the largest.  Beyond the bound exp(-i E tau) is rounding noise.
+        rounding = np.finfo(float).eps * np.max(np.abs(energies)) * (times[-1] * factor)
+        if not rounding <= PHASE_TOL:
+            raise InvalidParameterError(
+                f"at t={times[-1]:g} the mode phases E*tau carry {rounding:.1e} rad of "
+                f"rounding (more than {PHASE_TOL:g}); lower --t-max")
         for t in times:
             yield (coefficients * np.exp(-1j * energies * (t * factor))) @ modes
 
@@ -249,12 +275,17 @@ def evolve_direct(
     module docstring); the corresponding global phase is restored in
     the returned snapshots.
 
-    The matrix 1 + i dtau/2 H is LU-factored once per step size, i.e.
-    once per output interval, and each step is one `gttrs`
-    back-substitution on the explicit right-hand side.  Non-finite
-    `B`, `dt`, `times`, state or energy shift raise InvalidParameterError,
-    as do times that could take more than MAX_CN_STEPS steps;
-    a norm drift beyond 1e-6 (or a NaN norm) raises StepSizeError.
+    The state's even and odd parts are stepped on their own parity
+    blocks, and a part that is exactly zero is not stepped at all, so an
+    even state costs one half-size solve per step.  Each block's
+    (1 + i dtau/2 H)/2 is LU-factored once per step size, i.e. once per
+    output interval, and each step is one `gttrs` back-substitution
+    followed by one subtraction.  The grid must have an odd number of
+    points, at least 9, and be exactly mirror-symmetric, as
+    `spectrum.make_grid` makes it.  A grid that is not, non-finite `B`,
+    `dt`, `times`, state or energy shift raise InvalidParameterError, as do
+    times that could take more than MAX_CN_STEPS steps; a norm drift beyond
+    1e-6 (or a NaN norm) raises StepSizeError.
     """
     times = np.asarray(times, dtype=float)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -263,6 +294,10 @@ def evolve_direct(
         raise InvalidParameterError(f"B must be finite, got {B}")
     factor = _tau_factor(B, times_unit)
     grid = state.grid
+    # scipy's gttrf takes no system of fewer than 3 rows, so each block needs 3.
+    if not (len(grid) % 2 == 1 and len(grid) >= 9 and np.array_equal(grid, -grid[::-1])):
+        raise InvalidParameterError("Crank-Nicolson needs an odd, mirror-symmetric grid of "
+                                    f"at least 9 points; got {len(grid)} points")
     if not np.all(np.isfinite(state.values)):
         raise InvalidParameterError("initial state has non-finite values")
     e_ref = energy_expectation(state, B) if energy_shift is None else energy_shift
@@ -270,7 +305,7 @@ def evolve_direct(
         raise InvalidParameterError(f"energy shift must be finite, got {e_ref}")
 
     diag, off = grid_hamiltonian(grid, B)
-    diag = diag - e_ref
+    blocks = parity_blocks(diag - e_ref, off)
 
     def cn_states():
         # Runs only once `_series` has checked the times.  An interval takes
@@ -281,27 +316,28 @@ def evolve_direct(
         if not sum(ratios) + len(ratios) <= MAX_CN_STEPS:
             raise InvalidParameterError(
                 f"times up to {times[-1]} at dt={dt} could take more than {MAX_CN_STEPS} steps")
-        psi = state.values.astype(complex)[1:-1]
+        # The blocks do not couple, so a part that is zero stays zero.
+        parts = {parity: psi for parity, psi
+                 in fold_parity(state.values[1:-1].astype(complex)).items() if np.any(psi)}
         for t, span, ratio in zip(times, spans, ratios):
             if span > 0.0:
                 steps = max(1, math.ceil(ratio - 1e-12))
-                dtau = (span / steps) * factor
-                z_plus = 0.5j * dtau
-                off_plus = np.full(len(diag) - 1, z_plus * off)
-                dl, d, du, du2, ipiv, info = zgttrf(off_plus, 1.0 + z_plus * diag, off_plus)
-                if info != 0:
-                    raise StepSizeError(
-                        f"Crank-Nicolson matrix is singular (zgttrf info={info}) at dt={dt}")
-                z = -0.5j * dtau
-                diag_minus = 1.0 + z * diag
-                off_minus = z * off
-                for _ in range(steps):
-                    rhs = psi * diag_minus
-                    rhs[1:] += off_minus * psi[:-1]
-                    rhs[:-1] += off_minus * psi[1:]
-                    psi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+                z = 0.25j * (span / steps) * factor  # (1 + i dtau/2 H)/2 = 1/2 + z H
+                for parity, psi in parts.items():
+                    d, e = blocks[parity]
+                    dl, dd, du, du2, ipiv, info = zgttrf(z * e, 0.5 + z * d, z * e)
+                    if info != 0:
+                        raise StepSizeError(
+                            f"Crank-Nicolson matrix is singular (zgttrf info={info}) at dt={dt}")
+                    for _ in range(steps):
+                        x, _ = zgttrs(dl, dd, du, du2, ipiv, psi)
+                        x -= psi
+                        psi = x
+                    parts[parity] = psi
             full = np.zeros(len(grid), dtype=complex)
-            full[1:-1] = psi * np.exp(-1j * e_ref * (t * factor))
+            for parity, psi in parts.items():
+                unfold_parity(psi, parity, full[1:-1])
+            full *= np.exp(-1j * e_ref * (t * factor))
             norm = float(simpson(np.abs(full) ** 2, x=grid))
             if not abs(norm - 1.0) <= 1e-6:
                 raise StepSizeError(f"norm drifted to {norm:.2e} at t={t}; reduce dt")

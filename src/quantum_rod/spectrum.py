@@ -14,11 +14,14 @@ energies accurate to a few parts in 1e7 at the default resolution for
 energies of order 1e4.
 
 For tilt = 0 the matrix commutes with the reflection theta -> -theta,
-so it splits into two half-size tridiagonal blocks that are solved on
-their own.  With c the interior index of theta = 0, the odd block is the
-leading c x c corner (psi vanishes at the centre).  The even block adds
-the centre row; folding psi[c+1] = psi[c-1] onto it and rescaling the
-centre amplitude by 1/sqrt(2) keeps it symmetric, with sqrt(2) times the
+so it splits into two half-size tridiagonal blocks, `parity_blocks`,
+that are solved on their own (and that Crank-Nicolson in `dynamics`
+steps on their own).  `make_grid` is exactly mirror-symmetric, so an
+even or odd function sampled on it keeps its parity exactly.  With c
+the interior index of theta = 0, the odd block is the leading c x c
+corner (psi vanishes at the centre).  The even block adds the centre
+row; folding psi[c+1] = psi[c-1] onto it and rescaling the centre
+amplitude by 1/sqrt(2) keeps it symmetric, with sqrt(2) times the
 usual off-diagonal on that last row.  Even level j is global level 2j
 and odd level j is 2j+1, so parity labels follow the level order, and
 the eigenvectors unfold onto the full grid with exact parity; no
@@ -142,8 +145,20 @@ class Doublet:
 
 
 def make_grid(grid_n: int, half_width: float = HALF_PI) -> np.ndarray:
-    """Uniform symmetric grid of grid_n points spanning [-w, w]."""
-    return np.linspace(-half_width, half_width, grid_n)
+    """Uniform grid of grid_n points spanning [-w, w], exactly mirror-symmetric.
+
+    theta[grid_n - 1 - i] == -theta[i] for every i, and for odd grid_n the
+    centre point is exactly 0.0: the left half is numpy's linspace and the
+    right half its negated mirror.  (linspace alone is off by up to 4.4e-16,
+    which gives every even function sampled on it a spurious odd part.)
+    """
+    left = np.linspace(-half_width, half_width, grid_n)[:grid_n // 2]
+    return np.concatenate((left, np.zeros(grid_n % 2), -left[::-1]))
+
+
+def min_grid_n(n_levels: int) -> int:
+    """Fewest grid points `solve_spectrum` accepts for n_levels levels."""
+    return 10 * n_levels + 1
 
 
 def grid_hamiltonian(grid: np.ndarray, B: float, tilt: float = 0.0) -> tuple[np.ndarray, float]:
@@ -153,6 +168,51 @@ def grid_hamiltonian(grid: np.ndarray, B: float, tilt: float = 0.0) -> tuple[np.
     """
     h = grid[1] - grid[0]
     return 2.0 / h**2 + potential(grid[1:-1], B, tilt), -1.0 / h**2
+
+
+def parity_blocks(diag: np.ndarray, off: float) -> dict[Parity, tuple[np.ndarray, np.ndarray]]:
+    """The even and odd blocks of an untilted `grid_hamiltonian`.
+
+    With diag of 2c + 1 entries (c the interior index of theta = 0), maps
+    each parity, even first, to its block's (diagonal, off-diagonal).  The
+    odd block is the leading c x c corner; the even block adds the centre
+    row with sqrt(2) times the off-diagonal there, acting on the vectors
+    `fold_parity` makes.
+    """
+    c = len(diag) // 2
+    off_even = np.full(c, off)
+    off_even[-1:] *= math.sqrt(2.0)  # the symmetrized centre row
+    return {EVEN: (diag[:c + 1], off_even), ODD: (diag[:c], off_even[:-1])}
+
+
+def fold_parity(psi: np.ndarray) -> dict[Parity, np.ndarray]:
+    """Block vectors of an interior vector of 2c + 1 entries, by parity.
+
+    The even one is the even part's (psi_e[:c], psi[c]/sqrt(2)), the odd
+    one the odd part's first c entries.  An exactly even (odd) psi gives
+    an odd (even) block vector of exact zeros.
+    """
+    c = len(psi) // 2
+    mirror = psi[:c:-1]
+    even = np.empty(c + 1, dtype=psi.dtype)
+    even[:c] = 0.5 * (psi[:c] + mirror)
+    even[c] = psi[c] / math.sqrt(2.0)
+    return {EVEN: even, ODD: 0.5 * (psi[:c] - mirror)}
+
+
+def unfold_parity(vec: np.ndarray, parity: Parity, out: np.ndarray) -> None:
+    """Add the interior vector of block vector `vec` to `out` (2c + 1 entries).
+
+    The inverse of `fold_parity`: the left half is vec[:c], the right half
+    its mirror (negated for odd), the centre sqrt(2)*vec[c] or 0.
+    """
+    c = len(out) // 2
+    out[:c] += vec[:c]
+    if parity == EVEN:
+        out[c] += math.sqrt(2.0) * vec[c]
+        out[c + 1:] += vec[:c][::-1]
+    else:
+        out[c + 1:] -= vec[::-1]
 
 
 def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=False):
@@ -172,12 +232,9 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=Fal
             return theta, out, None
         return theta, out[0], [np.pad(v, 1) for v in out[1].T]
 
-    c = (grid_n - 3) // 2  # interior index of theta = 0
-    off_even = np.full(c, off)
-    off_even[-1] *= math.sqrt(2.0)  # the symmetrized centre row
     energies = np.empty(n_levels)
     values = None if eigvals_only else [np.zeros(grid_n) for _ in range(n_levels)]
-    for p, (d, e) in enumerate(((diag[:c + 1], off_even), (diag[:c], off_even[:-1]))):
+    for p, (parity, (d, e)) in enumerate(parity_blocks(diag, off).items()):
         count = (n_levels + 1 - p) // 2  # level 2j is even j, level 2j + 1 is odd j
         if count == 0:
             continue
@@ -188,12 +245,7 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=Fal
             continue
         energies[p::2], vecs = out
         for full, v in zip(values[p::2], vecs.T):
-            full[1:c + 1] = v[:c]
-            if p == 0:
-                full[c + 1] = math.sqrt(2.0) * v[c]
-                full[c + 2:-1] = full[c:0:-1]
-            else:
-                full[c + 2:-1] = -full[c:0:-1]
+            unfold_parity(v, parity, full[1:-1])
     # A doublet within dstebz's own absolute tolerance is unresolved: tie it,
     # as bisection of the full matrix does.
     even, odd = energies[0:n_levels - 1:2], energies[1::2]
@@ -258,9 +310,9 @@ def solve_spectrum(
     spec = PotentialSpec(B, tilt)  # validates B and tilt
     if n_levels < 1:
         raise InvalidParameterError("n_levels must be >= 1")
-    if grid_n < 10 * n_levels:
+    if grid_n < min_grid_n(n_levels):
         raise InvalidParameterError(
-            f"grid_n={grid_n} too coarse for {n_levels} levels (need >= {10 * n_levels + 1})"
+            f"grid_n={grid_n} too coarse for {n_levels} levels (need >= {min_grid_n(n_levels)})"
         )
     if grid_n % 2 == 0:
         raise InvalidParameterError("grid_n must be odd so the grid contains theta = 0")

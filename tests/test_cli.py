@@ -179,6 +179,8 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["evolve", "--B", "100", "--method", "direct", "--dt", "1e-300"],
     ["evolve", "--B", "100", "--sigma", "1e-300", "--grid-n", "401", "--n-levels", "30"],
     ["evolve", "--B", "100", "--sigma", "1e-300", "--method", "direct", "--grid-n", "401"],
+    ["evolve", "--B", "100", "--method", "direct", "--grid-n", "2000"],
+    ["evolve", "--B", "100", "--t-max", "1e18", "--n-times", "3"],
 ])
 def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
     assert main(argv) == 2
@@ -265,6 +267,20 @@ def test_summit_table(capsys):
         assert abs(r["error"]) / r["energy"] < 1e-3
         assert r["energy_model"] == pytest.approx(r["energy"] + r["error"],
                                                   rel=1e-6)
+
+
+def test_summit_names_the_grid_it_needs(capsys):
+    # The rows reach level n = 2638 of each parity: 2 * 2639 + 4 levels.
+    assert main(["summit", "--B", "1e8"]) == 2
+    err = capsys.readouterr().err
+    assert "the summit rows need the lowest 5282 levels" in err
+    assert "--grid-n >= 52821 (default 4001)" in err
+
+
+def test_evolve_phase_bound_names_t_max(capsys):
+    assert main(["evolve", "--B", "100", "--sigma", "0.1", "--grid-n", "401",
+                 "--n-levels", "30", "--t-max", "1e18", "--n-times", "3"]) == 2
+    assert "--t-max" in capsys.readouterr().err
 
 
 def test_wkb_compare_free_and_barrier(capsys):

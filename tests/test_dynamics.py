@@ -48,8 +48,8 @@ def test_prepare_gaussian_guards():
     with pytest.warns(UserWarning):
         dynamics.prepare_gaussian(0.31, grid)   # anything over 0.3 warns
     # Every sample underflows: 2 sigma^2 is 0 at 1e-300, and at 1e-18 even
-    # the sample nearest theta = 0 on 401 points (2.2e-16 away) is exp(-2e4).
-    for sigma, points in ((1e-300, 2001), (1e-18, 401)):
+    # the samples nearest theta = 0 on 400 points (h/2 = 3.9e-3 away) are 0.
+    for sigma, points in ((1e-300, 2001), (1e-18, 400)):
         with pytest.raises(InvalidParameterError, match="no representable state"):
             dynamics.prepare_gaussian(sigma, make_grid(points))
 
@@ -333,6 +333,12 @@ def test_evolve_validation():
                                       renormalized=False)
     with pytest.raises(InvalidParameterError):
         dynamics.evolve_direct(nan_state, 100.0, 1e-3, times)
+    # Crank-Nicolson steps parity blocks: the grid must mirror exactly.
+    lopsided = grid.copy()
+    lopsided[1] += 1e-9
+    for bad_grid in (lopsided, make_grid(400), make_grid(7)):
+        with pytest.raises(InvalidParameterError, match="mirror-symmetric"):
+            dynamics.evolve_direct(dynamics.prepare_gaussian(0.1, bad_grid), 100.0, 1e-3, times)
     # The step count is bounded before any step is taken, over all intervals
     # together: the last case takes 1e6 steps in each of ten.
     for dt, bad_times in ((1e-3, [0.0, 1e300]), (1e-300, [0.0, 1.0]),
@@ -358,20 +364,15 @@ def test_hamiltonian_apply_matches_grid_hamiltonian():
     assert np.max(np.abs(got[1:-1] - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def test_evolve_direct_matches_dense_crank_nicolson():
-    # Each CN step solves (1 + zH) psi' = (1 - zH) psi with z = i dtau/2,
-    # H shifted by the initial energy; iterate that with dense linear
-    # algebra on a small grid and compare with the banded stepper.
-    B = 20.0
-    grid = make_grid(41)
-    h = grid[1] - grid[0]
-    state = dynamics.prepare_gaussian(0.3, grid)
-    e_ref = dynamics.energy_expectation(state, B)
-    times = np.array([0.0, 0.035, 0.05])   # 6 steps, then 3 of another size
-    dt = 0.006
-    res = dynamics.evolve_direct(state, B, dt, times, times_unit="natural",
-                                 snapshot_times=times)
+def _dense_crank_nicolson(state, B, dt, times):
+    """Interior states at times[1:] from dense (1 + zH) psi' = (1 - zH) psi.
 
+    z = i dtau/2 and H is shifted by the initial energy, whose global phase
+    is restored, as `evolve_direct` does.
+    """
+    grid = state.grid
+    h = grid[1] - grid[0]
+    e_ref = dynamics.energy_expectation(state, B)
     n = len(grid) - 2
     ham = (np.diag(2.0 / h**2 + potential(grid[1:-1], B) - e_ref)
            - np.diag(np.full(n - 1, 1.0 / h**2), 1)
@@ -379,15 +380,67 @@ def test_evolve_direct_matches_dense_crank_nicolson():
     eye = np.eye(n)
     psi = state.values[1:-1].astype(complex)
     t_now = 0.0
-    for k, t in enumerate(times[1:], start=1):
+    expected = []
+    for t in times[1:]:
         steps = math.ceil((t - t_now) / dt - 1e-12)
         z = 0.5j * (t - t_now) / steps
         for _ in range(steps):
             psi = np.linalg.solve(eye + z * ham, (eye - z * ham) @ psi)
         t_now = t
-        expected = psi * np.exp(-1j * e_ref * t)
-        assert np.max(np.abs(res.snapshots[k][1:-1] - expected)) < 1e-13
-        assert res.snapshots[k][0] == res.snapshots[k][-1] == 0.0
+        expected.append(psi * np.exp(-1j * e_ref * t))
+    return expected
+
+
+def test_evolve_direct_matches_dense_crank_nicolson():
+    # Iterate CN with dense linear algebra on a small grid and compare
+    # with the banded stepper.
+    B = 20.0
+    state = dynamics.prepare_gaussian(0.3, make_grid(41))
+    times = np.array([0.0, 0.035, 0.05])   # 6 steps, then 3 of another size
+    dt = 0.006
+    res = dynamics.evolve_direct(state, B, dt, times, times_unit="natural",
+                                 snapshot_times=times)
+    for snap, expected in zip(res.snapshots[1:], _dense_crank_nicolson(state, B, dt, times)):
+        assert np.max(np.abs(snap[1:-1] - expected)) < 1e-13
+        assert snap[0] == snap[-1] == 0.0
+
+
+@pytest.mark.parametrize("shape, blocks, mirror", [
+    ("even", 1, 1.0), ("odd", 1, -1.0), ("off-centre", 2, None)])
+def test_evolve_direct_steps_occupied_parity_blocks(monkeypatch, shape, blocks, mirror):
+    # Only the parity blocks the state occupies are factored and stepped;
+    # any mix of the two still follows the full-grid CN map, and an exactly
+    # even or odd state keeps its exact symmetry.
+    B = 20.0
+    grid = make_grid(41)
+    if shape == "even":
+        state = dynamics.prepare_gaussian(0.3, grid)
+    else:
+        values = grid * np.exp(-grid**2 / 0.18) if shape == "odd" \
+            else np.exp(-(grid - 0.3) ** 2 / 0.18)
+        values[[0, -1]] = 0.0
+        values /= math.sqrt(simpson(values**2, x=grid))
+        state = dynamics.InitialState(sigma=0.3, grid=grid, values=values,
+                                      renormalized=False)
+    calls = []
+    real_zgttrf = dynamics.zgttrf
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real_zgttrf(*args)
+
+    monkeypatch.setattr(dynamics, "zgttrf", counting)
+    times = np.array([0.0, 0.035, 0.05])
+    dt = 0.006
+    res = dynamics.evolve_direct(state, B, dt, times, times_unit="natural",
+                                 snapshot_times=times)
+    assert len(calls) == blocks * (len(times) - 1)
+    assert max(calls) <= 20   # half-size blocks of the 39 interior points
+    for snap, expected in zip(res.snapshots[1:], _dense_crank_nicolson(state, B, dt, times)):
+        assert np.max(np.abs(snap[1:-1] - expected)) < 1e-13
+    if mirror is not None:
+        for snap in res.snapshots:
+            assert np.array_equal(snap, mirror * snap[::-1])
 
 
 def test_evolve_direct_typed_failures(monkeypatch):

@@ -192,9 +192,13 @@ def test_wavefunction_domain_guard(spectrum_b1e4):
 
 
 def test_make_grid_symmetry():
-    grid = make_grid(4001)
-    assert np.max(np.abs(grid + grid[::-1])) < 1e-12
-    assert grid[2000] == 0.0
+    for grid_n in (3, 4, 400, 401, 2000, 4001, 20001):
+        grid = make_grid(grid_n)
+        assert len(grid) == grid_n and grid[0] == -0.5 * math.pi
+        assert np.array_equal(grid, -grid[::-1])
+        if grid_n % 2:
+            assert grid[grid_n // 2] == 0.0
+        assert np.max(np.abs(np.diff(grid, 2))) < 1e-14   # uniform
 
 
 def test_tilted_levels_have_no_parity():
