@@ -109,13 +109,19 @@ def phase_delta(epsilon: float) -> PhaseCorrection:
     half the tunneling exponential; far above it tends to +/- pi/4,
     recovering the degeneracy-free above-barrier phases.
     """
+    delta_plus, delta_minus = _deltas(epsilon)
+    regime = AT if epsilon == 0.0 else (BELOW if epsilon < 0.0 else ABOVE)
+    return PhaseCorrection(epsilon=epsilon, delta_plus=delta_plus,
+                           delta_minus=delta_minus, regime=regime)
+
+
+def _deltas(epsilon: float) -> tuple[float, float]:
+    """(delta_plus, delta_minus) of `phase_delta`, without the record."""
     if not math.isfinite(epsilon):
         raise DomainError("epsilon must be finite")
     core = _eps_log(epsilon) - half_arg_gamma_fit(epsilon)
     wave = 0.5 * _arctan_exp(math.pi * epsilon)
-    regime = AT if epsilon == 0.0 else (BELOW if epsilon < 0.0 else ABOVE)
-    return PhaseCorrection(epsilon=epsilon, delta_plus=core + wave,
-                           delta_minus=core - wave, regime=regime)
+    return core + wave, core - wave
 
 
 def wavepacket_phase(epsilon: float) -> float:
@@ -216,9 +222,8 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
         )
     inner = quadratic_action(eps, xi_eff)
     outer = phase_integral(energy, B, delta_theta, HALF_PI)
-    pc = phase_delta(eps)
-    correction = pc.delta_plus if parity == EVEN else pc.delta_minus
-    return inner + outer + correction
+    delta_plus, delta_minus = _deltas(eps)
+    return inner + outer + (delta_plus if parity == EVEN else delta_minus)
 
 
 def summit_quantize(
@@ -243,7 +248,7 @@ def summit_quantize(
         return summit_phase(energy, B, parity, xi_match) - target
 
     eps_grid = np.linspace(-eps_window, eps_window, 81)
-    energies = B + eps_grid * hw
+    energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
     # scan silently: the window edges trip the matching-angle warning
     # even when the root itself is fine
     with warnings.catch_warnings():
@@ -252,10 +257,10 @@ def summit_quantize(
         root = None
         for k in range(len(values) - 1):
             if values[k] == 0.0:
-                root = float(energies[k])
+                root = energies[k]
                 break
             if values[k] * values[k + 1] < 0.0:
-                root = brentq(residual, float(energies[k]), float(energies[k + 1]))
+                root = brentq(residual, energies[k], energies[k + 1])
                 break
     if root is None:
         raise RegimeError(

@@ -17,6 +17,24 @@ Quantization conditions handled here:
 Levels near the summit need the parabolic-cylinder treatment in
 `summit`, which degenerates to both conditions in the appropriate
 limits.
+
+Every phase integral is an elliptic integral, evaluated in closed form
+with Carlson's symmetric R_F and R_D (B. C. Carlson, Numer. Algorithms
+10, 13 (1995); DLMF 19.2, 19.29).  Measured from a turning point, the
+substitution v = sqrt(E - B cos theta), or w = sqrt(B cos theta - E)
+under the barrier, turns each integral into one symmetric integral with
+positive arguments, so nothing cancels as E/B -> 0:
+
+    well_action     (2/3) E^(3/2) R_D(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2)
+    period_integral 2 sqrt(E) R_F(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2)
+    barrier_action  (4/3) (B - E) R_D(0, 2B/(B+E), 1) / sqrt(B + E)
+
+Above the barrier theta = pi - 2 phi turns `phase_integral` and
+`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1.  In
+this module only barrier_action(method="adaptive") stays on
+`scipy.integrate.quad`, as the quadrature cross-check of the closed
+forms.  `dynamics.classical_fall_time` keeps its quadrature too, since
+it is itself checked against an elliptic closed form.
 """
 from __future__ import annotations
 
@@ -24,8 +42,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ellipeinc, elliprd, elliprf
 
 from .errors import DomainError, InvalidParameterError, RegimeError
 
@@ -55,39 +73,74 @@ def turning_point(energy: float, B: float) -> float:
     return math.acos(energy / B)
 
 
-def phase_integral(energy: float, B: float, lower: float, upper: float) -> float:
-    """Plain quadrature of sqrt(E - B cos theta) over [lower, upper].
+def _turning_point_action(energy: float, B: float, cos_theta: float) -> float:
+    """Integral of sqrt(E - B cos t) from theta0 out to theta, for -B < E < B.
 
-    The caller must keep the integrand non-negative on the interval.
+    With v = sqrt(E - B cos t) it is (2/3) v^3 R_D(B(1 + cos theta)/(B + E),
+    B(1 - cos theta)/(B - E), 1) / sqrt(B^2 - E^2), for theta0 <= theta
+    <= pi; a theta inside the barrier gives v = 0 and so 0.
     """
-    val, _ = quad(lambda t: math.sqrt(max(energy - B * math.cos(t), 0.0)),
-                  lower, upper, limit=200)
-    return val
+    v2 = max(energy - B * cos_theta, 0.0)
+    scale = v2 * math.sqrt(v2 / (B + energy) / (B - energy))
+    return 2.0 / 3.0 * scale * elliprd(B * (1.0 + cos_theta) / (B + energy),
+                                       B * (1.0 - cos_theta) / (B - energy), 1.0)
+
+
+def phase_integral(energy: float, B: float, lower: float, upper: float) -> float:
+    """Integral of sqrt(max(E - B cos theta, 0)) from lower to upper, B >= 0.
+
+    On [0, pi] it is the difference of an antiderivative at the limits.
+    Below the barrier that is `_turning_point_action`, measured from
+    theta0, so a limit inside the barrier is clamped up to theta0 and
+    nothing cancels as E/B -> 0.  Above it, theta = pi - 2 phi gives
+    -2 sqrt(E + B) E((pi - theta)/2|m) with m = 2B/(E + B) <= 1.  The
+    integrand is even and 2 pi-periodic, which places any other limit.
+    """
+    if energy + B <= 0.0:
+        return 0.0  # E <= -B: the integrand vanishes everywhere
+    if energy < B:
+        def primitive(theta: float) -> float:
+            return _turning_point_action(energy, B, math.cos(theta))
+    else:
+        m = 2.0 * B / (energy + B)
+        scale = -2.0 * math.sqrt(energy + B)
+
+        def primitive(theta: float) -> float:
+            return scale * ellipeinc(0.5 * (math.pi - theta), m)
+    if 0.0 <= lower <= math.pi and 0.0 <= upper <= math.pi:
+        return primitive(upper) - primitive(lower)
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError(f"phase integral limits must be finite, got {lower}, {upper}")
+    at_zero = primitive(0.0)
+    total = 0.0
+    for theta, sign in ((upper, 1.0), (lower, -1.0)):
+        turns = round(theta / (2.0 * math.pi))
+        rest = theta - 2.0 * math.pi * turns  # in [-pi, pi]
+        if turns:
+            total += sign * 2 * turns * (primitive(math.pi) - at_zero)
+        total += sign * math.copysign(primitive(abs(rest)) - at_zero, rest)
+    return total
 
 
 def well_action(energy: float, B: float) -> float:
-    """Action from the turning point to the wall, singularity removed.
+    """Action from the turning point to the wall, 0 <= E <= B.
 
-    Substituting theta = theta0 + u^2 turns the sqrt zero at the turning
-    point into a smooth integrand.
+    Closed form (2/3) E^(3/2) R_D(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2):
+    zero at E = 0, and `max_well_action` at E = B.
     """
-    theta0 = turning_point(energy, B)
-    span = HALF_PI - theta0
-
-    def f(u: float) -> float:
-        return 2.0 * u * math.sqrt(max(energy - B * math.cos(theta0 + u * u), 0.0))
-
-    val, _ = quad(f, 0.0, math.sqrt(span), limit=200)
-    return val
+    turning_point(energy, B)  # domain check
+    if energy == B:
+        return max_well_action(B)
+    return _turning_point_action(energy, B, 0.0)
 
 
 def barrier_action(energy: float, B: float, method: str = "substitution") -> float:
     """Barrier penetration integral W = int sqrt(B cos theta - E) dtheta.
 
     Taken across the classically forbidden region [-theta0, theta0].
-    `method` selects the regularized substitution (default) or raw
-    adaptive quadrature; the two agree to ~1e-9 and the second exists as
-    an internal cross-check.
+    `method` selects the closed form (default), (4/3) (B - E)
+    R_D(0, 2B/(B+E), 1) / sqrt(B + E), or adaptive quadrature, which
+    exists as an independent cross-check.
     """
     if B <= 0.0:
         raise DomainError("barrier action needs B > 0")
@@ -95,40 +148,31 @@ def barrier_action(energy: float, B: float, method: str = "substitution") -> flo
         raise DomainError(f"no barrier above the summit: E={energy} > B={B}")
     if energy < 0.0:
         raise DomainError("energy must be >= 0 (the wells sit at E = 0)")
-    if energy == B:
-        return 0.0
-    theta0 = turning_point(energy, B)
     if method == "adaptive":
+        from scipy.integrate import quad
+
+        theta0 = turning_point(energy, B)
         val, _ = quad(lambda t: math.sqrt(max(B * math.cos(t) - energy, 0.0)),
                       -theta0, theta0, limit=200)
         return val
     if method != "substitution":
         raise InvalidParameterError(f"unknown method {method!r}")
-
-    def f(u: float) -> float:
-        return 2.0 * u * math.sqrt(max(B * math.cos(theta0 - u * u) - energy, 0.0))
-
-    val, _ = quad(f, 0.0, math.sqrt(theta0), limit=200)
-    return 2.0 * val
+    w = 4.0 / 3.0 * (B - energy) * elliprd(0.0, 2.0 * B / (B + energy), 1.0)
+    return w / math.sqrt(B + energy)
 
 
 def period_integral(energy: float, B: float) -> float:
     """Integral of dtheta / sqrt(E - B cos theta) over one well traversal.
 
-    The same theta = theta0 + u^2 substitution as in `well_action`
-    removes the inverse square-root singularity at the turning point:
-    the transformed integrand tends to 2/sqrt(B sin theta0) at u = 0.
+    Closed form 2 sqrt(E) R_F(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2) for
+    0 <= E <= B; it is zero at E = 0 and diverges logarithmically as E
+    reaches the summit, where it returns inf.
     """
-    theta0 = turning_point(energy, B)
-    span = HALF_PI - theta0
-
-    def g(u: float) -> float:
-        if u == 0.0:
-            return 2.0 / math.sqrt(B * math.sin(theta0)) if theta0 > 0.0 else math.inf
-        return 2.0 * u / math.sqrt(max(energy - B * math.cos(theta0 + u * u), 1e-300))
-
-    val, _ = quad(g, 0.0, math.sqrt(span), limit=200)
-    return val
+    turning_point(energy, B)  # domain check
+    if energy == B:
+        return math.inf
+    scale = math.sqrt(energy / (B + energy) / (B - energy))
+    return 2.0 * scale * elliprf(B / (B + energy), B / (B - energy), 1.0)
 
 
 def classical_frequency(energy: float, B: float) -> float:
@@ -162,7 +206,10 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
     In internal units hbar*omega = 2*pi / period_integral, so the
     splitting reduces to (2/I) exp(-W).  Valid for W somewhat above 1;
     a warning is emitted near the summit where the exponent is small.
+    Needs 0 < E < B, the range of `classical_frequency`.
     """
+    if not 0.0 < energy < B:
+        raise DomainError(f"tunneling needs 0 < E < B, got E={energy}, B={B}")
     w = barrier_action(energy, B)
     regime = regime_of(energy, B)
     if w < 1.0:
@@ -172,8 +219,8 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
         )
     interval = period_integral(energy, B)
     splitting = (2.0 / interval) * math.exp(-w)
-    return SplittingResult(splitting=splitting, action=w,
-                           omega=classical_frequency(energy, B), regime=regime)
+    omega = 2.0 * math.pi / (math.sqrt(2.0 * B) * interval)  # classical_frequency, same interval
+    return SplittingResult(splitting=splitting, action=w, omega=omega, regime=regime)
 
 
 def max_well_action(B: float) -> float:
@@ -197,11 +244,9 @@ def single_well_quantize(n: int, B: float) -> float:
             f"level n={n} lies at or above the summit for B={B}; "
             "use the summit or high-energy quantization"
         )
-    lo, hi = 1e-12 * B, B * (1.0 - 1e-12)
-    if well_action(lo, B) - target > 0.0:
-        # brentq would raise a bare ValueError; keep the typed error
-        raise InvalidParameterError(f"no sign change in [{lo}, {hi}]")
-    return brentq(lambda e: well_action(e, B) - target, lo, hi)
+    # well_action(0) is exactly 0, so the bracket reaches the deepest level
+    # at any B (the 1 g rod's E_0 ~ 1e40 sits 20 decades below B ~ 3e59)
+    return brentq(lambda e: well_action(e, B) - target, 0.0, B * (1.0 - 1e-12))
 
 
 def low_energy_levels(n: int, B: float) -> float:
@@ -216,12 +261,14 @@ def low_energy_levels(n: int, B: float) -> float:
 
 
 def full_action(energy: float, B: float) -> float:
-    """Action across the whole domain for E >= B (no turning points)."""
-    if energy < B:
-        raise DomainError("full-domain action needs E >= B")
-    val, _ = quad(lambda t: math.sqrt(max(energy - B * math.cos(t), 0.0)),
-                  -HALF_PI, HALF_PI, points=[0.0], limit=200)
-    return val
+    """Action across the whole domain for E >= B >= 0 (no turning points).
+
+    With m = 2B/(E + B) <= 1 this is 4 sqrt(E + B) [E(m) - E(pi/4|m)],
+    which is pi sqrt(E) at B = 0.
+    """
+    if not 0.0 <= B <= energy:
+        raise DomainError(f"full-domain action needs 0 <= B <= E, got E={energy}, B={B}")
+    return 2.0 * phase_integral(energy, B, 0.0, HALF_PI)
 
 
 def high_energy_quantize(n: int, B: float) -> float:
@@ -233,8 +280,7 @@ def high_energy_quantize(n: int, B: float) -> float:
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     target = n * math.pi
-    floor_action = full_action(B, B) if B > 0.0 else 0.0
-    if target <= floor_action:
+    if target <= full_action(B, B):
         raise RegimeError(
             f"level n={n} sits below the barrier summit for B={B}; "
             "use the single-well quantization"
@@ -271,7 +317,12 @@ class WkbDoublet:
 
 
 def doublet_prediction(n: int, B: float) -> WkbDoublet:
-    """Center from the single-well condition, splitting from tunneling."""
+    """Center from the single-well condition, splitting from tunneling.
+
+    Works at any B: for the 1 g, 10 cm rod (B ~ 2.94e59) the centres sit
+    on the deep-well limit B^(2/3) [3 pi/2 (n + 3/4)]^(2/3), the splitting
+    exp(-W) underflows to 0.0, and `action` carries W ~ 1.3e30 instead.
+    """
     center = single_well_quantize(n, B)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -244,6 +244,15 @@ def test_evolve_both_routes(capsys):
         assert row["l2_distance"] < 1e-3
 
 
+@pytest.mark.parametrize("dt", ["1e-3", "1e-5"])
+def test_evolve_direct_coarse_grid(capsys, dt):
+    # Simpson's norm drifts on 9 points; the plain sum CN conserves does not.
+    doc = run_json(capsys, ["evolve", "--B", "100", "--method", "direct", "--grid-n", "9",
+                            "--sigma", "0.3", "--t-max", "0.01", "--n-times", "2",
+                            "--dt", dt])
+    assert len(doc["results"]["series"]) == 2
+
+
 def test_slant_sweep(capsys):
     argv = ["slant", "--B", "1e4", "--n", "18", "--tilts", "1e-3", "2e-3",
             "--grid-n", "2001"]

@@ -1,4 +1,5 @@
 """Wavepacket preparation, propagation (two independent routes), fall times."""
+import dataclasses
 import math
 import warnings
 
@@ -463,6 +464,33 @@ def test_evolve_direct_typed_failures(monkeypatch):
     monkeypatch.setattr(dynamics, "zgttrs", nan_solve)
     with pytest.raises(StepSizeError, match="norm drifted"):
         dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
+    monkeypatch.undo()
+
+    real_zgttrs = dynamics.zgttrs
+
+    def lossy_solve(*args, **kwargs):  # a step that is no longer unitary
+        x, info = real_zgttrs(*args, **kwargs)
+        return x * (1.0 + 1e-6), info
+
+    monkeypatch.setattr(dynamics, "zgttrs", lossy_solve)
+    with pytest.raises(StepSizeError, match=r"norm drifted by \d\.\d\de-0[45]"):
+        dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
+
+
+def test_evolve_direct_guards_the_norm_it_conserves():
+    # Crank-Nicolson conserves the plain sum h * sum |psi|^2.  On 9 points
+    # Simpson's norm of this state drifts by 2.4e-5 in ten steps, beyond
+    # the guard's 1e-6, so guarding it would reject every dt.
+    state = dynamics.prepare_gaussian(0.3, make_grid(9))
+    times = np.array([0.0, 0.01])
+    res = dynamics.evolve_direct(state, 100.0, 1e-3, times, snapshot_times=times)
+    assert abs(res.norm[-1] - 1.0) > 1e-5
+    plain = [float(np.sum(np.abs(s) ** 2)) for s in res.snapshots]
+    assert plain[1] == pytest.approx(plain[0], rel=1e-12)
+    # nothing to guard in an all-zero state
+    zero = dataclasses.replace(state, values=np.zeros_like(state.values))
+    with pytest.raises(InvalidParameterError, match="not all zero"):
+        dynamics.evolve_direct(zero, 100.0, 1e-3, times)
 
 
 # ---------------------------------------------------------------------------

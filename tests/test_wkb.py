@@ -5,6 +5,7 @@ import pytest
 
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.spectrum import pairing_table
+from quantum_rod import wkb
 from quantum_rod.summit import summit_phase, summit_quantize
 from quantum_rod.wkb import (
     barrier_action,
@@ -15,6 +16,7 @@ from quantum_rod.wkb import (
     low_energy_levels,
     max_well_action,
     period_integral,
+    phase_integral,
     regime_of,
     single_well_quantize,
     tunneling_splitting,
@@ -130,6 +132,38 @@ def test_period_integral_scaling():
         assert b * math.sqrt(2.0) == pytest.approx(a, rel=1e-10)
 
 
+def test_closed_form_edge_cases():
+    # E = 0: the allowed region shrinks to the wall, so every action is 0.
+    assert well_action(0.0, B) == 0.0
+    assert period_integral(0.0, B) == 0.0
+    assert phase_integral(0.0, B, 0.0, 0.5 * math.pi) == 0.0
+    assert full_action(0.0, 0.0) == 0.0
+    # E = B: the well action peaks, the barrier closes, and the traversal
+    # integral diverges logarithmically.
+    assert well_action(B, B) == max_well_action(B)
+    assert barrier_action(B, B) == 0.0
+    assert period_integral(B, B) == math.inf
+    # B = 0: the free rotor, sqrt(E) across a domain of width pi.
+    for energy in (1.0, 7.5, 1e6):
+        assert full_action(energy, 0.0) == pytest.approx(math.pi * math.sqrt(energy), rel=1e-15)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            phase_integral(B, B, bad, 1.0)
+
+
+def test_tunneling_splitting_computes_the_period_once(monkeypatch):
+    for frac in (0.3, 0.9):
+        assert tunneling_splitting(frac * B, B).omega == classical_frequency(frac * B, B)
+    calls = []
+    real = wkb.period_integral
+    monkeypatch.setattr(wkb, "period_integral", lambda *a: calls.append(a) or real(*a))
+    tunneling_splitting(0.5 * B, B)
+    assert len(calls) == 1
+    for energy in (0.0, B):
+        with pytest.raises(DomainError):
+            tunneling_splitting(energy, B)
+
+
 def test_single_well_quantization_condition():
     for n in (0, 5, 15, 22):
         e = single_well_quantize(n, B)
@@ -175,11 +209,15 @@ def test_quantized_levels_satisfy_their_conditions(b):
         assert summit_phase(e, b, parity) == pytest.approx(target, rel=1e-9)
 
 
-def test_doublet_prediction_reference_rod_is_typed_failure():
-    # For the 1 g, 10 cm rod the bracket floor 1e-12*B already lies above
-    # the ground level, so there is no sign change to bracket.
-    with pytest.raises(InvalidParameterError):
-        doublet_prediction(0, 2.940325636472887e59)
+def test_doublet_prediction_reference_rod_deep_limit():
+    # The 1 g, 10 cm rod: the centres sit on the deep-well limit, the
+    # splitting exp(-W) underflows and the action carries W instead.
+    b = 2.940325636472887e59
+    for n in range(4):
+        pred = doublet_prediction(n, b)
+        assert pred.center == pytest.approx(low_energy_levels(n, b), rel=1e-12)
+        assert pred.splitting == 0.0
+        assert math.isfinite(pred.action) and pred.action > 1e30
 
 
 def test_low_energy_closed_form():
@@ -245,3 +283,5 @@ def test_full_action_domain():
     assert full_action(B, B) > 0.0
     with pytest.raises(DomainError):
         full_action(0.5 * B, B)
+    with pytest.raises(DomainError):
+        full_action(1.0, -1.0)
