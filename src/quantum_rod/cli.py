@@ -114,6 +114,9 @@ _SCHEMAS: dict[str, list[tuple[str, type, Any, str]]] = {
     ],
 }
 
+# The values a flag or config key may take, where they are a fixed set.
+_CHOICES = {"format": ("json", "csv"), "method": ("eigen", "direct", "both")}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -126,19 +129,35 @@ def build_parser() -> argparse.ArgumentParser:
     for name, schema in _SCHEMAS.items():
         sp = subs.add_parser(name, help=f"run the {name} computation")
         for flag, typ, default, text in schema:
-            kwargs: dict[str, Any] = {"type": typ, "default": None, "help": text}
-            if flag == "format":
-                kwargs["choices"] = ["json", "csv"]
-            if flag == "method":
-                kwargs["choices"] = ["eigen", "direct", "both"]
+            kwargs: dict[str, Any] = {"type": typ, "default": None, "help": text,
+                                      "choices": _CHOICES.get(flag)}
             if flag == "tilts":
                 kwargs["nargs"] = "+"
             sp.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
+def _coerce(key: str, value: Any, typ: type) -> Any:
+    """`value` as `typ`; bools, and fractional numbers for int, are refused.
+
+    Raises InvalidParameterError naming `key` when the value does not convert.
+    """
+    if not isinstance(value, bool) and not (
+            typ is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return typ(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidParameterError(f"config value {key}={value!r} is not a valid {typ.__name__}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
-    """Merge flags over the config file over defaults into one flat dict."""
+    """Merge flags over the config file over defaults into one flat dict.
+
+    Config file values are checked as strictly as flags: each must convert
+    to the flag's type and lie in its choices, and a null stands for an
+    absent value only where the flag has no default.
+    """
     schema = _SCHEMAS[args.subcommand]
     file_values: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
@@ -159,10 +178,15 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         value = getattr(args, key)
         if value is None:
             value = file_values.get(key, default)
-        if value is not None and flag == "tilts":
-            value = [float(v) for v in np.atleast_1d(value)]
-        elif value is not None and not isinstance(value, typ):
-            value = typ(value)
+        if flag == "tilts":
+            value = [_coerce(key, v, typ) for v in (value if isinstance(value, list) else [value])]
+            if not value:
+                raise InvalidParameterError("config value tilts=[] needs at least one tilt")
+        elif value is not None or default is not None:
+            value = _coerce(key, value, typ)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise InvalidParameterError(
+                f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
         cfg[key] = value
 
     unknown = set(file_values) - {f.replace("-", "_") for f, *_ in schema}
@@ -170,8 +194,6 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
     if not 3 <= cfg["precision"] <= 15:
         raise InvalidParameterError("precision must be in [3, 15]")
-    if cfg["format"] not in ("json", "csv"):
-        raise InvalidParameterError("format must be json or csv")
     return cfg
 
 
@@ -210,7 +232,7 @@ def run_spectrum(cfg: dict[str, Any]) -> Payload:
     result = solve_spectrum(B, cfg["n_levels"], grid_n=cfg["grid_n"],
                             tilt=cfg["tilt"])
     by_even_n = {}
-    if cfg["tilt"] == 0.0:
+    if cfg["tilt"] == 0.0 and len(result.levels) >= 3:  # a doublet and the next even level
         by_even_n = {d.n: d for d in pairing_table(result)}
 
     header = ["n", "parity", "energy", "splitting", "gap", "pairing_ratio"]
@@ -489,8 +511,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if cfg["output"] is not None:
-        with open(cfg["output"], "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["output"], "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -64,6 +64,7 @@ from .units import DerivedScales, time_to_seconds
 FALL_THRESHOLD = HALF_PI - 0.1  # |theta| beyond which the rod counts as fallen
 MAX_CN_STEPS = 10**7  # most Crank-Nicolson steps one evolve_direct call may take
 PHASE_TOL = 1e-8  # largest rounding error, in rad, of an eigenbasis phase E*tau
+DEFICIT_TOL = 1e-3  # largest probability of the state an eigenbasis may miss
 
 
 @dataclass
@@ -137,12 +138,11 @@ def energy_expectation(state: InitialState, B: float) -> float:
     return _observables(state.values, state.grid, B, FALL_THRESHOLD)[1]
 
 
-def expand(state: InitialState, basis: SpectrumResult,
-           deficit_tol: float = 1e-3) -> np.ndarray:
+def expand(state: InitialState, basis: SpectrumResult) -> np.ndarray:
     """Overlap coefficients of the state with the eigenbasis.
 
     Raises InsufficientBasisError when the captured probability falls
-    short of 1 by more than deficit_tol (the basis is too small for the
+    short of 1 by more than DEFICIT_TOL (the basis is too small for the
     state's energy content).
     """
     wfs = basis.wavefunctions
@@ -152,7 +152,7 @@ def expand(state: InitialState, basis: SpectrumResult,
     modes = np.stack([wf.values for wf in wfs])
     coeffs = simpson(modes * state.values, x=state.grid, axis=1)
     captured = float(np.sum(coeffs**2))
-    if not abs(1.0 - captured) <= deficit_tol:
+    if not abs(1.0 - captured) <= DEFICIT_TOL:
         raise InsufficientBasisError(
             f"basis captures only {captured:.6f} of the state; add levels"
         )
@@ -263,15 +263,14 @@ def evolve_direct(
     times: np.ndarray,
     times_unit: str = "omega_c",
     theta_fall: float = FALL_THRESHOLD,
-    energy_shift: float | None = None,
     snapshot_times: np.ndarray | None = None,
 ) -> EvolutionResult:
     """Crank-Nicolson propagation of the state on its own grid.
 
     `dt` is an upper bound on the step in the same unit as `times`;
     each interval between requested times is covered by an integer
-    number of equal steps, so every output time is hit exactly.
-    `energy_shift` defaults to the initial energy expectation (see the
+    number of equal steps, so every output time is hit exactly.  The
+    Hamiltonian is shifted by the initial energy expectation (see the
     module docstring); the corresponding global phase is restored in
     the returned snapshots.
 
@@ -283,7 +282,7 @@ def evolve_direct(
     followed by one subtraction.  The grid must have an odd number of
     points, at least 9, and be exactly mirror-symmetric, as
     `spectrum.make_grid` makes it.  A grid that is not, non-finite `B`,
-    `dt`, `times`, state or energy shift, an all-zero state and times that
+    `dt`, `times`, state or initial energy, an all-zero state and times that
     could take more than MAX_CN_STEPS steps raise InvalidParameterError.
     Crank-Nicolson conserves sum |psi|^2; a relative drift of it beyond
     1e-6 (or a NaN) raises StepSizeError.
@@ -301,9 +300,9 @@ def evolve_direct(
                                     f"at least 9 points; got {len(grid)} points")
     if not (np.all(np.isfinite(state.values)) and np.any(state.values)):
         raise InvalidParameterError("initial state must be finite and not all zero")
-    e_ref = energy_expectation(state, B) if energy_shift is None else energy_shift
+    e_ref = energy_expectation(state, B)
     if not math.isfinite(e_ref):
-        raise InvalidParameterError(f"energy shift must be finite, got {e_ref}")
+        raise InvalidParameterError(f"initial energy must be finite, got {e_ref}")
 
     diag, off = grid_hamiltonian(grid, B)
     blocks = parity_blocks(diag - e_ref, off)
@@ -363,15 +362,16 @@ class ClassicalFallTime:
     asymptotic: float
 
 
-def classical_fall_time(delta_theta: float, theta_end: float = HALF_PI) -> ClassicalFallTime:
+def classical_fall_time(delta_theta: float) -> ClassicalFallTime:
     """Time for a classical rod released at rest at delta_theta to fall.
 
-    exact: quadrature of dtheta / sqrt(2 (cos delta_theta - cos theta));
+    exact: quadrature of dtheta / sqrt(2 (cos delta_theta - cos theta))
+    from delta_theta to the table at pi/2;
     asymptotic: ln[8(sqrt(2)-1)] - ln(delta_theta), the small-angle form.
     delta_theta^2 must be a normal float: delta_theta > 1.5e-154.
     """
-    if not math.sqrt(sys.float_info.min) < delta_theta < theta_end <= HALF_PI:
-        raise DomainError("need 1.5e-154 < delta_theta < theta_end <= pi/2")
+    if not math.sqrt(sys.float_info.min) < delta_theta < HALF_PI:
+        raise DomainError("need 1.5e-154 < delta_theta < pi/2")
 
     # theta = delta_theta * cosh(v) flattens the rest-point singularity:
     # cos(dt) - cos(dt cosh v) ~ (dt sinh v)^2 / 2, so g(v) -> 1 at v = 0
@@ -388,23 +388,22 @@ def classical_fall_time(delta_theta: float, theta_end: float = HALF_PI) -> Class
 
     from scipy.integrate import quad
 
-    exact, _ = quad(g, 0.0, math.acosh(theta_end / delta_theta), limit=200)
+    exact, _ = quad(g, 0.0, math.acosh(HALF_PI / delta_theta), limit=200)
     asym = math.log(8.0 * (math.sqrt(2.0) - 1.0)) - math.log(delta_theta)
     return ClassicalFallTime(delta_theta=delta_theta, exact=exact, asymptotic=asym)
 
 
-def summit_transit_time(delta_theta: float, theta_end: float = HALF_PI) -> float:
-    """Classical time from delta_theta to theta_end at exactly the summit energy.
+def summit_transit_time(delta_theta: float) -> float:
+    """Classical time from delta_theta to the table at exactly the summit energy.
 
-    Closed form ln[tan(theta_end/4) / tan(delta_theta/4)]; for small
-    delta_theta this is ln[4 tan(theta_end/4)] - ln(delta_theta),
-    i.e. ln[4(sqrt 2 - 1)] - ln(delta_theta) for theta_end = pi/2.
+    Closed form ln[tan(pi/8) / tan(delta_theta/4)]; for small delta_theta
+    this is ln[4(sqrt 2 - 1)] - ln(delta_theta).
     Differs from `classical_fall_time` (release from rest) by ln 2 in
     the constant term.
     """
-    if not 0.0 < delta_theta < theta_end <= HALF_PI:
-        raise DomainError("need 0 < delta_theta < theta_end <= pi/2")
-    return math.log(math.tan(0.25 * theta_end) / math.tan(0.25 * delta_theta))
+    if not 0.0 < delta_theta < HALF_PI:
+        raise DomainError("need 0 < delta_theta < pi/2")
+    return math.log(math.tan(0.25 * HALF_PI) / math.tan(0.25 * delta_theta))
 
 
 @dataclass(frozen=True)

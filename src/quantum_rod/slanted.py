@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import InvalidParameterError, RegimeError
-from .spectrum import EVEN, ODD, PotentialSpec, SpectrumResult, Wavefunction
+from .spectrum import EVEN, ODD, PotentialSpec, SpectrumResult, Wavefunction, pairing_table
 
 REGIME_FACTOR = 10.0  # required separation on both sides of the 2x2 window
 
@@ -102,17 +102,16 @@ def solve_two_level(problem: TwoLevelProblem) -> TwoLevelSolution:
                             amplitudes=(lo, hi))
 
 
-def regime_check(problem: TwoLevelProblem, gap_to_next: float,
-                 factor: float = REGIME_FACTOR) -> dict[str, bool]:
+def regime_check(problem: TwoLevelProblem, gap_to_next: float) -> dict[str, bool]:
     """Validity window of the two-level truncation.
 
-    upper: |V| * factor <= gap to the neighbouring doublet
-    lower: |V| >= factor * bare splitting (tilt dominates tunneling)
+    upper: |V| * REGIME_FACTOR <= gap to the neighbouring doublet
+    lower: |V| >= REGIME_FACTOR * bare splitting (tilt dominates tunneling)
     """
     v = abs(problem.coupling)
     checks = {
-        "upper": v * factor <= gap_to_next,
-        "lower": v >= factor * problem.splitting,
+        "upper": v * REGIME_FACTOR <= gap_to_next,
+        "lower": v >= REGIME_FACTOR * problem.splitting,
     }
     if not checks["upper"]:
         warnings.warn("tilt coupling reaches the neighbouring doublet; "
@@ -159,7 +158,7 @@ def tilt_sweep(basis: SpectrumResult, n: int,
     deltas = np.asarray(delta_thetas, dtype=float)
     for delta in deltas:
         PotentialSpec(basis.B, float(delta))  # the solver's rule: finite, |tilt| < 0.1
-    doublets = basis.doublets()
+    doublets = pairing_table(basis)
     if n >= len(doublets):
         raise RegimeError(f"doublet {n} not present in the basis")
     d = doublets[n]

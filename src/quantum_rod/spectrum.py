@@ -6,12 +6,12 @@ In units of hbar^2/2J the Hamiltonian is
 
 with hard walls (Dirichlet conditions) at theta = +/- pi/2 where the rod
 hits the table.  The solver uses second-order central finite differences
-on a uniform grid; the symmetric tridiagonal matrix `grid_hamiltonian`,
-which `dynamics` steps too, is diagonalized with LAPACK.  Eigenvalues
-are Richardson-extrapolated from the base grid and a doubled grid, which
-removes the leading O(h^2) discretization error and leaves the reported
-energies accurate to a few parts in 1e7 at the default resolution for
-energies of order 1e4.
+on a uniform grid from wall to wall; the symmetric tridiagonal matrix
+`grid_hamiltonian`, which `dynamics` steps too, is diagonalized with
+LAPACK.  Eigenvalues are Richardson-extrapolated from the base grid and
+a doubled grid, which removes the leading O(h^2) discretization error
+and leaves the reported energies accurate to a few parts in 1e7 at the
+default resolution for energies of order 1e4.
 
 For tilt = 0 the matrix commutes with the reflection theta -> -theta,
 so it splits into two half-size tridiagonal blocks, `parity_blocks`,
@@ -33,12 +33,11 @@ as bisection of the full matrix would return it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, InvalidParameterError, ResolutionError
@@ -100,24 +99,9 @@ class Wavefunction:
 
     grid: np.ndarray
     values: np.ndarray
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
-
-    def at(self, theta, nu: int = 0):
-        """Interpolated value (nu=0) or derivative (nu=1,2) at theta."""
-        th = np.asarray(theta, dtype=float)
-        if np.any(np.abs(th) > self.grid[-1] + 1e-12):
-            raise DomainError("theta outside the wavefunction domain")
-        if self._spline is None:
-            self._spline = CubicSpline(self.grid, self.values)
-        out = self._spline(th, nu)
-        return float(out) if np.isscalar(theta) else out
 
     def norm(self) -> float:
         return float(simpson(self.values**2, x=self.grid))
-
-    def mirrored(self) -> np.ndarray:
-        """Values reflected through theta = 0 (grid must be symmetric)."""
-        return self.values[::-1]
 
 
 @dataclass(frozen=True)
@@ -144,15 +128,15 @@ class Doublet:
         return 0.5 * (self.e_plus + self.e_minus)
 
 
-def make_grid(grid_n: int, half_width: float = HALF_PI) -> np.ndarray:
-    """Uniform grid of grid_n points spanning [-w, w], exactly mirror-symmetric.
+def make_grid(grid_n: int) -> np.ndarray:
+    """Uniform grid of grid_n points spanning [-pi/2, pi/2], exactly mirror-symmetric.
 
     theta[grid_n - 1 - i] == -theta[i] for every i, and for odd grid_n the
     centre point is exactly 0.0: the left half is numpy's linspace and the
     right half its negated mirror.  (linspace alone is off by up to 4.4e-16,
     which gives every even function sampled on it a spurious odd part.)
     """
-    left = np.linspace(-half_width, half_width, grid_n)[:grid_n // 2]
+    left = np.linspace(-HALF_PI, HALF_PI, grid_n)[:grid_n // 2]
     return np.concatenate((left, np.zeros(grid_n % 2), -left[::-1]))
 
 
@@ -215,7 +199,7 @@ def unfold_parity(vec: np.ndarray, parity: Parity, out: np.ndarray) -> None:
         out[c + 1:] -= vec[::-1]
 
 
-def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=False):
+def _interior_eigensolve(B, tilt, grid_n, n_levels, eigvals_only=False):
     """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
 
     Unless eigvals_only, the eigenvectors come back as one full-grid array
@@ -223,7 +207,7 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, half_width, eigvals_only=Fal
     half-size block vectors are unfolded straight into these arrays, so no
     second n_levels x grid_n copy is held.
     """
-    theta = make_grid(grid_n, half_width)
+    theta = make_grid(grid_n)
     diag, off = grid_hamiltonian(theta, B, tilt)
     if tilt != 0.0:
         out = eigh_tridiagonal(diag, np.full(grid_n - 3, off), eigvals_only=eigvals_only,
@@ -260,8 +244,6 @@ class SpectrumResult:
 
     B: float
     tilt: float
-    grid_n: int
-    half_width: float
     levels: list[EnergyLevel]
     wavefunctions: list[Wavefunction]
 
@@ -281,16 +263,12 @@ class SpectrumResult:
                 return wf
         raise InvalidParameterError(f"no {parity} level with index {n}")
 
-    def doublets(self) -> list[Doublet]:
-        return pairing_table(self)
-
 
 def solve_spectrum(
     B: float,
     n_levels: int,
     grid_n: int = 4001,
     tilt: float = 0.0,
-    half_width: float = HALF_PI,
     refine: bool = True,
 ) -> SpectrumResult:
     """Solve for the lowest n_levels stationary states.
@@ -316,13 +294,11 @@ def solve_spectrum(
         )
     if grid_n % 2 == 0:
         raise InvalidParameterError("grid_n must be odd so the grid contains theta = 0")
-    if not (0.0 < half_width <= HALF_PI):
-        raise InvalidParameterError("half_width must lie in (0, pi/2]")
 
-    theta, raw, values = _interior_eigensolve(B, tilt, grid_n, n_levels, half_width)
+    theta, raw, values = _interior_eigensolve(B, tilt, grid_n, n_levels)
     if refine:
         _, raw_fine, _ = _interior_eigensolve(
-            B, tilt, 2 * grid_n - 1, n_levels, half_width, eigvals_only=True
+            B, tilt, 2 * grid_n - 1, n_levels, eigvals_only=True
         )
         drift = np.abs(raw_fine - raw)
         refined = (4.0 * raw_fine - raw) / 3.0
@@ -349,10 +325,7 @@ def solve_spectrum(
                                   energy=float(refined[k]), drift=float(drift[k])))
         wavefunctions.append(Wavefunction(grid=theta, values=full))
 
-    return SpectrumResult(
-        B=spec.B, tilt=spec.tilt, grid_n=grid_n, half_width=half_width,
-        levels=levels, wavefunctions=wavefunctions,
-    )
+    return SpectrumResult(B=spec.B, tilt=spec.tilt, levels=levels, wavefunctions=wavefunctions)
 
 
 def pairing_table(result: SpectrumResult) -> list[Doublet]:

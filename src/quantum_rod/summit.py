@@ -36,6 +36,7 @@ HALF_PI = 0.5 * math.pi
 
 FIT_GAMMA = 1.78107          # exp(Euler-Mascheroni) as used in the phase fit
 FIT_C = 1.0 / (4.0 * FIT_GAMMA)
+EPS_WINDOW = 10.0  # summit_quantize searches |epsilon| <= EPS_WINDOW
 
 
 def half_arg_gamma_exact(epsilon: float) -> float:
@@ -207,10 +208,13 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
     node at the wall lands exactly on the (n + 3/4)*pi ladder.  The
     matching angle grows automatically when the parabolic turning point
     approaches it; a warning flags matching angles so large that the
-    quadratic approximation of the potential is strained.
+    quadratic approximation of the potential is strained.  xi_match
+    must be finite and positive.
     """
     if parity not in (EVEN, ODD):
         raise InvalidParameterError(f"parity must be even or odd, got {parity!r}")
+    if not (math.isfinite(xi_match) and xi_match > 0.0):
+        raise InvalidParameterError(f"xi_match must be finite and > 0, got {xi_match}")
     s = summit_scale(B)
     eps = (energy - B) / math.sqrt(2.0 * B)
     xi_eff = max(xi_match, 1.3 * math.sqrt(max(2.0 * -eps, 0.0) + 1.0))
@@ -226,17 +230,11 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
     return inner + outer + (delta_plus if parity == EVEN else delta_minus)
 
 
-def summit_quantize(
-    n: int,
-    B: float,
-    parity: str,
-    xi_match: float = 3.0,
-    eps_window: float = 10.0,
-) -> float:
+def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> float:
     """Level n of the given parity from the summit quantization.
 
     Solves summit_phase(E) = (n + 3/4)*pi for E inside the window
-    |epsilon| <= eps_window around the barrier top.  Raises RegimeError
+    |epsilon| <= EPS_WINDOW around the barrier top.  Raises RegimeError
     when the requested level does not fall in that window.
     """
     if n < 0:
@@ -247,7 +245,7 @@ def summit_quantize(
     def residual(energy: float) -> float:
         return summit_phase(energy, B, parity, xi_match) - target
 
-    eps_grid = np.linspace(-eps_window, eps_window, 81)
+    eps_grid = np.linspace(-EPS_WINDOW, EPS_WINDOW, 81)
     energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
     # scan silently: the window edges trip the matching-angle warning
     # even when the root itself is fine
@@ -264,29 +262,31 @@ def summit_quantize(
                 break
     if root is None:
         raise RegimeError(
-            f"no {parity} level with n={n} within |epsilon| <= {eps_window} of the summit"
+            f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"
         )
     residual(root)  # replay once so a strained matching angle still warns
     return root
 
 
-def summit_phase_difference(xi_end: float = 60.0, rtol: float = 1e-10) -> float:
+def summit_phase_difference() -> float:
     """Even/odd asymptotic phase difference at the summit, by direct ODE.
 
     Integrates psi'' + xi^2 psi = 0 (epsilon = 0) with even and odd
-    initial data and measures the difference of the instantaneous WKB
-    phases at large xi.  Exact value: pi/4.  Serves as an independent
-    check on the matching formulas; accuracy improves like 1/xi_end^2.
+    initial data out to xi = 60 and measures the difference of the
+    instantaneous WKB phases over the last 30% of that range.  Exact
+    value: pi/4.  Serves as an independent check on the matching
+    formulas; the error falls like 1/xi^2.
     """
+    xi_max = 60.0
 
     def rhs(xi, y):
         return [y[1], -(xi * xi) * y[0]]
 
-    window = np.linspace(0.7 * xi_end, xi_end, 201)
+    window = np.linspace(0.7 * xi_max, xi_max, 201)
     sols = []
     for y0 in ([1.0, 0.0], [0.0, 1.0]):
-        sol = solve_ivp(rhs, (0.0, xi_end), y0, t_eval=window,
-                        rtol=rtol, atol=1e-13, method="DOP853")
+        sol = solve_ivp(rhs, (0.0, xi_max), y0, t_eval=window,
+                        rtol=1e-10, atol=1e-13, method="DOP853")
         if not sol.success:
             raise RegimeError(f"summit ODE integration failed: {sol.message}")
         sols.append(sol)

@@ -89,6 +89,24 @@ def test_output_file(tmp_path, capsys):
     assert len(doc["results"]["levels"]) == 6
 
 
+def test_output_to_missing_directory_exits(tmp_path, capsys):
+    target = tmp_path / "missing" / "levels.json"
+    assert main(FREE_SPECTRUM + ["--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n_levels", [1, 2])
+def test_spectrum_below_first_doublet(capsys, n_levels):
+    # Too few levels for a pairing row: the pairing cells stay blank.
+    doc = run_json(capsys, ["spectrum", "--B", "0", "--n-levels", str(n_levels),
+                            "--grid-n", "201"])
+    levels = doc["results"]["levels"]
+    assert len(levels) == n_levels
+    assert all(lv["splitting"] is None and lv["pairing_ratio"] is None for lv in levels)
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"B": 0.0, "n_levels": 4, "grid_n": 201,
@@ -123,6 +141,32 @@ def test_config_error_exits(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("subcommand, values, key", [
+    ("spectrum", {"n_levels": "abc"}, "n_levels"),
+    ("spectrum", {"n_levels": 3.7}, "n_levels"),
+    ("spectrum", {"precision": "x"}, "precision"),
+    ("spectrum", {"precision": None}, "precision"),
+    ("spectrum", {"format": "xml"}, "format"),
+    ("spectrum", {"B": [1, 2]}, "B"),
+    ("spectrum", {"B": True}, "B"),
+    ("slant", {"tilts": "abc"}, "tilts"),
+    ("slant", {"tilts": [[0.001, 0.002]]}, "tilts"),
+    ("slant", {"tilts": []}, "tilts"),
+    ("evolve", {"method": "foo"}, "method"),
+])
+def test_config_value_errors(tmp_path, capsys, subcommand, values, key):
+    # File values skip argparse, so resolve_config types and checks them.
+    base = {"spectrum": {"B": 100.0, "grid_n": 401, "n_levels": 4},
+            "slant": {"B": 100.0, "grid_n": 401, "n": 0},
+            "evolve": {"B": 100.0, "grid_n": 401, "n_levels": 30}}[subcommand]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(base | values))
+    assert main([subcommand, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert key in captured.err and "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("bad", [
@@ -181,6 +225,10 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["evolve", "--B", "100", "--sigma", "1e-300", "--method", "direct", "--grid-n", "401"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "2000"],
     ["evolve", "--B", "100", "--t-max", "1e18", "--n-times", "3"],
+    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "-1"],
+    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "0"],
+    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "nan"],
+    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "inf"],
 ])
 def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
     assert main(argv) == 2
