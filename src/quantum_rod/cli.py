@@ -45,7 +45,7 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import make_grid, min_grid_n, pairing_table, solve_spectrum
+from .spectrum import make_grid, min_grid_n, pairing_table, simpson, solve_spectrum
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
@@ -408,7 +408,6 @@ def run_evolve(cfg: dict[str, Any]) -> Payload:
     if method == "both":
         header.append("l2_distance")
         grid = make_grid(cfg["grid_n"])
-        from scipy.integrate import simpson
         for i in range(len(times)):
             diff = res_eigen.snapshots[i] - res_direct.snapshots[i]
             rows[i].append(math.sqrt(float(

@@ -40,8 +40,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.special import elliprf
 
 from .errors import (
     DomainError,
@@ -56,6 +56,7 @@ from .spectrum import (
     grid_hamiltonian,
     parity_blocks,
     potential,
+    simpson,
     unfold_parity,
 )
 from .summit import FIT_GAMMA, summit_scale, wavepacket_phase_derivative
@@ -150,7 +151,7 @@ def expand(state: InitialState, basis: SpectrumResult) -> np.ndarray:
             wfs[0].grid[[0, -1]], state.grid[[0, -1]]):
         raise InvalidParameterError("state and basis live on different grids")
     modes = np.stack([wf.values for wf in wfs])
-    coeffs = simpson(modes * state.values, x=state.grid, axis=1)
+    coeffs = simpson(modes * state.values, x=state.grid)
     captured = float(np.sum(coeffs**2))
     if not abs(1.0 - captured) <= DEFICIT_TOL:
         raise InsufficientBasisError(
@@ -365,30 +366,25 @@ class ClassicalFallTime:
 def classical_fall_time(delta_theta: float) -> ClassicalFallTime:
     """Time for a classical rod released at rest at delta_theta to fall.
 
-    exact: quadrature of dtheta / sqrt(2 (cos delta_theta - cos theta))
-    from delta_theta to the table at pi/2;
+    exact: the integral of dtheta / sqrt(2 (cos delta_theta - cos theta))
+    from delta_theta to the table at pi/2, in closed form.  It is
+    K(m) - F(phi_e|m) with m = cos^2(delta_theta/2) and m sin^2(phi_e) = 1/2,
+    a difference that cancels as delta_theta -> pi/2.  Since
+    F(phi|m) + F(psi|m) = K(m) when tan(phi) tan(psi) = 1/sqrt(1 - m), it is
+    the single F(psi|m) = sin(psi) R_F(cos^2 psi, 1 - m sin^2 psi, 1) with
+    sin^2(psi) = cos(delta_theta)/m.  With s = sin(delta_theta/2) and
+    c = cos(delta_theta/2), and Carlson's R_F rescaled by its homogeneity
+    so that s^2 never underflows,
+
+        exact = sqrt(cos delta_theta / s) / c * R_F(s/c^2, 2 s, 1/s).
+
     asymptotic: ln[8(sqrt(2)-1)] - ln(delta_theta), the small-angle form.
-    delta_theta^2 must be a normal float: delta_theta > 1.5e-154.
+    Needs 1.5e-154 < delta_theta < pi/2.
     """
     if not math.sqrt(sys.float_info.min) < delta_theta < HALF_PI:
         raise DomainError("need 1.5e-154 < delta_theta < pi/2")
-
-    # theta = delta_theta * cosh(v) flattens the rest-point singularity:
-    # cos(dt) - cos(dt cosh v) ~ (dt sinh v)^2 / 2, so g(v) -> 1 at v = 0
-    # and stays O(1) out to the wall even for delta_theta ~ 1e-12.  The
-    # cosine difference is written as a product of sines to avoid the
-    # cancellation of two values both close to 1.
-    def g(v: float) -> float:
-        if v == 0.0:
-            return math.sqrt(delta_theta / math.sin(delta_theta))
-        half_sum = 0.5 * delta_theta * (math.cosh(v) + 1.0)
-        half_diff = delta_theta * math.sinh(0.5 * v) ** 2
-        drop = 2.0 * math.sin(half_sum) * math.sin(half_diff)
-        return delta_theta * math.sinh(v) / math.sqrt(2.0 * drop)
-
-    from scipy.integrate import quad
-
-    exact, _ = quad(g, 0.0, math.acosh(HALF_PI / delta_theta), limit=200)
+    s, c = math.sin(0.5 * delta_theta), math.cos(0.5 * delta_theta)
+    exact = math.sqrt(math.cos(delta_theta) / s) / c * float(elliprf(s / c**2, 2.0 * s, 1.0 / s))
     asym = math.log(8.0 * (math.sqrt(2.0) - 1.0)) - math.log(delta_theta)
     return ClassicalFallTime(delta_theta=delta_theta, exact=exact, asymptotic=asym)
 

@@ -19,10 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidParameterError, RegimeError
-from .spectrum import EVEN, ODD, PotentialSpec, SpectrumResult, Wavefunction, pairing_table
+from .spectrum import (EVEN, ODD, PotentialSpec, SpectrumResult, Wavefunction, pairing_table,
+                       simpson)
 
 REGIME_FACTOR = 10.0  # required separation on both sides of the 2x2 window
 

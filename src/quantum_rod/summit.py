@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.special import loggamma
 
 from .errors import DomainError, InvalidParameterError, RegimeError
@@ -195,6 +193,12 @@ def summit_scale(B: float) -> float:
     return (2.0 / B) ** 0.25
 
 
+def _matching_xi(epsilon: float, xi_match: float) -> float:
+    """Matching point in xi: xi_match, or further out when the parabolic
+    turning point sqrt(-2 eps) approaches it."""
+    return max(xi_match, 1.3 * math.sqrt(max(2.0 * -epsilon, 0.0) + 1.0))
+
+
 def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) -> float:
     """Total accumulated phase at the wall for a near-summit energy.
 
@@ -217,7 +221,7 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
         raise InvalidParameterError(f"xi_match must be finite and > 0, got {xi_match}")
     s = summit_scale(B)
     eps = (energy - B) / math.sqrt(2.0 * B)
-    xi_eff = max(xi_match, 1.3 * math.sqrt(max(2.0 * -eps, 0.0) + 1.0))
+    xi_eff = _matching_xi(eps, xi_match)
     delta_theta = xi_eff * s
     if delta_theta > 0.6:
         warnings.warn(
@@ -235,10 +239,15 @@ def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> flo
 
     Solves summit_phase(E) = (n + 3/4)*pi for E inside the window
     |epsilon| <= EPS_WINDOW around the barrier top.  Raises RegimeError
-    when the requested level does not fall in that window.
+    when the requested level does not fall in that window, or when the
+    matching angle of the root reaches the wall at pi/2, where the summit
+    model has no outer region left (the scan of the window may cross the
+    wall; only the root is held to it).
     """
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
+    from scipy.optimize import brentq
+
     hw = math.sqrt(2.0 * B)
     target = (n + 0.75) * math.pi
 
@@ -264,6 +273,12 @@ def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> flo
         raise RegimeError(
             f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"
         )
+    delta_theta = _matching_xi((root - B) / hw, xi_match) * summit_scale(B)
+    if not delta_theta < HALF_PI:
+        raise RegimeError(
+            f"{parity} level n={n} at B={B:g}: matching angle {delta_theta:.3f} rad "
+            "reaches the wall at pi/2, so the summit model does not apply"
+        )
     residual(root)  # replay once so a strained matching angle still warns
     return root
 
@@ -277,6 +292,8 @@ def summit_phase_difference() -> float:
     value: pi/4.  Serves as an independent check on the matching
     formulas; the error falls like 1/xi^2.
     """
+    from scipy.integrate import solve_ivp
+
     xi_max = 60.0
 
     def rhs(xi, y):

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar as HBAR_SI
-
 from .errors import InvalidParameterError
+
+HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)  # J*s: the exact SI Planck constant over 2 pi
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,9 @@ positive arguments, so nothing cancels as E/B -> 0:
     barrier_action  (4/3) (B - E) R_D(0, 2B/(B+E), 1) / sqrt(B + E)
 
 Above the barrier theta = pi - 2 phi turns `phase_integral` and
-`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1.  In
-this module only barrier_action(method="adaptive") stays on
-`scipy.integrate.quad`, as the quadrature cross-check of the closed
-forms.  `dynamics.classical_fall_time` keeps its quadrature too, since
-it is itself checked against an elliptic closed form.
+`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1.  Only
+barrier_action(method="adaptive") stays on `scipy.integrate.quad`, as
+the quadrature cross-check of the closed forms.
 """
 from __future__ import annotations
 
@@ -42,7 +40,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
 from scipy.special import ellipeinc, elliprd, elliprf
 
 from .errors import DomainError, InvalidParameterError, RegimeError
@@ -244,6 +241,8 @@ def single_well_quantize(n: int, B: float) -> float:
             f"level n={n} lies at or above the summit for B={B}; "
             "use the summit or high-energy quantization"
         )
+    from scipy.optimize import brentq
+
     # well_action(0) is exactly 0, so the bracket reaches the deepest level
     # at any B (the 1 g rod's E_0 ~ 1e40 sits 20 decades below B ~ 3e59)
     return brentq(lambda e: well_action(e, B) - target, 0.0, B * (1.0 - 1e-12))
@@ -285,6 +284,8 @@ def high_energy_quantize(n: int, B: float) -> float:
             f"level n={n} sits below the barrier summit for B={B}; "
             "use the single-well quantization"
         )
+    from scipy.optimize import brentq
+
     hi = (n + 1.0) ** 2 + 2.0 * B
     energy = brentq(lambda e: full_action(e, B) - target, B, hi)
     if B > 0.0 and energy < 5.0 * B:

@@ -1,5 +1,9 @@
 """Command-line interface: schemas, precedence, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +336,48 @@ def test_summit_names_the_grid_it_needs(capsys):
     err = capsys.readouterr().err
     assert "the summit rows need the lowest 5282 levels" in err
     assert "--grid-n >= 52821 (default 4001)" in err
+
+
+def test_summit_refuses_a_row_past_the_wall(capsys):
+    # At B = 100 the n = 0 root would match at 2.102 rad, beyond the table.
+    assert main(["summit", "--B", "100", "--grid-n", "2001"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: even level n=0 at B=100: matching angle 2.102")
+
+
+# The README examples, and what each group may load of scipy.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from quantum_rod.cli import main
+unused = ("scipy.integrate", "scipy.optimize", "scipy.constants")
+loaded = {"import": [m for m in unused if m in sys.modules]}
+for group, runs in (("lean", [
+        "spectrum --B 1e4 --n-levels 72",
+        "airy --count 6 --B 100",
+        "evolve --B 100 --sigma 0.1 --method both --t-max 0.5",
+        "slant --B 1e4 --n 18 --tilts 1e-4 1e-3",
+        "fall-time --mass 1e-3 --length 0.1 --delta-theta 0.1 --alpha 10"]),
+        ("root-finding", [
+        "summit --B 1e4",
+        "wkb-compare --B 1e4 --n-min 22 --n-max 24"])):
+    for run in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(run.split()) == 0, run
+    loaded[group] = [m for m in unused if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_footprint():
+    # One fresh process: no subcommand loads scipy.integrate, and only the
+    # root-finding summit and wkb-compare load scipy.optimize.
+    src = str(Path(quantum_rod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == [] and loaded["lean"] == []
+    assert "scipy.integrate" not in loaded["root-finding"]
 
 
 def test_evolve_phase_bound_names_t_max(capsys):

@@ -534,6 +534,21 @@ def test_classical_fall_time_reference():
         math.log(8.0 * (math.sqrt(2.0) - 1.0)) - math.log(0.1), rel=1e-14)
 
 
+def test_classical_fall_time_against_mpmath():
+    # K(m) - F(phi_e|m), m = cos^2(delta/2), m sin^2(phi_e) = 1/2, in mpmath's
+    # Legendre integrals, with enough digits that m does not round to 1 at
+    # the domain floor (1 - m = sin^2(delta/2) ~ 6e-309 there).
+    mp = pytest.importorskip("mpmath")
+    deltas = [1.5e-154, 3e-154, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.3, 1.5,
+              1.57, 1.570796, 0.5 * math.pi - 1e-9]
+    with mp.workdps(330):
+        for d in deltas:
+            m = mp.cos(mp.mpf(d) / 2) ** 2
+            ref = mp.ellipk(m) - mp.ellipf(mp.asin(1 / mp.sqrt(2 * m)), m)
+            t = dynamics.classical_fall_time(d).exact
+            assert t == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
 def test_classical_fall_time_small_angle_limit():
     for d in (1e-6, 1e-9, 1e-12):
         ct = dynamics.classical_fall_time(d)

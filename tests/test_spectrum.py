@@ -13,6 +13,7 @@ from quantum_rod.spectrum import (
     mathieu_residual,
     pairing_table,
     potential,
+    simpson as grid_simpson,
     solve_spectrum,
 )
 
@@ -187,6 +188,26 @@ def test_make_grid_symmetry():
         if grid_n % 2:
             assert grid[grid_n // 2] == 0.0
         assert np.max(np.abs(np.diff(grid, 2))) < 1e-14   # uniform
+
+
+@pytest.mark.parametrize("grid_n", [3, 5, 7, 9, 401, 2001, 4001, 4003, 20001])
+def test_simpson_is_scipy_simpson_bit_for_bit(grid_n):
+    # The helper copies scipy's arithmetic, so it must agree to the bit on
+    # full grids, on the left halves slanted.localization_measure takes
+    # ((grid_n + 1) / 2 points: odd for grid_n = 1 mod 4, even and
+    # Cartwright-corrected for grid_n = 3 mod 4, the trapezoid for
+    # grid_n = 3) and row-wise on 2-D input.
+    rng = np.random.default_rng(grid_n)
+    grid = make_grid(grid_n)
+    left = grid <= 0.0
+    rows = np.stack([np.exp(-grid**2 / 0.02), np.cos(3.0 * grid) * np.sin(grid),
+                     rng.standard_normal(grid_n)])
+    for y in rows:
+        assert grid_simpson(y, grid) == simpson(y, x=grid)
+        assert grid_simpson(y[left], grid[left]) == simpson(y[left], x=grid[left])
+    assert np.array_equal(grid_simpson(rows, grid), simpson(rows, x=grid, axis=1))
+    assert np.array_equal(grid_simpson(rows[:, left], grid[left]),
+                          simpson(rows[:, left], x=grid[left], axis=1))
 
 
 def test_tilted_levels_have_no_parity():

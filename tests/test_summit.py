@@ -144,6 +144,26 @@ def test_summit_quantize_rejects_deep_levels():
         summit_quantize(0, B, "even")
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("b, walled, fine", [
+    (1.0, [0, 1], []),           # s = 1.19: even xi = 3 lies past the wall
+    (100.0, [0], [1, 2, 3]),     # n = 0 would need a matching angle of 2.102 rad
+    (1e3, [], [5, 6, 7, 8, 9]),  # the summit command's rows at B = 1e3
+])
+def test_summit_quantize_stops_at_the_wall(b, walled, fine):
+    # A root whose matching angle reaches pi/2 has no outer region left.
+    for n in walled:
+        for parity in ("even", "odd"):
+            with pytest.raises(RegimeError, match=f"{parity} level n={n} .*wall"):
+                summit_quantize(n, b, parity)
+    for n in fine:
+        for parity in ("even", "odd"):
+            e = summit_quantize(n, b, parity)
+            eps = (e - b) / math.sqrt(2.0 * b)
+            xi = max(3.0, 1.3 * math.sqrt(max(-2.0 * eps, 0.0) + 1.0))
+            assert 0.0 < e and xi * summit_scale(b) < 0.5 * math.pi
+
+
 def _bessel_phase_difference():
     # psi'' + xi^2 psi = 0 is solved exactly by sqrt(xi) J_{-/+1/4}(xi^2/2),
     # the even and odd summit solutions.  Their instantaneous WKB phases are

@@ -2,9 +2,11 @@
 import math
 
 import pytest
+from scipy.constants import hbar
 
 from quantum_rod.errors import InvalidParameterError
 from quantum_rod.units import (
+    HBAR_SI,
     RodParams,
     derive_scales,
     energy_from_dimensionless,
@@ -19,6 +21,11 @@ REF_V0 = 0.0004905
 REF_OMEGA_C = 12.130539971493436
 REF_B = 2.940325636472887e+59
 REF_S = 1.6149483656147873e-15
+
+
+def test_hbar_is_scipy_hbar():
+    # The exact SI h / 2 pi, written out so that no start loads scipy.constants.
+    assert HBAR_SI == hbar
 
 
 def test_reference_rod_scales(scales_ref):
