@@ -18,7 +18,12 @@ with underscores.  Output is a JSON envelope {config, results,
 provenance} or a CSV table with a header row, written to --output or
 stdout.  All numbers are rounded to --precision significant digits
 (round-half-even), and a given configuration always produces
-byte-identical output.
+byte-identical output.  A Python warning raised on the way is shown as
+one `warning: <message>` line on stderr.
+
+The modules a subcommand needs beyond `spectrum` and `slanted` are
+imported by its handler, so that, for example, `spectrum` never loads
+`scipy.special`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -30,13 +35,12 @@ import io
 import json
 import math
 import sys
+import warnings
 from typing import Any
 
 import numpy as np
 
-from . import __version__
-from . import airy as airy_mod
-from . import dynamics, slanted, summit, wkb
+from . import __version__, slanted
 from .errors import (
     DomainError,
     InsufficientBasisError,
@@ -250,6 +254,8 @@ def run_spectrum(cfg: dict[str, Any]) -> Payload:
 
 
 def run_wkb_compare(cfg: dict[str, Any]) -> Payload:
+    from . import wkb
+
     B = _resolve_barrier(cfg)
     n_min, n_max = cfg["n_min"], cfg["n_max"]
     if not 0 <= n_min <= n_max:
@@ -287,6 +293,8 @@ def run_wkb_compare(cfg: dict[str, Any]) -> Payload:
 
 
 def run_summit(cfg: dict[str, Any]) -> Payload:
+    from . import summit, wkb
+
     B = _resolve_barrier(cfg)
     n_summit = int(wkb.max_well_action(B) / math.pi - 0.75)
     n_min = cfg["n_min"] if cfg["n_min"] is not None else max(0, n_summit - 2)
@@ -314,6 +322,8 @@ def run_summit(cfg: dict[str, Any]) -> Payload:
 
 
 def run_airy(cfg: dict[str, Any]) -> Payload:
+    from . import airy
+
     count = cfg["count"]
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
@@ -323,17 +333,19 @@ def run_airy(cfg: dict[str, Any]) -> Payload:
         header += ["energy_wkb", "energy"]
     rows = []
     for n in range(count):
-        lam_wkb = airy_mod.wkb_lambda(n)
-        lam = airy_mod.airy_zero(n)
+        lam_wkb = airy.wkb_lambda(n)
+        lam = airy.airy_zero(n)
         row = [n, lam_wkb, lam]
         if B is not None:
-            row += [airy_mod.linear_well_energy(n, B, exact=False),
-                    airy_mod.linear_well_energy(n, B)]
+            row += [airy.linear_well_energy(n, B, exact=False),
+                    airy.linear_well_energy(n, B)]
         rows.append(row)
     return {"levels": [dict(zip(header, r)) for r in rows]}, header, rows
 
 
 def run_fall_time(cfg: dict[str, Any]) -> Payload:
+    from . import dynamics
+
     scales = derive_scales(_rod_params(cfg))
     t_prime = dynamics.quantum_fall_time_estimate(scales)
     t_wkb = dynamics.quantum_fall_time_wkb(scales)
@@ -378,6 +390,8 @@ def run_fall_time(cfg: dict[str, Any]) -> Payload:
 
 
 def run_evolve(cfg: dict[str, Any]) -> Payload:
+    from . import dynamics
+
     B = _resolve_barrier(cfg)
     if not (math.isfinite(cfg["t_max"]) and cfg["t_max"] > 0.0) or cfg["n_times"] < 2:
         raise InvalidParameterError("need finite t-max > 0 and n-times >= 2")
@@ -461,7 +475,7 @@ def _round_value(value: Any, precision: int) -> Any:
         v = float(value)
         if not math.isfinite(v):
             return repr(v)
-        return float(f"{v:.{precision}g}")
+        return float(f"{v:.{precision}g}") + 0.0  # + 0.0 turns -0.0 into 0.0
     return value
 
 
@@ -473,7 +487,7 @@ def _csv_cell(value: Any, precision: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{precision}g}"
+        return f"{float(value) + 0.0:.{precision}g}"  # -0.0 prints as 0
     return str(value)
 
 
@@ -496,13 +510,20 @@ def emit(cfg: dict[str, Any], results: dict[str, Any],
     return buf.getvalue()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` for the CLI: the message alone, on one stderr line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        results, header, rows = _DISPATCH[args.subcommand](cfg)
-        text = emit(cfg, results, header, rows)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            cfg = resolve_config(args)
+            results, header, rows = _DISPATCH[args.subcommand](cfg)
+            text = emit(cfg, results, header, rows)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

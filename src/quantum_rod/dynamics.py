@@ -31,9 +31,14 @@ Both propagators only yield the state at each output time; one driver,
 Times are quoted in units of 1/omega_c by default ('omega_c'), which
 requires B > 0; 'natural' selects the raw time unit 2J/hbar conjugate
 to the internal energy unit.
+
+The fall-time functions import `scipy.special` and `summit` when first
+called (`_lazy`), so a propagation run loads neither.
 """
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 import sys
 import warnings
@@ -41,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.special import elliprf
 
 from .errors import (
     DomainError,
@@ -59,7 +63,6 @@ from .spectrum import (
     simpson,
     unfold_parity,
 )
-from .summit import FIT_GAMMA, summit_scale, wavepacket_phase_derivative
 from .units import DerivedScales, time_to_seconds
 
 FALL_THRESHOLD = HALF_PI - 0.1  # |theta| beyond which the rod counts as fallen
@@ -384,6 +387,7 @@ def classical_fall_time(delta_theta: float) -> ClassicalFallTime:
     if not math.sqrt(sys.float_info.min) < delta_theta < HALF_PI:
         raise DomainError("need 1.5e-154 < delta_theta < pi/2")
     s, c = math.sin(0.5 * delta_theta), math.cos(0.5 * delta_theta)
+    elliprf = _lazy("scipy.special").elliprf
     exact = math.sqrt(math.cos(delta_theta) / s) / c * float(elliprf(s / c**2, 2.0 * s, 1.0 / s))
     asym = math.log(8.0 * (math.sqrt(2.0) - 1.0)) - math.log(delta_theta)
     return ClassicalFallTime(delta_theta=delta_theta, exact=exact, asymptotic=asym)
@@ -434,7 +438,7 @@ def quantum_fall_time_wkb(scales: DerivedScales) -> FallTime:
     terms = {
         "geometry": math.log(4.0 * (2.0 - math.sqrt(2.0))),
         "log_scale": -math.log(s),
-        "phase_slope_log": 0.5 * math.log(4.0 * FIT_GAMMA),
+        "phase_slope_log": 0.5 * math.log(4.0 * _lazy(".summit").FIT_GAMMA),
         "phase_slope_arctan": 0.25 * math.pi,
     }
     value = sum(terms.values())
@@ -451,17 +455,29 @@ def fall_time_assembly(scales_or_b, delta_theta: float) -> float:
     in units of 1/omega_c.  Mathematically independent of delta_theta;
     evaluating at two matching angles checks the cancellation.
     """
+    summit = _lazy(".summit")
     s = _summit_scale_of(scales_or_b) if isinstance(scales_or_b, DerivedScales) \
-        else summit_scale(float(scales_or_b))
+        else summit.summit_scale(float(scales_or_b))
     transit = summit_transit_time(delta_theta)
     spread = 0.5 * math.log(2.0 * delta_theta**2 / s**2)
-    return transit + spread + wavepacket_phase_derivative(0.0)
+    return transit + spread + summit.wavepacket_phase_derivative(0.0)
 
 
 def _summit_scale_of(scales: DerivedScales) -> float:
     if not (scales.B > 0.0):
         raise InvalidParameterError("fall times need a finite barrier (B > 0)")
-    return summit_scale(scales.B)
+    return _lazy(".summit").summit_scale(scales.B)
+
+
+@functools.cache
+def _lazy(name: str):
+    """Module `name` (relative to this package), imported on first use.
+
+    Only the fall-time functions need `summit` and scipy.special, so a
+    propagation run never loads them.  An import statement in each call
+    would add 0.4-1.7 us to functions that take 2-5 us.
+    """
+    return importlib.import_module(name, __package__)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,17 @@ a doubled grid, which removes the leading O(h^2) discretization error
 and leaves the reported energies accurate to a few parts in 1e7 at the
 default resolution for energies of order 1e4.
 
+Only the base grid is bisected (`stebz`, eigenvectors by `stein`).  On
+the doubled grid each level is continued from its base eigenvector,
+linearly interpolated: Rayleigh-quotient iteration, which converges
+cubically from so close a start (about two shifted tridiagonal solves
+per level), takes it to a residual at rounding level.  Each Rayleigh
+quotient then lies within its residual of an eigenvalue, and when these
+intervals are disjoint one Sturm count fixes which eigenvalue each is,
+the guarantee bisection gives (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4).  A block whose levels fail to converge or to certify
+is bisected as before.
+
 For tilt = 0 the matrix commutes with the reflection theta -> -theta,
 so it splits into two half-size tridiagonal blocks, `parity_blocks`,
 that are solved on their own (and that Crank-Nicolson in `dynamics`
@@ -38,11 +49,13 @@ from typing import Literal
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import DomainError, InvalidParameterError, ResolutionError
 
 HALF_PI = 0.5 * math.pi
 RESOLUTION_RTOL = 0.02  # largest trusted relative eigenvalue drift under grid doubling
+MAX_RQI_SOLVES = 6  # Rayleigh-quotient solves per level before it counts as unconverged
 
 Parity = Literal["even", "odd"]
 
@@ -228,42 +241,133 @@ def unfold_parity(vec: np.ndarray, parity: Parity, out: np.ndarray) -> None:
         out[c + 1:] -= vec[::-1]
 
 
-def _interior_eigensolve(B, tilt, grid_n, n_levels, eigvals_only=False):
+def _start_vectors(start, parity: Parity | None, grid_n: int):
+    """Start vectors on grid_n points from full-grid vectors on (grid_n + 1)/2 points.
+
+    Yields, for each vector of `start`, its linear interpolant (every old
+    point kept, the midpoints averaged, in one reused buffer): the whole
+    interior for parity None, else its `fold_parity` block vector.
+    """
+    fine = np.empty(grid_n)
+    for v in start:
+        fine[0::2] = v
+        np.add(v[:-1], v[1:], out=fine[1::2])
+        fine[1::2] *= 0.5
+        yield fine[1:-1] if parity is None else fold_parity(fine[1:-1])[parity]
+
+
+def _rayleigh_quotient_iteration(d, e, starts, count, tol):
+    """Rayleigh quotients and residual norms of `count` start vectors, iterated.
+
+    Each vector x, normalized, is replaced by the normalized
+    (T - rho)^-1 x, with rho its Rayleigh quotient on the tridiagonal
+    (d, e), until |T x - rho x| <= tol.  The shifted systems are solved in
+    place (LAPACK `gtsv`, LU with partial pivoting), in buffers reused
+    for every solve.  Returns (rho, residual), or None when a shift is
+    exactly singular or a level needs more than MAX_RQI_SOLVES solves.
+    """
+    n = len(d)
+    rho, residual = np.empty(count), np.empty(count)
+    buffers = np.empty(4 * n)  # one block, whose space stebz's work arrays reuse once freed
+    tx, work, lower, upper = (buffers[k * n:(k + 1) * n - (k > 1)] for k in range(4))
+    for j, x in enumerate(starts):
+        x /= np.linalg.norm(x)
+        for solve in range(MAX_RQI_SOLVES + 1):
+            np.multiply(d, x, out=tx)
+            tx[:-1] += np.multiply(e, x[1:], out=lower)
+            tx[1:] += np.multiply(e, x[:-1], out=lower)
+            rho[j] = x @ tx
+            tx -= np.multiply(x, rho[j], out=work)
+            residual[j] = np.linalg.norm(tx)
+            if residual[j] <= tol:
+                break
+            if solve == MAX_RQI_SOLVES:
+                return None
+            np.subtract(d, rho[j], out=work)
+            lower[:], upper[:] = e, e
+            *_, x, info = dgtsv(lower, work, upper, x, overwrite_dl=1, overwrite_d=1,
+                                overwrite_du=1, overwrite_b=1)
+            if info != 0:
+                return None
+            x /= np.linalg.norm(x)
+    return rho, residual
+
+
+def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int) -> np.ndarray | None:
+    """The lowest `count` eigenvalues of the tridiagonal (d, e), continued from start vectors.
+
+    `starts` yields one approximate eigenvector per level, lowest first.
+    Rayleigh-quotient iteration takes each to a residual |T x - rho x| of
+    at most tol = 8 eps |T| sqrt(n), so rho_j lies within residual_j + tol
+    of an eigenvalue (tol covering rounding).  If these intervals are
+    disjoint and one Sturm count (`stebz` by value, with a tolerance that
+    spans the whole range so that it stops at once) finds exactly `count`
+    eigenvalues up to the top of the last interval, each interval holds
+    one eigenvalue and rho_j is eigenvalue j.  Returns None when the
+    iteration fails or the certificate does not hold.  The iteration's
+    buffers are freed before `stebz` allocates its own.
+    """
+    scale = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+    tol = 8.0 * np.finfo(float).eps * scale * math.sqrt(len(d))
+    iterated = _rayleigh_quotient_iteration(d, e, starts, count, tol)
+    if iterated is None:
+        return None
+    rho, radius = iterated
+    radius += tol
+    if not np.all(rho[:-1] + radius[:-1] < rho[1:] - radius[1:]):
+        return None
+    vl = np.min(d) - scale  # below every eigenvalue (Gershgorin)
+    vu = rho[-1] + radius[-1]
+    found, *_, info = dstebz(d, e, 1, vl, vu, 1, 1, vu - vl, b"E")  # range 1: (vl, vu]
+    return rho if info == 0 and found == count else None
+
+
+def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None):
     """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
 
-    Unless eigvals_only, the eigenvectors come back as one full-grid array
-    per level, zero at the walls and not yet normalized.  At tilt 0 the
-    half-size block vectors are unfolded straight into these arrays, so no
-    second n_levels x grid_n copy is held.
+    Without `start` they are bisected, and the eigenvectors come back as
+    one full-grid array per level, zero at the walls and not yet
+    normalized; at tilt 0 the half-size block vectors are unfolded
+    straight into these arrays, so no second n_levels x grid_n copy is
+    held.  `start` holds such arrays for the same levels on the grid of
+    (grid_n + 1)/2 points; then only eigenvalues are returned, each
+    continued from its interpolated vector by `_continue_levels`, and a
+    block that fails its certificate is bisected instead.
     """
     theta = make_grid(grid_n)
     diag, off = grid_hamiltonian(theta, B, tilt)
-    if tilt != 0.0:
-        out = eigh_tridiagonal(diag, np.full(grid_n - 3, off), eigvals_only=eigvals_only,
-                               select="i", select_range=(0, n_levels - 1))
-        if eigvals_only:
-            return theta, out, None
-        return theta, out[0], [np.pad(v, 1) for v in out[1].T]
-
+    if tilt == 0.0:
+        blocks = parity_blocks(diag, off)  # level 2j is even j, level 2j + 1 is odd j
+    else:
+        blocks = {None: (diag, np.full(grid_n - 3, off))}
+    stride = len(blocks)
     energies = np.empty(n_levels)
-    values = None if eigvals_only else [np.zeros(grid_n) for _ in range(n_levels)]
-    for p, (parity, (d, e)) in enumerate(parity_blocks(diag, off).items()):
-        count = (n_levels + 1 - p) // 2  # level 2j is even j, level 2j + 1 is odd j
+    values = None
+    if start is None:  # tilted vectors are padded as they come; block vectors unfold into these
+        values = [np.zeros(grid_n) if tilt == 0.0 else None for _ in range(n_levels)]
+    for p, (parity, (d, e)) in enumerate(blocks.items()):
+        count = (n_levels + stride - 1 - p) // stride
         if count == 0:
             continue
-        out = eigh_tridiagonal(d, e, eigvals_only=eigvals_only, select="i",
-                               select_range=(0, count - 1))
-        if eigvals_only:
-            energies[p::2] = out
+        if start is not None:
+            starts = _start_vectors(start[p::stride], parity, grid_n)
+            continued = _continue_levels(d, e, starts, count)
+            energies[p::stride] = continued if continued is not None else eigh_tridiagonal(
+                d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
             continue
-        energies[p::2], vecs = out
-        for full, v in zip(values[p::2], vecs.T):
-            unfold_parity(v, parity, full[1:-1])
-    # A doublet within dstebz's own absolute tolerance is unresolved: tie it,
-    # as bisection of the full matrix does.
-    even, odd = energies[0:n_levels - 1:2], energies[1::2]
-    tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
-    odd[tied] = even[tied]
+        energies[p::stride], vecs = eigh_tridiagonal(d, e, select="i",
+                                                     select_range=(0, count - 1))
+        for k, v in zip(range(p, n_levels, stride), vecs.T):
+            if parity is None:
+                values[k] = np.pad(v, 1)
+            else:
+                unfold_parity(v, parity, values[k][1:-1])
+    if tilt == 0.0:
+        # A doublet within dstebz's own absolute tolerance is unresolved: tie
+        # it, as bisection of the full matrix does.
+        even, odd = energies[0:n_levels - 1:2], energies[1::2]
+        tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
+        odd[tied] = even[tied]
     return theta, energies, values
 
 
@@ -303,7 +407,10 @@ def solve_spectrum(
     """Solve for the lowest n_levels stationary states.
 
     Eigenvalues are extrapolated from grid_n and 2*grid_n - 1 points;
-    eigenfunctions are returned on the base grid.  Raises
+    eigenfunctions are returned on the base grid.  The base grid is
+    bisected; the doubled grid's eigenvalues are continued from the base
+    eigenvectors by Rayleigh-quotient iteration and certified by a Sturm
+    count, with bisection for any block that fails.  Raises
     ResolutionError when the eigenvalue drift under grid doubling
     exceeds RESOLUTION_RTOL relative, i.e. when even the extrapolated
     values should not be trusted.
@@ -326,9 +433,7 @@ def solve_spectrum(
 
     theta, raw, values = _interior_eigensolve(B, tilt, grid_n, n_levels)
     if refine:
-        _, raw_fine, _ = _interior_eigensolve(
-            B, tilt, 2 * grid_n - 1, n_levels, eigvals_only=True
-        )
+        _, raw_fine, _ = _interior_eigensolve(B, tilt, 2 * grid_n - 1, n_levels, start=values)
         drift = np.abs(raw_fine - raw)
         refined = (4.0 * raw_fine - raw) / 3.0
         rel_drift = drift / np.maximum(np.abs(refined), 1.0)
@@ -383,7 +488,10 @@ def mathieu_residual(result: SpectrumResult, k: int) -> float:
     derivative is taken with a fourth-order stencil and the maximum
     interior residual is normalized by E * max|psi|.  The residual
     scales as O(h^2), so fine grids are needed to push it below 1e-4.
+    Raises InvalidParameterError unless 0 <= k < len(result.levels).
     """
+    if not 0 <= k < len(result.levels):
+        raise InvalidParameterError(f"level k={k} not in 0..{len(result.levels) - 1}")
     lv, wf = result.levels[k], result.wavefunctions[k]
     h = wf.grid[1] - wf.grid[0]
     psi = wf.values

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, precedence, formats, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,17 +346,19 @@ def test_summit_refuses_a_row_past_the_wall(capsys):
     assert err.startswith("numerical failure: even level n=0 at B=100: matching angle 2.102")
 
 
-# The README examples, and what each group may load of scipy.
+# The README examples, and what each group may load of scipy.  The first
+# group runs first, so that nothing else has loaded scipy.special yet.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 from quantum_rod.cli import main
-unused = ("scipy.integrate", "scipy.optimize", "scipy.constants")
+unused = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants")
 loaded = {"import": [m for m in unused if m in sys.modules]}
-for group, runs in (("lean", [
+for group, runs in (("no-special", [
         "spectrum --B 1e4 --n-levels 72",
-        "airy --count 6 --B 100",
         "evolve --B 100 --sigma 0.1 --method both --t-max 0.5",
-        "slant --B 1e4 --n 18 --tilts 1e-4 1e-3",
+        "slant --B 1e4 --n 18 --tilts 1e-4 1e-3"]),
+        ("lean", [
+        "airy --count 6 --B 100",
         "fall-time --mass 1e-3 --length 0.1 --delta-theta 0.1 --alpha 10"]),
         ("root-finding", [
         "summit --B 1e4",
@@ -369,15 +372,33 @@ print(json.dumps(loaded))
 
 
 def test_import_footprint():
-    # One fresh process: no subcommand loads scipy.integrate, and only the
-    # root-finding summit and wkb-compare load scipy.optimize.
+    # One fresh process: spectrum, evolve and slant load no scipy.special, no
+    # subcommand loads scipy.integrate, and only the root-finding summit and
+    # wkb-compare load scipy.optimize.
     src = str(Path(quantum_rod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
     loaded = json.loads(proc.stdout)
-    assert loaded["import"] == [] and loaded["lean"] == []
+    assert loaded["import"] == [] and loaded["no-special"] == []
+    assert loaded["lean"] == ["scipy.special"]
     assert "scipy.integrate" not in loaded["root-finding"]
+
+
+def test_warning_is_one_line_and_zero_has_no_sign(capsys):
+    # At zero tilt the coupling is -0.0 and the two-level solve warns.
+    argv = ["slant", "--B", "1e4", "--n", "0", "--tilts", "0", "--grid-n", "2001"]
+    warning = "warning: degenerate doublet with zero coupling: mixing is arbitrary\n"
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    row = json.loads(captured.out)["results"]["sweep"][0]
+    assert row["coupling"] == 0.0 and math.copysign(1.0, row["coupling"]) == 1.0
+    assert "-0" not in captured.out
+    assert main(argv + ["--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert captured.out.splitlines()[1] == "0,0,0,0.5,true,true"
 
 
 def test_evolve_phase_bound_names_t_max(capsys):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
+from quantum_rod import spectrum
 from quantum_rod.errors import DomainError, InvalidParameterError, ResolutionError
 from quantum_rod.spectrum import (
     grid_hamiltonian,
@@ -145,6 +146,13 @@ def test_mathieu_residual(spectrum_b1e4):
     assert mathieu_residual(spectrum_b1e4, 100) < 1e-3
 
 
+@pytest.mark.parametrize("k", [-1, 4])
+def test_mathieu_residual_rejects_a_missing_level(k):
+    res = solve_spectrum(100.0, 4, grid_n=201)
+    with pytest.raises(InvalidParameterError, match=rf"level k={k} not in 0\.\.3"):
+        mathieu_residual(res, k)
+
+
 def test_grid_convergence(spectrum_b1e4):
     # Extrapolated energies must be grid-insensitive well below 1e-6.
     coarse = solve_spectrum(1e4, 30, grid_n=2001)
@@ -217,3 +225,88 @@ def test_tilted_levels_have_no_parity():
     with pytest.raises(InvalidParameterError):
         pairing_table(res)
 
+
+def _count_bisections(monkeypatch):
+    # Eigenvalue-only bisections are the doubled grid's fallback; the base
+    # grid always asks for eigenvectors.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    return calls
+
+
+def _bisected(monkeypatch, call):
+    # `call` with every doubled-grid block sent to the bisection fallback.
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_continue_levels", lambda *args: None)
+        return call()
+
+
+# (B, base grid, levels): the benchmark's sizes, 40001 doubled-grid points at B = 1e6.
+CONTINUATION_CASES = [(0.0, 2001, 12), (1e2, 2001, 16), (1e4, 4001, 40), (1e6, 20001, 20)]
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+@pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
+def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_levels, tilt):
+    _, _, values = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
+    fine_n = 2 * grid_n - 1
+    calls = _count_bisections(monkeypatch)
+    _, continued, _ = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values)
+    assert not any(calls)                        # no block fell back to bisection
+    _, bisected, _ = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, fine_n, n_levels, start=values))
+    assert sum(calls) == (2 if tilt == 0.0 else 1)
+    diag, off = grid_hamiltonian(make_grid(fine_n), B, tilt)
+    tol = np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
+    assert np.max(np.abs(continued - bisected)) <= tol
+    if tilt == 0.0:  # the tie rule holds for continued values as for bisected ones
+        assert np.array_equal(continued[1::2] == continued[0::2], bisected[1::2] == bisected[0::2])
+
+
+def _singular(dgtsv):
+    def patched(*args, **kwargs):
+        *out, info = dgtsv(*args, **kwargs)
+        return (*out, 1)
+    return patched
+
+
+def _no_solve(dgtsv):
+    def patched(dl, d, du, b, **kwargs):  # the right-hand side comes back unsolved
+        return dl, d, du, b, 0
+    return patched
+
+
+def _one_start(start_vectors):
+    def patched(start, parity, grid_n):   # every level starts from the block's lowest
+        return start_vectors([start[0]] * len(start), parity, grid_n)
+    return patched
+
+
+def _one_too_many(dstebz):
+    def patched(*args):
+        found, *rest = dstebz(*args)
+        return (found + 1, *rest)
+    return patched
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+@pytest.mark.parametrize("name, wrap", [
+    ("dgtsv", _singular),               # a shift is exactly singular (info != 0)
+    ("dgtsv", _no_solve),               # no convergence within MAX_RQI_SOLVES
+    ("_start_vectors", _one_start),     # every level lands on one eigenvalue: overlap
+    ("dstebz", _one_too_many),          # the Sturm count disagrees
+])
+def test_failed_continuation_falls_back_to_bisection(monkeypatch, name, wrap, tilt):
+    def solve():
+        return solve_spectrum(1e4, 16, grid_n=2001, tilt=tilt)
+
+    bisected = _bisected(monkeypatch, solve)
+    monkeypatch.setattr(spectrum, name, wrap(getattr(spectrum, name)))
+    calls = _count_bisections(monkeypatch)
+    assert np.array_equal(solve().energies, bisected.energies)
+    assert sum(calls) == (2 if tilt == 0.0 else 1)  # every block fell back
