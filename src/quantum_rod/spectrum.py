@@ -13,16 +13,26 @@ a doubled grid, which removes the leading O(h^2) discretization error
 and leaves the reported energies accurate to a few parts in 1e7 at the
 default resolution for energies of order 1e4.
 
-Only the base grid is bisected (`stebz`, eigenvectors by `stein`).  On
-the doubled grid each level is continued from its base eigenvector,
-linearly interpolated: Rayleigh-quotient iteration, which converges
-cubically from so close a start (about two shifted tridiagonal solves
-per level), takes it to a residual at rounding level.  Each Rayleigh
-quotient then lies within its residual of an eigenvalue, and when these
-intervals are disjoint one Sturm count fixes which eigenvalue each is,
-the guarantee bisection gives (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4).  A block whose levels fail to converge or to certify
-is bisected as before.
+Only the coarsest grid of a halving chain is bisected (`stebz`,
+eigenvectors by `stein`).  The chain runs from the base grid of N points
+down through (N + 1)/2, ... while the next grid is odd and has at least
+`min_grid_n(n_levels)` points.  Each finer grid, up to the base grid and
+then the doubled one, continues every level from the eigenvector on the
+grid below it, interpolated: Rayleigh-quotient iteration, which
+converges cubically from so close a start (one to three shifted
+tridiagonal solves per level), takes it to a residual at rounding level.
+Each Rayleigh quotient then lies within its residual of an eigenvalue,
+and when these intervals are disjoint one Sturm count fixes which
+eigenvalue each is, the guarantee bisection gives (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4).  Levels closer together than that
+residual bound, such as deep doublets split by a tiny tilt, are
+continued as one cluster by Rayleigh-Ritz on the span of their vectors,
+whose Ritz values lie as close to as many eigenvalues (Kahan; Parlett,
+ch. 11), and the cluster's interval takes their place in the certificate.
+A block whose levels fail to converge or to certify on a grid is
+bisected on that grid, and the chain goes on from its vectors.  Each
+grid's vectors are freed as the next grid's fill, and the doubled grid
+keeps none, so about one grid's n_levels vectors are held at a time.
 
 For tilt = 0 the matrix commutes with the reflection theta -> -theta,
 so it splits into two half-size tridiagonal blocks, `parity_blocks`,
@@ -44,6 +54,7 @@ as bisection of the full matrix would return it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -241,35 +252,130 @@ def unfold_parity(vec: np.ndarray, parity: Parity, out: np.ndarray) -> None:
         out[c + 1:] -= vec[::-1]
 
 
-def _start_vectors(start, parity: Parity | None, grid_n: int):
+def _full_vector(vec: np.ndarray, parity: Parity | None, grid_n: int) -> np.ndarray:
+    """The full-grid array (zero at the walls) of an interior or block vector."""
+    full = np.zeros(grid_n)
+    if parity is None:
+        full[1:-1] = vec
+    else:
+        unfold_parity(vec, parity, full[1:-1])
+    return full
+
+
+def _start_vectors(start, levels, parity: Parity | None, grid_n: int, vectors: bool):
     """Start vectors on grid_n points from full-grid vectors on (grid_n + 1)/2 points.
 
-    Yields, for each vector of `start`, its linear interpolant (every old
-    point kept, the midpoints averaged, in one reused buffer): the whole
-    interior for parity None, else its `fold_parity` block vector.
+    Yields, for each level k of `levels`, an interpolant of start[k] that
+    keeps every old point, in one reused buffer: the whole interior for
+    parity None, else the block vector of that parity.  For start vectors
+    of exact parity that is the interior up to the centre (the centre
+    over sqrt(2) for even), so only the left half is interpolated.
+
+    With `vectors` the continued vectors are kept, to start the next grid
+    or as the result: the midpoints are averaged, and start[k] is set to
+    None once read, so that the coarse grid's vectors are freed as the
+    fine grid's fill.  Without, only eigenvalues are wanted, and each
+    midpoint is the cubic through the four coarse points around it (the
+    vector continued oddly through the walls): from that start a level
+    converges in about one solve instead of two.  A kept vector is better
+    for the second solve: from the cubic start it would stop at the
+    residual bound, about 1e-9 from orthonormal at 4001 points.
     """
-    fine = np.empty(grid_n)
-    for v in start:
-        fine[0::2] = v
-        np.add(v[:-1], v[1:], out=fine[1::2])
-        fine[1::2] *= 0.5
-        yield fine[1:-1] if parity is None else fold_parity(fine[1:-1])[parity]
+    stop = grid_n if parity is None else (grid_n + 1) // 2  # fine points taken, from the wall
+    m = (stop + 1) // 2  # the coarse points among them
+    fine = np.empty(stop)
+    mids = fine[1::2]
+    for k in levels:
+        w = start[k]
+        fine[0::2] = w[:m]
+        np.add(w[:m - 1], w[1:m], out=mids)
+        if vectors:
+            start[k] = None
+            mids *= 0.5
+        else:  # (9 (w[i] + w[i+1]) - w[i-1] - w[i+2]) / 16
+            mids *= 9.0
+            mids[1:] -= w[:m - 2]
+            mids[0] += w[1]  # w[-1] = -w[1], odd about the wall
+            mids[:-1] -= w[2:m]
+            mids[-1] -= w[m] if parity is not None else -w[m - 2]  # past the centre, or the wall
+            mids *= 1.0 / 16.0
+        if parity == EVEN:
+            fine[-1] /= math.sqrt(2.0)
+            yield fine[1:]
+        else:
+            yield fine[1:-1]
 
 
-def _rayleigh_quotient_iteration(d, e, starts, count, tol):
+def _rayleigh_ritz(d, e, x, tol):
+    """Ritz values, residual norm and Ritz vectors of a cluster, by subspace inverse iteration.
+
+    The columns of x span approximate eigenvectors of the tridiagonal
+    (d, e) whose eigenvalues lie too close together to be told apart one
+    vector at a time.  With Q an orthonormal basis of their span, the
+    eigenvalues theta of Q^T T Q are within |T Y - Y diag(theta)| (Frobenius
+    norm, Y = Q times the eigenvectors) of as many distinct eigenvalues of T
+    (Kahan; Parlett, ch. 11).  Until that norm is at most tol the span is
+    replaced by (T - sigma)^-1 Q, sigma the mean Ritz value.  Returns
+    (theta, norm, Y), or None as `_rayleigh_quotient_iteration` does.
+    """
+    for solve in range(MAX_RQI_SOLVES + 1):
+        q = np.linalg.qr(x)[0]
+        tq = d[:, None] * q
+        tq[:-1] += e[:, None] * q[1:]
+        tq[1:] += e[:, None] * q[:-1]
+        theta, w = np.linalg.eigh(q.T @ tq)
+        y = q @ w
+        norm = np.linalg.norm(tq @ w - y * theta)
+        if norm <= tol:
+            return theta, norm, y
+        if solve == MAX_RQI_SOLVES:
+            return None
+        for shift in (np.mean(theta), np.mean(theta) + tol):
+            *_, x, info = dgtsv(e, d - shift, e, y)
+            if info == 0:
+                break
+        else:
+            return None
+
+
+def _rayleigh_quotient_iteration(d, e, starts, count, tol, keep=None):
     """Rayleigh quotients and residual norms of `count` start vectors, iterated.
 
     Each vector x, normalized, is replaced by the normalized
     (T - rho)^-1 x, with rho its Rayleigh quotient on the tridiagonal
     (d, e), until |T x - rho x| <= tol.  The shifted systems are solved in
     place (LAPACK `gtsv`, LU with partial pivoting), in buffers reused
-    for every solve.  Returns (rho, residual), or None when a shift is
-    exactly singular or a level needs more than MAX_RQI_SOLVES solves.
+    for every solve; a shift that is exactly singular is moved by tol
+    once.  A run of levels whose intervals rho +- (residual + tol)
+    overlap, such as a doublet split by less than tol, is one cluster:
+    `_rayleigh_ritz` replaces its values by Ritz values that share one
+    residual norm, and joined[j] marks levels j and j + 1 as members of
+    one cluster.  keep(j, vector), if given, receives each
+    converged vector.  Returns (rho, residual, joined), or None when a
+    moved shift is exactly singular too or a level or cluster needs more
+    than MAX_RQI_SOLVES solves.
     """
     n = len(d)
     rho, residual = np.empty(count), np.empty(count)
+    joined = np.zeros(count - 1, dtype=bool)
     buffers = np.empty(4 * n)  # one block, whose space stebz's work arrays reuse once freed
     tx, work, lower, upper = (buffers[k * n:(k + 1) * n - (k > 1)] for k in range(4))
+    run = []  # converged vectors of the open run of overlapping levels, the last one j - 1
+
+    def close_run(j):  # the run ends at level j - 1
+        first = j - len(run)
+        if len(run) > 1:
+            cluster = _rayleigh_ritz(d, e, np.column_stack(run), tol)
+            if cluster is None:
+                return False
+            rho[first:j], residual[first:j], y = cluster
+            run[:] = y.T
+        if keep is not None:
+            for i, vec in enumerate(run):
+                keep(first + i, vec)
+        run.clear()
+        return True
+
     for j, x in enumerate(starts):
         x /= np.linalg.norm(x)
         for solve in range(MAX_RQI_SOLVES + 1):
@@ -283,38 +389,52 @@ def _rayleigh_quotient_iteration(d, e, starts, count, tol):
                 break
             if solve == MAX_RQI_SOLVES:
                 return None
-            np.subtract(d, rho[j], out=work)
-            lower[:], upper[:] = e, e
-            *_, x, info = dgtsv(lower, work, upper, x, overwrite_dl=1, overwrite_d=1,
-                                overwrite_du=1, overwrite_b=1)
-            if info != 0:
+            np.copyto(tx, x)  # for a second try: the shift can be an eigenvalue to the bit
+            for shift in (rho[j], rho[j] + tol):
+                np.subtract(d, shift, out=work)
+                lower[:], upper[:] = e, e
+                *_, x, info = dgtsv(lower, work, upper, x, overwrite_dl=1, overwrite_d=1,
+                                    overwrite_du=1, overwrite_b=1)
+                if info == 0:
+                    break
+                x[:] = tx
+            else:
                 return None
             x /= np.linalg.norm(x)
-    return rho, residual
+        if j and rho[j] - residual[j] <= rho[j - 1] + residual[j - 1] + 2.0 * tol:
+            joined[j - 1] = True
+        elif not close_run(j):
+            return None
+        run.append(x.copy())
+    return (rho, residual, joined) if close_run(count) else None
 
 
-def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int) -> np.ndarray | None:
+def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
+                     keep=None) -> np.ndarray | None:
     """The lowest `count` eigenvalues of the tridiagonal (d, e), continued from start vectors.
 
     `starts` yields one approximate eigenvector per level, lowest first.
     Rayleigh-quotient iteration takes each to a residual |T x - rho x| of
     at most tol = 8 eps |T| sqrt(n), so rho_j lies within residual_j + tol
-    of an eigenvalue (tol covering rounding).  If these intervals are
-    disjoint and one Sturm count (`stebz` by value, with a tolerance that
-    spans the whole range so that it stops at once) finds exactly `count`
-    eigenvalues up to the top of the last interval, each interval holds
-    one eigenvalue and rho_j is eigenvalue j.  Returns None when the
-    iteration fails or the certificate does not hold.  The iteration's
-    buffers are freed before `stebz` allocates its own.
+    of an eigenvalue (tol covering rounding); a cluster of levels too
+    close for that holds as many eigenvalues within its shared radius.  If
+    these intervals (a cluster's taken as one) are disjoint and one Sturm
+    count (`stebz` by value, with a tolerance that spans the whole range
+    so that it stops at once) finds exactly `count` eigenvalues up to the
+    top of the last interval, each interval holds its own eigenvalues and
+    rho_j is eigenvalue j.  Returns None when the iteration fails or the
+    certificate does not hold; keep(j, vector), if given, has then been
+    called for some levels only.  The iteration's buffers are freed
+    before `stebz` allocates its own.
     """
     scale = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
     tol = 8.0 * np.finfo(float).eps * scale * math.sqrt(len(d))
-    iterated = _rayleigh_quotient_iteration(d, e, starts, count, tol)
+    iterated = _rayleigh_quotient_iteration(d, e, starts, count, tol, keep)
     if iterated is None:
         return None
-    rho, radius = iterated
+    rho, radius, joined = iterated
     radius += tol
-    if not np.all(rho[:-1] + radius[:-1] < rho[1:] - radius[1:]):
+    if not np.all((rho[:-1] + radius[:-1] < rho[1:] - radius[1:]) | joined):
         return None
     vl = np.min(d) - scale  # below every eigenvalue (Gershgorin)
     vu = rho[-1] + radius[-1]
@@ -322,17 +442,18 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int) -> np.nda
     return rho if info == 0 and found == count else None
 
 
-def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None):
+def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
     """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
 
-    Without `start` they are bisected, and the eigenvectors come back as
-    one full-grid array per level, zero at the walls and not yet
-    normalized; at tilt 0 the half-size block vectors are unfolded
-    straight into these arrays, so no second n_levels x grid_n copy is
-    held.  `start` holds such arrays for the same levels on the grid of
-    (grid_n + 1)/2 points; then only eigenvalues are returned, each
-    continued from its interpolated vector by `_continue_levels`, and a
-    block that fails its certificate is bisected instead.
+    With `vectors` the eigenvectors come back too, as one full-grid array
+    per level, zero at the walls and not yet normalized (at tilt 0 the
+    half-size block vectors unfolded), else None.  Without `start` each
+    block is bisected.  `start` holds such arrays for the same levels on
+    the grid of (grid_n + 1)/2 points; each level is then continued from
+    its interpolated vector by `_continue_levels`, and a block that fails
+    its certificate is bisected instead.  With `vectors` the start arrays
+    are released as they are read, so that the two grids' vectors are
+    not all held at once.
     """
     theta = make_grid(grid_n)
     diag, off = grid_hamiltonian(theta, B, tilt)
@@ -342,26 +463,27 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None):
         blocks = {None: (diag, np.full(grid_n - 3, off))}
     stride = len(blocks)
     energies = np.empty(n_levels)
-    values = None
-    if start is None:  # tilted vectors are padded as they come; block vectors unfold into these
-        values = [np.zeros(grid_n) if tilt == 0.0 else None for _ in range(n_levels)]
+    values = [None] * n_levels if vectors else None
     for p, (parity, (d, e)) in enumerate(blocks.items()):
-        count = (n_levels + stride - 1 - p) // stride
-        if count == 0:
+        levels = range(p, n_levels, stride)
+        if not levels:
             continue
         if start is not None:
-            starts = _start_vectors(start[p::stride], parity, grid_n)
-            continued = _continue_levels(d, e, starts, count)
-            energies[p::stride] = continued if continued is not None else eigh_tridiagonal(
-                d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
+            def keep(j, vec):
+                values[levels[j]] = _full_vector(vec, parity, grid_n)
+
+            starts = _start_vectors(start, levels, parity, grid_n, vectors)
+            continued = _continue_levels(d, e, starts, len(levels), keep if vectors else None)
+            if continued is not None:
+                energies[p::stride] = continued
+                continue
+        select = dict(select="i", select_range=(0, len(levels) - 1))
+        if not vectors:
+            energies[p::stride] = eigh_tridiagonal(d, e, eigvals_only=True, **select)
             continue
-        energies[p::stride], vecs = eigh_tridiagonal(d, e, select="i",
-                                                     select_range=(0, count - 1))
-        for k, v in zip(range(p, n_levels, stride), vecs.T):
-            if parity is None:
-                values[k] = np.pad(v, 1)
-            else:
-                unfold_parity(v, parity, values[k][1:-1])
+        energies[p::stride], vecs = eigh_tridiagonal(d, e, **select)
+        for k, v in zip(levels, vecs.T):
+            values[k] = _full_vector(v, parity, grid_n)
     if tilt == 0.0:
         # A doublet within dstebz's own absolute tolerance is unresolved: tie
         # it, as bisection of the full matrix does.
@@ -369,6 +491,20 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None):
         tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
         odd[tied] = even[tied]
     return theta, energies, values
+
+
+def _nested_eigensolve(B, tilt, grid_n, n_levels):
+    """`_interior_eigensolve` with eigenvectors, bisecting only the coarsest grid of a chain.
+
+    The chain halves grid_n -> (grid_n + 1)/2 -> ... while the next grid
+    is odd and has at least min_grid_n(n_levels) points; each finer grid
+    is continued from the eigenvectors of the one below it.
+    """
+    coarse_n = (grid_n + 1) // 2
+    start = None
+    if coarse_n % 2 and coarse_n >= min_grid_n(n_levels):
+        start = _nested_eigensolve(B, tilt, coarse_n, n_levels)[2]
+    return _interior_eigensolve(B, tilt, grid_n, n_levels, start=start)
 
 
 @dataclass
@@ -407,13 +543,17 @@ def solve_spectrum(
     """Solve for the lowest n_levels stationary states.
 
     Eigenvalues are extrapolated from grid_n and 2*grid_n - 1 points;
-    eigenfunctions are returned on the base grid.  The base grid is
-    bisected; the doubled grid's eigenvalues are continued from the base
-    eigenvectors by Rayleigh-quotient iteration and certified by a Sturm
-    count, with bisection for any block that fails.  Raises
-    ResolutionError when the eigenvalue drift under grid doubling
-    exceeds RESOLUTION_RTOL relative, i.e. when even the extrapolated
-    values should not be trusted.
+    eigenfunctions are returned on the base grid.  Only the coarsest grid
+    of the chain grid_n -> (grid_n + 1)/2 -> ... (odd grids of at least
+    min_grid_n(n_levels) points) is bisected; every finer grid, the base
+    and the doubled one included, continues each eigenpair from the grid
+    below by Rayleigh-quotient iteration, certified by a Sturm count,
+    with bisection for any block that fails on a grid.  Raises
+    InvalidParameterError unless n_levels and grid_n are integers (not
+    bool), n_levels >= 1 and grid_n is odd and at least
+    min_grid_n(n_levels); raises ResolutionError when the eigenvalue
+    drift under grid doubling exceeds RESOLUTION_RTOL relative, i.e.
+    when even the extrapolated values should not be trusted.
 
     With refine=False the energies are the raw eigenvalues of the
     base-grid operator (no extrapolation, drift not available).  Use
@@ -422,6 +562,9 @@ def solve_spectrum(
     direct integrator that steps the identical discrete Hamiltonian.
     """
     spec = PotentialSpec(B, tilt)  # validates B and tilt
+    for name, size in (("n_levels", n_levels), ("grid_n", grid_n)):
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise InvalidParameterError(f"{name} must be an integer, got {size!r}")
     if n_levels < 1:
         raise InvalidParameterError("n_levels must be >= 1")
     if grid_n < min_grid_n(n_levels):
@@ -431,9 +574,10 @@ def solve_spectrum(
     if grid_n % 2 == 0:
         raise InvalidParameterError("grid_n must be odd so the grid contains theta = 0")
 
-    theta, raw, values = _interior_eigensolve(B, tilt, grid_n, n_levels)
+    theta, raw, values = _nested_eigensolve(B, tilt, grid_n, n_levels)
     if refine:
-        _, raw_fine, _ = _interior_eigensolve(B, tilt, 2 * grid_n - 1, n_levels, start=values)
+        _, raw_fine, _ = _interior_eigensolve(B, tilt, 2 * grid_n - 1, n_levels, start=values,
+                                              vectors=False)
         drift = np.abs(raw_fine - raw)
         refined = (4.0 * raw_fine - raw) / 3.0
         rel_drift = drift / np.maximum(np.abs(refined), 1.0)

@@ -177,6 +177,11 @@ def test_parameter_validation():
         solve_spectrum(-1.0, 5, grid_n=201)
     with pytest.raises(InvalidParameterError):
         solve_spectrum(100.0, 5, grid_n=201, tilt=0.2)
+    for args, kwargs, name in [((100.0, 2.5), {}, "n_levels"), ((100.0, True), {}, "n_levels"),
+                               ((100.0, 4), {"grid_n": 401.0}, "grid_n")]:
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            solve_spectrum(*args, **kwargs)
+    assert len(solve_spectrum(100.0, np.int64(4), grid_n=np.int64(401)).levels) == 4
 
 
 def test_potential_values():
@@ -227,45 +232,166 @@ def test_tilted_levels_have_no_parity():
 
 
 def _count_bisections(monkeypatch):
-    # Eigenvalue-only bisections are the doubled grid's fallback; the base
-    # grid always asks for eigenvectors.
+    # One (block size, eigenvalues only) entry per bisection: the coarsest
+    # grid of the chain and a grid's fallback ask for eigenvectors, the
+    # doubled grid's fallback for eigenvalues only.
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("eigvals_only", False))
-        return eigh_tridiagonal(*args, **kwargs)
+    def counted(d, e, **kwargs):
+        calls.append((len(d), kwargs.get("eigvals_only", False)))
+        return eigh_tridiagonal(d, e, **kwargs)
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
     return calls
 
 
 def _bisected(monkeypatch, call):
-    # `call` with every doubled-grid block sent to the bisection fallback.
+    # `call` with every continued block, on every grid, sent to the bisection fallback.
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_continue_levels", lambda *args: None)
         return call()
+
+
+def _chain(grid_n, n_levels):
+    # The halving chain, finest grid first: each next grid has (n + 1)/2
+    # points, while that is odd and at least min_grid_n(n_levels).
+    chain = [grid_n]
+    while (chain[-1] + 1) // 2 % 2 and (chain[-1] + 1) // 2 >= spectrum.min_grid_n(n_levels):
+        chain.append((chain[-1] + 1) // 2)
+    return chain
+
+
+def _block_sizes(grid_n, tilt):
+    # Block matrix sizes on grid_n points: the parity blocks at tilt 0.
+    c = (grid_n - 2) // 2
+    return [c + 1, c] if tilt == 0.0 else [grid_n - 2]
+
+
+def _tol(grid_n, B, tilt):
+    # dstebz's absolute tolerance on the grid: eps * (max|diag| + 2|off|).
+    diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
+    return np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
 
 
 # (B, base grid, levels): the benchmark's sizes, 40001 doubled-grid points at B = 1e6.
 CONTINUATION_CASES = [(0.0, 2001, 12), (1e2, 2001, 16), (1e4, 4001, 40), (1e6, 20001, 20)]
 
 
-@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+@pytest.mark.parametrize("tilt", [0.0, 1e-3, 1e-12])
 @pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
 def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_levels, tilt):
+    # tilt = 1e-12 splits the deep doublets by less than the certificate's
+    # interval width at B >= 1e4: they are continued as two-level clusters.
     _, _, values = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
     fine_n = 2 * grid_n - 1
     calls = _count_bisections(monkeypatch)
-    _, continued, _ = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values)
-    assert not any(calls)                        # no block fell back to bisection
+    _, continued, _ = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values,
+                                                    vectors=False)
+    assert not calls                             # no block fell back to bisection
     _, bisected, _ = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, fine_n, n_levels, start=values))
-    assert sum(calls) == (2 if tilt == 0.0 else 1)
-    diag, off = grid_hamiltonian(make_grid(fine_n), B, tilt)
-    tol = np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
-    assert np.max(np.abs(continued - bisected)) <= tol
+        B, tilt, fine_n, n_levels, start=values, vectors=False))
+    assert [only for _, only in calls] == [True] * (2 if tilt == 0.0 else 1)
+    assert np.max(np.abs(continued - bisected)) <= _tol(fine_n, B, tilt)
     if tilt == 0.0:  # the tie rule holds for continued values as for bisected ones
         assert np.array_equal(continued[1::2] == continued[0::2], bisected[1::2] == bisected[0::2])
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3, 1e-12])
+@pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
+def test_only_the_coarsest_grid_is_bisected(monkeypatch, B, grid_n, n_levels, tilt):
+    chain = _chain(grid_n, n_levels)
+    calls = _count_bisections(monkeypatch)
+    solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
+    assert len(chain) > 1
+    assert calls == [(size, False) for size in _block_sizes(chain[-1], tilt)]
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+@pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
+def test_base_grid_eigenpairs_match_bisection(B, grid_n, n_levels, tilt):
+    _, energies, vectors = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
+    _, bisected, stein = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
+    assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
+    # Davis-Kahan: a unit vector with residual r is within r/gap of the
+    # eigenvector whose eigenvalue is gap away from every other one with
+    # the same symmetry (the same parity at tilt 0), so the two vectors
+    # are within the sum of their residuals over the gap (doubled for the
+    # sine and the gap's own error).
+    stride = 2 if tilt == 0.0 else 1
+    ladder = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels + 2, vectors=False)[1]
+    diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
+
+    def residual(v):
+        tv = diag * v + off * np.concatenate(([0.0], v[:-1])) + off * np.concatenate((v[1:], [0.0]))
+        return np.linalg.norm(tv - (v @ tv) * v)
+
+    for k in range(n_levels):
+        v, w = _unit(vectors[k][1:-1]), _unit(stein[k][1:-1])
+        w *= np.sign(v @ w)
+        same = ladder[k % stride::stride]
+        gap = np.min(np.abs(np.delete(same, k // stride) - ladder[k]))
+        assert np.linalg.norm(v - w) <= 2.0 * (residual(v) + residual(w)) / gap
+        if tilt == 0.0:
+            assert np.array_equal(vectors[k], (-1) ** k * vectors[k][::-1])
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+def test_failure_on_one_grid_falls_back_for_that_block(monkeypatch, tilt):
+    # A failure forced on the 2001-point grid of the chain 501 -> 1001 ->
+    # 2001 -> 4001, in the even (or only) block, sends that block on that
+    # grid to bisection and nothing else; the chain goes on from there.
+    B, grid_n, n_levels = 1e4, 4001, 40
+    failing = _block_sizes(2001, tilt)[0]
+    continue_levels, interior_eigensolve = spectrum._continue_levels, spectrum._interior_eigensolve
+    energies = {}
+
+    def recorded(B, tilt, grid_n, n_levels, start=None, vectors=True):
+        out = interior_eigensolve(B, tilt, grid_n, n_levels, start, vectors)
+        energies[grid_n] = out[1]
+        return out
+
+    monkeypatch.setattr(spectrum, "_continue_levels", lambda d, *args: (
+        None if len(d) == failing else continue_levels(d, *args)))
+    monkeypatch.setattr(spectrum, "_interior_eigensolve", recorded)
+    calls = _count_bisections(monkeypatch)
+    res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
+    assert calls == [(size, False) for size in _block_sizes(501, tilt)] + [(failing, False)]
+    bisected = interior_eigensolve(B, tilt, 2001, n_levels)[1]
+    assert np.array_equal(energies[2001][0::2 if tilt == 0.0 else 1],
+                          bisected[0::2 if tilt == 0.0 else 1])
+    assert np.max(np.abs(energies[grid_n] - interior_eigensolve(B, tilt, grid_n, n_levels)[1])
+                  ) <= _tol(grid_n, B, tilt)
+    assert len(res.levels) == n_levels
+
+
+def _singular_first(dgtsv):
+    tries = []
+
+    def patched(dl, d, du, b, **kwargs):  # every first try meets an exact zero pivot
+        tries.append(len(d))
+        if len(tries) % 2:
+            if kwargs.get("overwrite_b"):
+                b[:] = np.nan             # gtsv leaves b part-eliminated
+            return dl, d, du, b, len(d)
+        return dgtsv(dl, d, du, b, **kwargs)
+    return patched
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-12])
+def test_exactly_singular_shift_is_moved(monkeypatch, tilt):
+    # The retried solve restores the vector and moves the shift by tol, so
+    # no block falls back; tilt = 1e-12 covers the clusters' solves too.
+    B, grid_n, n_levels = 1e4, 4001, 40
+    bisected = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)[1]
+    monkeypatch.setattr(spectrum, "dgtsv", _singular_first(spectrum.dgtsv))
+    calls = _count_bisections(monkeypatch)
+    energies = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)[1]
+    assert calls == [(size, False) for size in _block_sizes(501, tilt)]
+    assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
 
 
 def _singular(dgtsv):
@@ -282,8 +408,8 @@ def _no_solve(dgtsv):
 
 
 def _one_start(start_vectors):
-    def patched(start, parity, grid_n):   # every level starts from the block's lowest
-        return start_vectors([start[0]] * len(start), parity, grid_n)
+    def patched(start, levels, *args, **kwargs):  # every level starts from the block's lowest
+        return start_vectors({k: start[levels[0]] for k in levels}, levels, *args, **kwargs)
     return patched
 
 
@@ -309,4 +435,5 @@ def test_failed_continuation_falls_back_to_bisection(monkeypatch, name, wrap, ti
     monkeypatch.setattr(spectrum, name, wrap(getattr(spectrum, name)))
     calls = _count_bisections(monkeypatch)
     assert np.array_equal(solve().energies, bisected.energies)
-    assert sum(calls) == (2 if tilt == 0.0 else 1)  # every block fell back
+    grids = _chain(2001, 16)[::-1] + [4001]     # every block on every grid fell back
+    assert calls == [(size, n == 4001) for n in grids for size in _block_sizes(n, tilt)]
