@@ -153,8 +153,9 @@ def expand(state: InitialState, basis: SpectrumResult) -> np.ndarray:
     if len(wfs[0].grid) != len(state.grid) or not np.allclose(
             wfs[0].grid[[0, -1]], state.grid[[0, -1]]):
         raise InvalidParameterError("state and basis live on different grids")
-    modes = np.stack([wf.values for wf in wfs])
-    coeffs = simpson(modes * state.values, x=state.grid)
+    products = np.stack([wf.values for wf in wfs])
+    products *= state.values  # in the stacked copy: one mode matrix held, not two
+    coeffs = simpson(products, x=state.grid)
     captured = float(np.sum(coeffs**2))
     if not abs(1.0 - captured) <= DEFICIT_TOL:
         raise InsufficientBasisError(
@@ -254,7 +255,11 @@ def evolve_eigen(
                 f"at t={times[-1]:g} the mode phases E*tau carry {rounding:.1e} rad of "
                 f"rounding (more than {PHASE_TOL:g}); lower --t-max")
         for t in times:
-            yield (coefficients * np.exp(-1j * energies * (t * factor))) @ modes
+            weights = coefficients * np.exp(-1j * energies * (t * factor))
+            # Real weights times the real modes: a complex product would
+            # copy the modes to complex at every time.
+            real, imag = np.stack((weights.real, weights.imag)) @ modes
+            yield real + 1j * imag
 
     return _series(eigen_states(), times, times_unit, basis.wavefunctions[0].grid,
                    basis.B, theta_fall, snapshot_times)

@@ -13,26 +13,32 @@ a doubled grid, which removes the leading O(h^2) discretization error
 and leaves the reported energies accurate to a few parts in 1e7 at the
 default resolution for energies of order 1e4.
 
-Only the coarsest grid of a halving chain is bisected (`stebz`,
-eigenvectors by `stein`).  The chain runs from the base grid of N points
-down through (N + 1)/2, ... while the next grid is odd and has at least
-`min_grid_n(n_levels)` points.  Each finer grid, up to the base grid and
-then the doubled one, continues every level from the eigenvector on the
-grid below it, interpolated: Rayleigh-quotient iteration, which
-converges cubically from so close a start (one to three shifted
-tridiagonal solves per level), takes it to a residual at rounding level.
-Each Rayleigh quotient then lies within its residual of an eigenvalue,
-and when these intervals are disjoint one Sturm count fixes which
-eigenvalue each is, the guarantee bisection gives (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4).  Levels closer together than that
-residual bound, such as deep doublets split by a tiny tilt, are
-continued as one cluster by Rayleigh-Ritz on the span of their vectors,
-whose Ritz values lie as close to as many eigenvalues (Kahan; Parlett,
-ch. 11), and the cluster's interval takes their place in the certificate.
-A block whose levels fail to converge or to certify on a grid is
-bisected on that grid, and the chain goes on from its vectors.  Each
-grid's vectors are freed as the next grid's fill, and the doubled grid
-keeps none, so about one grid's n_levels vectors are held at a time.
+Every eigenvalue is a certified Rayleigh quotient; none is a bisection
+midpoint, save in the last-resort fallback below.  A halving chain runs
+from the base grid of N points down through (N + 1)/2, ... while the
+next grid is odd and has at least `min_grid_n(n_levels)` points.  Its
+coarsest grid is only bracketed: bisection (`stebz`) stops once each
+eigenvalue lies in an interval of width BRACKET_RTOL |T|, and `stein`
+gives a vector at each midpoint (levels the bracket cannot tell apart
+are first separated by Rayleigh-Ritz).  Each finer grid, up to the base
+grid and then the doubled one, continues every level from the
+eigenvector on the grid below it, interpolated.  From either start
+Rayleigh-quotient iteration, which converges cubically from so close a
+start (none to three shifted tridiagonal solves per level), takes the
+vector to a residual at rounding level.  Each Rayleigh quotient then
+lies within its residual of an eigenvalue, and when these intervals are
+disjoint one Sturm count fixes which eigenvalue each is, the guarantee
+full bisection gives (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+Levels closer together than that residual bound, such as deep doublets
+split by a tiny tilt, are continued as one cluster by Rayleigh-Ritz on
+the span of their vectors, whose Ritz values lie as close to as many
+eigenvalues (Kahan; Parlett, ch. 11), and the cluster's interval takes
+their place in the certificate.  A block whose levels fail to converge
+or to certify from the grid below is restarted from its own grid's
+bracket, and only if that fails too (or `stein` does) is it bisected to
+full precision; the chain goes on from its vectors.  Each grid's vectors
+are freed as the next grid's fill, and the doubled grid keeps none, so
+about one grid's n_levels vectors are held at a time.
 
 For tilt = 0 the matrix commutes with the reflection theta -> -theta,
 so it splits into two half-size tridiagonal blocks, `parity_blocks`,
@@ -46,10 +52,11 @@ amplitude by 1/sqrt(2) keeps it symmetric, with sqrt(2) times the
 usual off-diagonal on that last row.  Even level j is global level 2j
 and odd level j is 2j+1, so parity labels follow the level order, and
 the eigenvectors unfold onto the full grid with exact parity; no
-rotation of near-degenerate doublets is needed.  A doublet below the
-bisection tolerance, eps*(max|diag| + 2|off|), cannot be resolved, so
-its odd member is set to the even value: the splitting reads exactly 0,
-as bisection of the full matrix would return it.
+rotation of near-degenerate doublets is needed.  A doublet below
+bisection's own tolerance, eps*(max|diag| + 2|off|), is one that
+bisection of the full matrix could not resolve, so its odd member is set
+to the even value: the splitting reads exactly 0, as that bisection
+would return it.
 """
 from __future__ import annotations
 
@@ -67,6 +74,8 @@ from .errors import DomainError, InvalidParameterError, ResolutionError
 HALF_PI = 0.5 * math.pi
 RESOLUTION_RTOL = 0.02  # largest trusted relative eigenvalue drift under grid doubling
 MAX_RQI_SOLVES = 6  # Rayleigh-quotient solves per level before it counts as unconverged
+BRACKET_RTOL = 1e-8  # width of a bracketing bisection's intervals, relative to |T|
+SIMPSON_BLOCK = 2**15  # grid values squared and integrated per `simpson` call when normalizing
 
 Parity = Literal["even", "odd"]
 
@@ -409,6 +418,12 @@ def _rayleigh_quotient_iteration(d, e, starts, count, tol, keep=None):
     return (rho, residual, joined) if close_run(count) else None
 
 
+def _norm_and_tol(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """|T| = max|d| + 2 max|e| of the tridiagonal, and the residual tolerance 8 eps |T| sqrt(n)."""
+    scale = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+    return scale, 8.0 * np.finfo(float).eps * scale * math.sqrt(len(d))
+
+
 def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
                      keep=None) -> np.ndarray | None:
     """The lowest `count` eigenvalues of the tridiagonal (d, e), continued from start vectors.
@@ -427,8 +442,7 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
     called for some levels only.  The iteration's buffers are freed
     before `stebz` allocates its own.
     """
-    scale = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
-    tol = 8.0 * np.finfo(float).eps * scale * math.sqrt(len(d))
+    scale, tol = _norm_and_tol(d, e)
     iterated = _rayleigh_quotient_iteration(d, e, starts, count, tol, keep)
     if iterated is None:
         return None
@@ -442,18 +456,50 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
     return rho if info == 0 and found == count else None
 
 
+def _bracketed_levels(d: np.ndarray, e: np.ndarray, count: int, keep=None) -> np.ndarray | None:
+    """`_continue_levels` started from a bracketing bisection of the same block.
+
+    `stebz` stops once each of the lowest `count` eigenvalues lies in an
+    interval of width BRACKET_RTOL |T| (|T| = max|d| + 2 max|e|), far
+    inside the spacing of the levels, and `stein` gives a vector at each
+    midpoint.  Levels within two widths of each other, such as deep
+    doublets split by a tiny tilt, come out as arbitrary mixtures of their
+    eigenvectors, from which Rayleigh-quotient iteration can stall, so
+    Rayleigh-Ritz on each such run's span separates them first.
+    `_continue_levels` then finishes and certifies every pair; most of
+    stein's vectors already have rounding-level residuals and take no
+    solve.  They are iterated in place, as columns of stein's matrix.
+    Returns None where `_continue_levels` does, or when `stein` fails to
+    converge.
+    """
+    scale, tol = _norm_and_tol(d, e)
+    width = BRACKET_RTOL * scale
+    try:
+        w, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), tol=width)
+    except np.linalg.LinAlgError:
+        return None
+    starts = vecs.T  # rows are stein's columns
+    for run in np.split(np.arange(count), np.flatnonzero(np.diff(w) > 2.0 * width) + 1):
+        if len(run) > 1:
+            ritz = _rayleigh_ritz(d, e, starts[run].T, tol)
+            if ritz is not None:
+                starts[run] = ritz[2].T
+    return _continue_levels(d, e, starts, count, keep)
+
+
 def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
     """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
 
     With `vectors` the eigenvectors come back too, as one full-grid array
     per level, zero at the walls and not yet normalized (at tilt 0 the
-    half-size block vectors unfolded), else None.  Without `start` each
-    block is bisected.  `start` holds such arrays for the same levels on
-    the grid of (grid_n + 1)/2 points; each level is then continued from
-    its interpolated vector by `_continue_levels`, and a block that fails
-    its certificate is bisected instead.  With `vectors` the start arrays
-    are released as they are read, so that the two grids' vectors are
-    not all held at once.
+    half-size block vectors unfolded), else None.  `start` holds such
+    arrays for the same levels on the grid of (grid_n + 1)/2 points; each
+    level is then continued from its interpolated vector by
+    `_continue_levels`.  Without `start`, or when that fails its
+    certificate, a block is continued from its own bracket
+    (`_bracketed_levels`), and only when that fails too is it bisected to
+    full precision.  With `vectors` the start arrays are released as they
+    are read, so that the two grids' vectors are not all held at once.
     """
     theta = make_grid(grid_n)
     diag, off = grid_hamiltonian(theta, B, tilt)
@@ -468,15 +514,20 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
         levels = range(p, n_levels, stride)
         if not levels:
             continue
-        if start is not None:
-            def keep(j, vec):
-                values[levels[j]] = _full_vector(vec, parity, grid_n)
 
+        def keep(j, vec):
+            values[levels[j]] = _full_vector(vec, parity, grid_n)
+
+        kept = keep if vectors else None
+        continued = None
+        if start is not None:
             starts = _start_vectors(start, levels, parity, grid_n, vectors)
-            continued = _continue_levels(d, e, starts, len(levels), keep if vectors else None)
-            if continued is not None:
-                energies[p::stride] = continued
-                continue
+            continued = _continue_levels(d, e, starts, len(levels), kept)
+        if continued is None:
+            continued = _bracketed_levels(d, e, len(levels), kept)
+        if continued is not None:
+            energies[p::stride] = continued
+            continue
         select = dict(select="i", select_range=(0, len(levels) - 1))
         if not vectors:
             energies[p::stride] = eigh_tridiagonal(d, e, eigvals_only=True, **select)
@@ -485,8 +536,9 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
         for k, v in zip(levels, vecs.T):
             values[k] = _full_vector(v, parity, grid_n)
     if tilt == 0.0:
-        # A doublet within dstebz's own absolute tolerance is unresolved: tie
-        # it, as bisection of the full matrix does.
+        # Bisection of the full matrix cannot resolve a doublet within its
+        # absolute tolerance; tie it, so that its splitting reads 0 whether
+        # the block was continued, bracketed or bisected.
         even, odd = energies[0:n_levels - 1:2], energies[1::2]
         tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
         odd[tied] = even[tied]
@@ -494,7 +546,7 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
 
 
 def _nested_eigensolve(B, tilt, grid_n, n_levels):
-    """`_interior_eigensolve` with eigenvectors, bisecting only the coarsest grid of a chain.
+    """`_interior_eigensolve` with eigenvectors, bracketing only the coarsest grid of a chain.
 
     The chain halves grid_n -> (grid_n + 1)/2 -> ... while the next grid
     is odd and has at least min_grid_n(n_levels) points; each finer grid
@@ -543,12 +595,15 @@ def solve_spectrum(
     """Solve for the lowest n_levels stationary states.
 
     Eigenvalues are extrapolated from grid_n and 2*grid_n - 1 points;
-    eigenfunctions are returned on the base grid.  Only the coarsest grid
+    eigenfunctions are returned on the base grid.  Every eigenvalue is a
+    Rayleigh quotient certified by a Sturm count.  Only the coarsest grid
     of the chain grid_n -> (grid_n + 1)/2 -> ... (odd grids of at least
-    min_grid_n(n_levels) points) is bisected; every finer grid, the base
-    and the doubled one included, continues each eigenpair from the grid
-    below by Rayleigh-quotient iteration, certified by a Sturm count,
-    with bisection for any block that fails on a grid.  Raises
+    min_grid_n(n_levels) points) is bisected, and only to a bracket, from
+    whose vectors Rayleigh-quotient iteration finishes each eigenpair;
+    every finer grid, the base and the doubled one included, continues
+    each eigenpair from the grid below.  A block that fails on a grid is
+    restarted from that grid's bracket, and bisected to full precision
+    only if that fails too.  Raises
     InvalidParameterError unless n_levels and grid_n are integers (not
     bool), n_levels >= 1 and grid_n is odd and at least
     min_grid_n(n_levels); raises ResolutionError when the eigenvalue
@@ -591,10 +646,18 @@ def solve_spectrum(
         drift = np.full(n_levels, math.nan)
 
     symmetric = tilt == 0.0
+    # Simpson norms of many levels per call, row by row (each as one call per
+    # level would give it), in blocks of about SIMPSON_BLOCK values.
+    norms = np.empty(n_levels)
+    rows = max(1, SIMPSON_BLOCK // grid_n)
+    for k in range(0, n_levels, rows):
+        squares = np.stack(values[k:k + rows])
+        squares *= squares
+        norms[k:k + rows] = np.sqrt(simpson(squares, x=theta))
     levels: list[EnergyLevel] = []
     wavefunctions: list[Wavefunction] = []
-    for k, full in enumerate(values):
-        full /= math.sqrt(simpson(full**2, x=theta))
+    for k, (full, norm) in enumerate(zip(values, norms)):
+        full /= norm
         first = np.argmax(np.abs(full) > 1e-8 * np.max(np.abs(full)))
         if full[first] < 0.0:
             full *= -1.0  # in place: `values` still holds this array

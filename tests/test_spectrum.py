@@ -223,6 +223,21 @@ def test_simpson_is_scipy_simpson_bit_for_bit(grid_n):
                           simpson(rows[:, left], x=grid[left], axis=1))
 
 
+@pytest.mark.parametrize("B, n_levels, grid_n, tilt", [(1e3, 280, 2801, 0.0),
+                                                       (1e4, 16, 401, 1e-3)])
+def test_levels_are_normalized_and_signed_one_by_one(B, n_levels, grid_n, tilt):
+    # Reference: each level normalized by its own Simpson quadrature, then
+    # signed so that its first non-negligible value is positive.
+    res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt, refine=False)
+    theta, _, values = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
+    for full, wf in zip(values, res.wavefunctions):
+        full /= math.sqrt(grid_simpson(full**2, x=theta))
+        first = np.argmax(np.abs(full) > 1e-8 * np.max(np.abs(full)))
+        if full[first] < 0.0:
+            full *= -1.0
+        assert np.array_equal(wf.values, full)
+
+
 def test_tilted_levels_have_no_parity():
     res = solve_spectrum(100.0, 4, grid_n=401, tilt=0.01)
     assert all(lv.parity is None for lv in res.levels)
@@ -232,13 +247,15 @@ def test_tilted_levels_have_no_parity():
 
 
 def _count_bisections(monkeypatch):
-    # One (block size, eigenvalues only) entry per bisection: the coarsest
-    # grid of the chain and a grid's fallback ask for eigenvectors, the
-    # doubled grid's fallback for eigenvalues only.
+    # One (block size, kind) entry per bisection.  A "bracket" passes `tol`
+    # and starts the Rayleigh-quotient iteration; a full-precision one is
+    # the fallback, with eigenvectors ("vectors") on the chain's grids and
+    # eigenvalues only ("values") on the doubled grid.
     calls = []
 
     def counted(d, e, **kwargs):
-        calls.append((len(d), kwargs.get("eigvals_only", False)))
+        kind = "values" if kwargs.get("eigvals_only") else "vectors"
+        calls.append((len(d), "bracket" if "tol" in kwargs else kind))
         return eigh_tridiagonal(d, e, **kwargs)
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
@@ -246,7 +263,8 @@ def _count_bisections(monkeypatch):
 
 
 def _bisected(monkeypatch, call):
-    # `call` with every continued block, on every grid, sent to the bisection fallback.
+    # `call` with every block, on every grid, sent to the full-precision
+    # fallback: neither its chain start nor its bracket is continued.
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_continue_levels", lambda *args: None)
         return call()
@@ -290,7 +308,7 @@ def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_l
     assert not calls                             # no block fell back to bisection
     _, bisected, _ = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
         B, tilt, fine_n, n_levels, start=values, vectors=False))
-    assert [only for _, only in calls] == [True] * (2 if tilt == 0.0 else 1)
+    assert [kind for _, kind in calls] == ["bracket", "values"] * (2 if tilt == 0.0 else 1)
     assert np.max(np.abs(continued - bisected)) <= _tol(fine_n, B, tilt)
     if tilt == 0.0:  # the tie rule holds for continued values as for bisected ones
         assert np.array_equal(continued[1::2] == continued[0::2], bisected[1::2] == bisected[0::2])
@@ -303,18 +321,16 @@ def test_only_the_coarsest_grid_is_bisected(monkeypatch, B, grid_n, n_levels, ti
     calls = _count_bisections(monkeypatch)
     solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
     assert len(chain) > 1
-    assert calls == [(size, False) for size in _block_sizes(chain[-1], tilt)]
+    assert calls == [(size, "bracket") for size in _block_sizes(chain[-1], tilt)]
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("tilt", [0.0, 1e-3])
-@pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
-def test_base_grid_eigenpairs_match_bisection(B, grid_n, n_levels, tilt):
-    _, energies, vectors = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
-    _, bisected, stein = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
+def _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, vectors):
+    _, bisected, stein = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, grid_n, n_levels))
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
     # Davis-Kahan: a unit vector with residual r is within r/gap of the
     # eigenvector whose eigenvalue is gap away from every other one with
@@ -322,7 +338,8 @@ def test_base_grid_eigenpairs_match_bisection(B, grid_n, n_levels, tilt):
     # are within the sum of their residuals over the gap (doubled for the
     # sine and the gap's own error).
     stride = 2 if tilt == 0.0 else 1
-    ladder = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels + 2, vectors=False)[1]
+    ladder = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, grid_n, n_levels + 2, vectors=False))[1]
     diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
 
     def residual(v):
@@ -340,32 +357,109 @@ def test_base_grid_eigenpairs_match_bisection(B, grid_n, n_levels, tilt):
 
 
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
+@pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
+def test_base_grid_eigenpairs_match_bisection(monkeypatch, B, grid_n, n_levels, tilt):
+    _, energies, vectors = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
+    _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, vectors)
+
+
+# (B, levels, grid): the benchmark's dynamics bases, at min_grid_n points,
+# and the bases of the README-size evolve runs.
+UNREFINED_CASES = [(1e4, 140, 2001), (1e3, 280, 2801), (100.0, 200, 2001)]
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n", UNREFINED_CASES)
+def test_unrefined_bases_are_bracketed_not_bisected(monkeypatch, B, n_levels, grid_n):
+    # No chain grid lies below these, so each block is bracketed and finished
+    # by Rayleigh-quotient iteration, with no full-precision bisection.
+    calls = _count_bisections(monkeypatch)
+    res = solve_spectrum(B, n_levels, grid_n=grid_n, refine=False)
+    assert calls == [(size, "bracket") for size in _block_sizes(grid_n, 0.0)]
+    _, energies, vectors = spectrum._interior_eigensolve(B, 0.0, grid_n, n_levels)
+    assert np.array_equal(res.energies, energies)
+    _assert_match_bisection(monkeypatch, B, 0.0, grid_n, n_levels, energies, vectors)
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n", [(1e4, 40, 501), (1e6, 200, 2501)])
+def test_bracket_separates_unresolved_doublets(monkeypatch, B, n_levels, grid_n):
+    # At tilt 1e-12 the deep doublets lie far inside one bracket width, so
+    # stein returns arbitrary mixtures of each pair.  Rayleigh-Ritz on each
+    # pair's span separates them: the block certifies (without it, at
+    # B = 1e6, the iteration stalls and the block is bisected) and matches
+    # bisection (without it, at B = 1e4, some values are 22 eps|T| off).
+    tilt = 1e-12
+    bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, grid_n, n_levels, vectors=False))[1]
+    calls = _count_bisections(monkeypatch)
+    energies = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels, vectors=False)[1]
+    assert calls == [(grid_n - 2, "bracket")]
+    assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+def test_failed_bracket_falls_back_to_bisection(monkeypatch, tilt):
+    # stein failing on the bracket (LinAlgError) sends the block straight to
+    # full-precision bisection.
+    B, grid_n, n_levels = 1e4, 1001, 40
+    _, bisected, stein = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, grid_n, n_levels))
+    calls = _count_bisections(monkeypatch)
+    counted = spectrum.eigh_tridiagonal
+
+    def failing(d, e, **kwargs):
+        out = counted(d, e, **kwargs)
+        if "tol" in kwargs:
+            raise np.linalg.LinAlgError("stein (eigh_tridiagonal): 1 eigenvectors failed")
+        return out
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", failing)
+    _, energies, vectors = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
+    assert calls == [(size, kind) for size in _block_sizes(grid_n, tilt)
+                     for kind in ("bracket", "vectors")]
+    assert np.array_equal(energies, bisected)
+    assert all(np.array_equal(v, w) for v, w in zip(vectors, stein))
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
 def test_failure_on_one_grid_falls_back_for_that_block(monkeypatch, tilt):
     # A failure forced on the 2001-point grid of the chain 501 -> 1001 ->
-    # 2001 -> 4001, in the even (or only) block, sends that block on that
-    # grid to bisection and nothing else; the chain goes on from there.
+    # 2001 -> 4001, in the even (or only) block, restarts that block on that
+    # grid from its own bracket and nothing else; the chain goes on from
+    # there.  A second failure, of the bracket's continuation, sends the
+    # block to full-precision bisection.
     B, grid_n, n_levels = 1e4, 4001, 40
     failing = _block_sizes(2001, tilt)[0]
+    block = slice(0, None, 2 if tilt == 0.0 else 1)
     continue_levels, interior_eigensolve = spectrum._continue_levels, spectrum._interior_eigensolve
-    energies = {}
+    bisected = {n: _bisected(monkeypatch, lambda: interior_eigensolve(B, tilt, n, n_levels))[1]
+                for n in (2001, grid_n)}
+    energies, failed = {}, []
 
     def recorded(B, tilt, grid_n, n_levels, start=None, vectors=True):
         out = interior_eigensolve(B, tilt, grid_n, n_levels, start, vectors)
         energies[grid_n] = out[1]
         return out
 
-    monkeypatch.setattr(spectrum, "_continue_levels", lambda d, *args: (
-        None if len(d) == failing else continue_levels(d, *args)))
+    def sabotaged(d, *args):  # the first `failures` calls on the failing block fail
+        if len(d) == failing and len(failed) < failures:
+            failed.append(len(d))
+            return None
+        return continue_levels(d, *args)
+
     monkeypatch.setattr(spectrum, "_interior_eigensolve", recorded)
-    calls = _count_bisections(monkeypatch)
-    res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
-    assert calls == [(size, False) for size in _block_sizes(501, tilt)] + [(failing, False)]
-    bisected = interior_eigensolve(B, tilt, 2001, n_levels)[1]
-    assert np.array_equal(energies[2001][0::2 if tilt == 0.0 else 1],
-                          bisected[0::2 if tilt == 0.0 else 1])
-    assert np.max(np.abs(energies[grid_n] - interior_eigensolve(B, tilt, grid_n, n_levels)[1])
-                  ) <= _tol(grid_n, B, tilt)
-    assert len(res.levels) == n_levels
+    monkeypatch.setattr(spectrum, "_continue_levels", sabotaged)
+    for failures in (1, 2):
+        failed.clear()
+        calls = _count_bisections(monkeypatch)
+        res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
+        assert calls == ([(size, "bracket") for size in _block_sizes(501, tilt)]
+                         + [(failing, "bracket"), (failing, "vectors")][:failures])
+        if failures == 2:
+            assert np.array_equal(energies[2001][block], bisected[2001][block])
+        else:
+            assert np.max(np.abs(energies[2001] - bisected[2001])) <= _tol(2001, B, tilt)
+        assert np.max(np.abs(energies[grid_n] - bisected[grid_n])) <= _tol(grid_n, B, tilt)
+        assert len(res.levels) == n_levels
 
 
 def _singular_first(dgtsv):
@@ -386,11 +480,12 @@ def test_exactly_singular_shift_is_moved(monkeypatch, tilt):
     # The retried solve restores the vector and moves the shift by tol, so
     # no block falls back; tilt = 1e-12 covers the clusters' solves too.
     B, grid_n, n_levels = 1e4, 4001, 40
-    bisected = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)[1]
+    bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, grid_n, n_levels))[1]
     monkeypatch.setattr(spectrum, "dgtsv", _singular_first(spectrum.dgtsv))
     calls = _count_bisections(monkeypatch)
     energies = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)[1]
-    assert calls == [(size, False) for size in _block_sizes(501, tilt)]
+    assert calls == [(size, "bracket") for size in _block_sizes(501, tilt)]
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
 
 
@@ -434,6 +529,18 @@ def test_failed_continuation_falls_back_to_bisection(monkeypatch, name, wrap, ti
     bisected = _bisected(monkeypatch, solve)
     monkeypatch.setattr(spectrum, name, wrap(getattr(spectrum, name)))
     calls = _count_bisections(monkeypatch)
-    assert np.array_equal(solve().energies, bisected.energies)
-    grids = _chain(2001, 16)[::-1] + [4001]     # every block on every grid fell back
-    assert calls == [(size, n == 4001) for n in grids for size in _block_sizes(n, tilt)]
+    energies = solve().energies
+    grids = _chain(2001, 16)[::-1] + [4001]
+    if name != "dstebz":
+        # Only the chain starts fail: stein's vectors from the brackets have
+        # rounding-level residuals, so their continuation needs no solve (and
+        # one start per level).  Every block on every grid is restarted from
+        # its bracket, and no bisection runs to full precision; Richardson's
+        # (4 fine - base)/3 takes each grid's tolerance along.
+        assert calls == [(size, "bracket") for n in grids for size in _block_sizes(n, tilt)]
+        bound = (4.0 * _tol(4001, 1e4, tilt) + _tol(2001, 1e4, tilt)) / 3.0
+        assert np.max(np.abs(energies - bisected.energies)) <= bound
+    else:  # the Sturm count fails the brackets' continuations too: all is bisected
+        assert calls == [(size, kind) for n in grids for size in _block_sizes(n, tilt)
+                         for kind in ("bracket", "values" if n == 4001 else "vectors")]
+        assert np.array_equal(energies, bisected.energies)
