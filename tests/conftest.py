@@ -17,7 +17,11 @@ B_TABLE = 1.0e4
 
 @pytest.fixture(scope="session")
 def spectrum_b1e4():
-    """Richardson-refined spectrum, deep enough for the 60th doublet."""
+    """Refined spectrum, deep enough for the 60th doublet.
+
+    Its chain stops at 2001 points (1001 < min_grid_n(130)), so it is
+    Romberg-extrapolated from 8001, 4001 and 2001 points.
+    """
     return solve_spectrum(B_TABLE, 130, grid_n=4001)
 
 

@@ -270,13 +270,20 @@ def _bisected(monkeypatch, call):
         return call()
 
 
-def _chain(grid_n, n_levels):
+def _chain(grid_n, n_levels, B, tilt=0.0):
     # The halving chain, finest grid first: each next grid has (n + 1)/2
-    # points, while that is odd and at least min_grid_n(n_levels).
+    # points, while that is odd and at least min_grid_n(n_levels) and,
+    # below the ROMBERG_GRIDS finest grids, h^2 (B (1 + |tilt|) +
+    # n_levels^2) n_levels is at most CHAIN_FLOOR.
     chain = [grid_n]
-    while (chain[-1] + 1) // 2 % 2 and (chain[-1] + 1) // 2 >= spectrum.min_grid_n(n_levels):
-        chain.append((chain[-1] + 1) // 2)
-    return chain
+    while True:
+        n = (chain[-1] + 1) // 2
+        h = math.pi / (n - 1)
+        if (n % 2 == 0 or n < spectrum.min_grid_n(n_levels)
+                or len(chain) >= spectrum.ROMBERG_GRIDS
+                and h**2 * (B * (1.0 + abs(tilt)) + n_levels**2) * n_levels > spectrum.CHAIN_FLOOR):
+            return chain
+        chain.append(n)
 
 
 def _block_sizes(grid_n, tilt):
@@ -317,11 +324,98 @@ def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_l
 @pytest.mark.parametrize("tilt", [0.0, 1e-3, 1e-12])
 @pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
 def test_only_the_coarsest_grid_is_bisected(monkeypatch, B, grid_n, n_levels, tilt):
-    chain = _chain(grid_n, n_levels)
+    chain = _chain(grid_n, n_levels, B, tilt)
     calls = _count_bisections(monkeypatch)
     solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
     assert len(chain) > 1
     assert calls == [(size, "bracket") for size in _block_sizes(chain[-1], tilt)]
+
+
+def _record_solves(monkeypatch):
+    # grid_n -> eigenvalues of each `_interior_eigensolve` call, in call order.
+    solves = {}
+    interior_eigensolve = spectrum._interior_eigensolve
+
+    def recorded(B, tilt, grid_n, n_levels, start=None, vectors=True):
+        out = interior_eigensolve(B, tilt, grid_n, n_levels, start, vectors)
+        solves[grid_n] = out[1]
+        return out
+
+    monkeypatch.setattr(spectrum, "_interior_eigensolve", recorded)
+    return solves
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n, solved, table", [
+    (1e4, 72, 4001, [1001, 2001, 4001], [4001, 2001, 1001]),  # Romberg on the chain
+    (1e4, 72, 2001, [1001, 2001, 4001], [4001, 2001, 1001]),  # the chain has (N + 1)/2 only
+    (1e4, 72, 4003, [4003, 8005], [8005, 4003]),              # 2002 points is even: no chain
+    (1e4, 140, 2001, [2001, 4001], [4001, 2001]),             # 1001 < min_grid_n(140)
+    (1e6, 200, 10001, [2501, 5001, 10001], [10001, 5001, 2501]),  # kept below the floor
+])
+def test_extrapolation_takes_the_finest_three_grids(monkeypatch, B, n_levels, grid_n, solved,
+                                                    table):
+    # The doubled grid of 2 grid_n - 1 points is solved only when the chain
+    # lacks (grid_n + 1)/2 or (grid_n + 3)/4, and `drift` is the raw change
+    # over the finest doubling in the table.  The chain floor never drops
+    # those two grids, even where, as for 2501 points at B = 1e6 with 200
+    # levels, it would drop them further down a chain.
+    solves = _record_solves(monkeypatch)
+    res = solve_spectrum(B, n_levels, grid_n=grid_n)
+    assert list(solves) == solved
+    fine, mid, *coarse = (solves[n] for n in table)
+    if coarse:
+        expected = (64.0 * fine - 20.0 * mid + coarse[0]) / 45.0
+    else:
+        expected = (4.0 * fine - mid) / 3.0
+    assert np.allclose(res.energies, expected, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert np.array_equal([lv.drift for lv in res.levels], np.abs(fine - mid))
+
+
+# (B, levels, grid N, max |error| of Richardson on N and 2N - 1 points, measured
+# against Romberg on grids 8-16 times finer)
+ROMBERG_CASES = [(1e4, 72, 4001, 1.22e-4), (1e3, 100, 4001, 2.63e-4), (1e4, 140, 5601, 4.50e-4),
+                 (100.0, 40, 2001, 1.73e-5), (1e5, 400, 16001, 3.39e-3),
+                 (1e6, 200, 20001, 2.19e-2)]
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n, richardson_error", ROMBERG_CASES)
+def test_romberg_on_the_chain_beats_richardson(monkeypatch, B, n_levels, grid_n,
+                                               richardson_error):
+    # Romberg on N, (N + 1)/2 and (N + 3)/4 points against a reference of
+    # Romberg on 4N - 3, 2N - 1 and N points, whose h^6 error is 4^6 times
+    # smaller; Richardson on 2N - 1 and N points, the value it replaces, is
+    # judged against the same reference.
+    solves = _record_solves(monkeypatch)
+    res = solve_spectrum(B, n_levels, grid_n=grid_n)
+    assert 2 * grid_n - 1 not in solves
+    energies, base = res.energies, solves[grid_n]
+    start = [wf.values for wf in res.wavefunctions]
+    del res  # so that the base vectors are freed as the finer grid's fill
+    _, fine, fine_vectors = spectrum._interior_eigensolve(B, 0.0, 2 * grid_n - 1, n_levels,
+                                                          start=start)
+    finer = spectrum._interior_eigensolve(B, 0.0, 4 * grid_n - 3, n_levels, start=fine_vectors,
+                                          vectors=False)[1]
+    reference = (64.0 * finer - 20.0 * fine + base) / 45.0
+    error = np.max(np.abs(energies - reference))
+    assert error <= np.max(np.abs((4.0 * fine - base) / 3.0 - reference))
+    assert error <= richardson_error
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n, coarsest, wasted", [
+    (1e6, 200, 20001, 5001, [2501]), (1.6156e5, 32, 16001, 1001, [501]), (1e6, 20, 20001, 1251, [])])
+def test_chain_floor_follows_the_top_level(monkeypatch, B, n_levels, grid_n, coarsest, wasted):
+    # min_grid_n alone would take the first two chains one grid lower, from
+    # which the continuation fails, so that the grid above is bracketed
+    # again; the third chain goes down to 1251 points either way.
+    assert _chain(grid_n, n_levels, B)[-1] == coarsest
+    calls = _count_bisections(monkeypatch)
+    solve_spectrum(B, n_levels, grid_n=grid_n)
+    assert calls == [(size, "bracket") for size in _block_sizes(coarsest, 0.0)]
+    calls.clear()
+    monkeypatch.setattr(spectrum, "CHAIN_FLOOR", math.inf)
+    solve_spectrum(B, n_levels, grid_n=grid_n)
+    assert calls == [(size, "bracket") for n in wasted + [coarsest]
+                     for size in _block_sizes(n, 0.0)]
 
 
 def _unit(v):
@@ -359,8 +453,15 @@ def _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, ve
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
 @pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
 def test_base_grid_eigenpairs_match_bisection(monkeypatch, B, grid_n, n_levels, tilt):
-    _, energies, vectors = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
-    _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, vectors)
+    _, chain, vectors = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
+    _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, chain[0], vectors)
+    # The coarser grids' eigenvalues, which the extrapolation uses, are certified too.
+    grids = _chain(grid_n, n_levels, B, tilt)
+    assert len(chain) == len(grids)
+    for n, energies in zip(grids[1:], chain[1:]):
+        bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+            B, tilt, n, n_levels, vectors=False))[1]
+        assert np.max(np.abs(energies - bisected)) <= _tol(n, B, tilt)
 
 
 # (B, levels, grid): the benchmark's dynamics bases, at min_grid_n points,
@@ -430,15 +531,10 @@ def test_failure_on_one_grid_falls_back_for_that_block(monkeypatch, tilt):
     B, grid_n, n_levels = 1e4, 4001, 40
     failing = _block_sizes(2001, tilt)[0]
     block = slice(0, None, 2 if tilt == 0.0 else 1)
-    continue_levels, interior_eigensolve = spectrum._continue_levels, spectrum._interior_eigensolve
-    bisected = {n: _bisected(monkeypatch, lambda: interior_eigensolve(B, tilt, n, n_levels))[1]
-                for n in (2001, grid_n)}
-    energies, failed = {}, []
-
-    def recorded(B, tilt, grid_n, n_levels, start=None, vectors=True):
-        out = interior_eigensolve(B, tilt, grid_n, n_levels, start, vectors)
-        energies[grid_n] = out[1]
-        return out
+    continue_levels = spectrum._continue_levels
+    bisected = {n: _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, n, n_levels))[1] for n in (2001, grid_n)}
+    failed = []
 
     def sabotaged(d, *args):  # the first `failures` calls on the failing block fail
         if len(d) == failing and len(failed) < failures:
@@ -446,7 +542,7 @@ def test_failure_on_one_grid_falls_back_for_that_block(monkeypatch, tilt):
             return None
         return continue_levels(d, *args)
 
-    monkeypatch.setattr(spectrum, "_interior_eigensolve", recorded)
+    energies = _record_solves(monkeypatch)
     monkeypatch.setattr(spectrum, "_continue_levels", sabotaged)
     for failures in (1, 2):
         failed.clear()
@@ -484,7 +580,7 @@ def test_exactly_singular_shift_is_moved(monkeypatch, tilt):
         B, tilt, grid_n, n_levels))[1]
     monkeypatch.setattr(spectrum, "dgtsv", _singular_first(spectrum.dgtsv))
     calls = _count_bisections(monkeypatch)
-    energies = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)[1]
+    energies = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)[1][0]
     assert calls == [(size, "bracket") for size in _block_sizes(501, tilt)]
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
 
@@ -530,17 +626,18 @@ def test_failed_continuation_falls_back_to_bisection(monkeypatch, name, wrap, ti
     monkeypatch.setattr(spectrum, name, wrap(getattr(spectrum, name)))
     calls = _count_bisections(monkeypatch)
     energies = solve().energies
-    grids = _chain(2001, 16)[::-1] + [4001]
+    grids = _chain(2001, 16, 1e4, tilt)[::-1]  # 251 -> 501 -> 1001 -> 2001; no doubled grid
     if name != "dstebz":
         # Only the chain starts fail: stein's vectors from the brackets have
         # rounding-level residuals, so their continuation needs no solve (and
         # one start per level).  Every block on every grid is restarted from
-        # its bracket, and no bisection runs to full precision; Richardson's
-        # (4 fine - base)/3 takes each grid's tolerance along.
+        # its bracket, and no bisection runs to full precision; Romberg's
+        # (64 E_2001 - 20 E_1001 + E_501)/45 takes each grid's tolerance along.
         assert calls == [(size, "bracket") for n in grids for size in _block_sizes(n, tilt)]
-        bound = (4.0 * _tol(4001, 1e4, tilt) + _tol(2001, 1e4, tilt)) / 3.0
+        bound = (64.0 * _tol(2001, 1e4, tilt) + 20.0 * _tol(1001, 1e4, tilt)
+                 + _tol(501, 1e4, tilt)) / 45.0
         assert np.max(np.abs(energies - bisected.energies)) <= bound
     else:  # the Sturm count fails the brackets' continuations too: all is bisected
         assert calls == [(size, kind) for n in grids for size in _block_sizes(n, tilt)
-                         for kind in ("bracket", "values" if n == 4001 else "vectors")]
+                         for kind in ("bracket", "vectors")]
         assert np.array_equal(energies, bisected.energies)
