@@ -49,7 +49,7 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import make_grid, min_grid_n, pairing_table, simpson, solve_spectrum
+from .spectrum import MAX_GRID_N, make_grid, min_grid_n, pairing_table, simpson, solve_spectrum
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
@@ -401,18 +401,15 @@ def run_evolve(cfg: dict[str, Any]) -> Payload:
     res_eigen = res_direct = None
     if method in ("eigen", "both"):
         # refine=False so both propagators step the same discrete operator
-        basis = solve_spectrum(B, cfg["n_levels"], grid_n=cfg["grid_n"],
-                               refine=False)
-        state = dynamics.prepare_gaussian(cfg["sigma"],
-                                          basis.wavefunctions[0].grid)
-        coeffs = dynamics.expand(state, basis)
-        res_eigen = dynamics.evolve_eigen(coeffs, basis, times,
+        basis = solve_spectrum(B, cfg["n_levels"], grid_n=cfg["grid_n"], refine=False)
+        state = dynamics.prepare_gaussian(cfg["sigma"], basis.grid)
+        res_eigen = dynamics.evolve_eigen(dynamics.expand(state, basis), basis, times,
                                           snapshot_times=times)
     if method in ("direct", "both"):
-        state = dynamics.prepare_gaussian(cfg["sigma"],
-                                          make_grid(cfg["grid_n"]))
-        res_direct = dynamics.evolve_direct(state, B, cfg["dt"], times,
-                                            snapshot_times=times)
+        if not 9 <= cfg["grid_n"] <= MAX_GRID_N:  # evolve_direct's least grid, the solver's most
+            raise InvalidParameterError(f"grid_n={cfg['grid_n']} is not in 9..{MAX_GRID_N}")
+        state = dynamics.prepare_gaussian(cfg["sigma"], make_grid(cfg["grid_n"]))
+        res_direct = dynamics.evolve_direct(state, B, cfg["dt"], times, snapshot_times=times)
 
     main_res = res_eigen if res_eigen is not None else res_direct
     header = ["time", "norm", "energy", "mean_abs_theta", "fall_prob"]

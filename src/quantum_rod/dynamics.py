@@ -60,6 +60,7 @@ from .spectrum import (
     grid_hamiltonian,
     parity_blocks,
     potential,
+    row_simpson,
     simpson,
     unfold_parity,
 )
@@ -145,17 +146,15 @@ def energy_expectation(state: InitialState, B: float) -> float:
 def expand(state: InitialState, basis: SpectrumResult) -> np.ndarray:
     """Overlap coefficients of the state with the eigenbasis.
 
-    Raises InsufficientBasisError when the captured probability falls
-    short of 1 by more than DEFICIT_TOL (the basis is too small for the
-    state's energy content).
+    `spectrum.row_simpson` of the state times each row of `basis.modes`,
+    so no second mode matrix is held.  Raises InsufficientBasisError when
+    the captured probability falls short of 1 by more than DEFICIT_TOL
+    (the basis is too small for the state's energy content).
     """
-    wfs = basis.wavefunctions
-    if len(wfs[0].grid) != len(state.grid) or not np.allclose(
-            wfs[0].grid[[0, -1]], state.grid[[0, -1]]):
+    if len(basis.grid) != len(state.grid) or not np.allclose(
+            basis.grid[[0, -1]], state.grid[[0, -1]]):
         raise InvalidParameterError("state and basis live on different grids")
-    products = np.stack([wf.values for wf in wfs])
-    products *= state.values  # in the stacked copy: one mode matrix held, not two
-    coeffs = simpson(products, x=state.grid)
+    coeffs = row_simpson(basis.modes, state.grid, state.values)
     captured = float(np.sum(coeffs**2))
     if not abs(1.0 - captured) <= DEFICIT_TOL:
         raise InsufficientBasisError(
@@ -244,7 +243,6 @@ def evolve_eigen(
     """
     times = np.asarray(times, dtype=float)
     factor = _tau_factor(basis.B, times_unit)
-    modes = np.stack([wf.values for wf in basis.wavefunctions])
     energies = basis.energies
     def eigen_states():
         # Runs only once `_series` has checked the times, so times[-1] is
@@ -258,11 +256,11 @@ def evolve_eigen(
             weights = coefficients * np.exp(-1j * energies * (t * factor))
             # Real weights times the real modes: a complex product would
             # copy the modes to complex at every time.
-            real, imag = np.stack((weights.real, weights.imag)) @ modes
+            real, imag = np.stack((weights.real, weights.imag)) @ basis.modes
             yield real + 1j * imag
 
-    return _series(eigen_states(), times, times_unit, basis.wavefunctions[0].grid,
-                   basis.B, theta_fall, snapshot_times)
+    return _series(eigen_states(), times, times_unit, basis.grid, basis.B, theta_fall,
+                   snapshot_times)
 
 
 def evolve_direct(

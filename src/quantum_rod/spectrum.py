@@ -40,9 +40,9 @@ eigenvalues (Kahan; Parlett, ch. 11), and the cluster's interval takes
 their place in the certificate.  A block whose levels fail to converge
 or to certify from the grid below is restarted from its own grid's
 bracket, and only if that fails too (or `stein` does) is it bisected to
-full precision; the chain goes on from its vectors.  Each grid's vectors
-are freed as the next grid's fill, and the doubled grid keeps none, so
-about one grid's n_levels vectors are held at a time.
+full precision; the chain goes on from its vectors.  Every grid writes
+its vectors into the rows of one (n_levels, grid_n) array, the result's
+modes, a row once its start is read, so one grid's vectors are held.
 
 For tilt = 0 the matrix commutes with the reflection theta -> -theta,
 so it splits into two half-size tridiagonal blocks, `parity_blocks`,
@@ -81,7 +81,9 @@ MAX_RQI_SOLVES = 6  # Rayleigh-quotient solves per level before it counts as unc
 ROMBERG_GRIDS = 3  # grids, each of twice the last one's spacing, that refined energies come from
 CHAIN_FLOOR = 180.0  # largest h^2 E n_levels of a chain grid below those
 BRACKET_RTOL = 1e-8  # width of a bracketing bisection's intervals, relative to |T|
-SIMPSON_BLOCK = 2**15  # grid values squared and integrated per `simpson` call when normalizing
+SIMPSON_BLOCK = 2**15  # grid values multiplied and integrated per `simpson` call, in `row_simpson`
+MAX_GRID_N = 2**20 + 1  # most base-grid points `solve_spectrum` accepts
+MAX_MODE_VALUES = 2**29  # most n_levels * grid_n values of one mode matrix
 
 Parity = Literal["even", "odd"]
 
@@ -143,6 +145,17 @@ def simpson(y, x: np.ndarray):
                    + (b**2 + 3.0 * a * b) / (6 * a) * y[..., -2]
                    - b**3 / (6 * a * (a + b)) * y[..., -3])
     return result
+
+
+def row_simpson(rows: np.ndarray, x: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """`simpson` of each row times `weight` (the row itself if None), over x.
+
+    A block of about SIMPSON_BLOCK values at a time, so no copy of all the
+    rows is held; each row's value is, to the bit, `simpson` of that row.
+    """
+    step = max(1, SIMPSON_BLOCK // len(x))
+    blocks = (rows[k:k + step] for k in range(0, len(rows), step))
+    return np.concatenate([simpson(b * (b if weight is None else weight), x=x) for b in blocks])
 
 
 @dataclass(frozen=True)
@@ -270,34 +283,25 @@ def unfold_parity(vec: np.ndarray, parity: Parity, out: np.ndarray) -> None:
         out[c + 1:] -= vec[::-1]
 
 
-def _full_vector(vec: np.ndarray, parity: Parity | None, grid_n: int) -> np.ndarray:
-    """The full-grid array (zero at the walls) of an interior or block vector."""
-    full = np.zeros(grid_n)
-    if parity is None:
-        full[1:-1] = vec
-    else:
-        unfold_parity(vec, parity, full[1:-1])
-    return full
-
-
 def _start_vectors(start, levels, parity: Parity | None, grid_n: int, vectors: bool):
     """Start vectors on grid_n points from full-grid vectors on (grid_n + 1)/2 points.
 
-    Yields, for each level k of `levels`, an interpolant of start[k] that
-    keeps every old point, in one reused buffer: the whole interior for
-    parity None, else the block vector of that parity.  For start vectors
-    of exact parity that is the interior up to the centre (the centre
-    over sqrt(2) for even), so only the left half is interpolated.
+    Yields, for each level k of `levels`, an interpolant of the leading
+    (grid_n + 1)/2 values of row start[k] that keeps every old point, in
+    one reused buffer: the whole interior for parity None, else the block
+    vector of that parity.  For start vectors of exact parity that is the
+    interior up to the centre (the centre over sqrt(2) for even), so only
+    the left half is interpolated.  Row k is read in full before its
+    interpolant is yielded, so the caller may overwrite it from then on.
 
     With `vectors` the continued vectors are kept, to start the next grid
-    or as the result: the midpoints are averaged, and start[k] is set to
-    None once read, so that the coarse grid's vectors are freed as the
-    fine grid's fill.  Without, only eigenvalues are wanted, and each
-    midpoint is the cubic through the four coarse points around it (the
-    vector continued oddly through the walls): from that start a level
-    converges in about one solve instead of two.  A kept vector is better
-    for the second solve: from the cubic start it would stop at the
-    residual bound, about 1e-9 from orthonormal at 4001 points.
+    or as the result: the midpoints are averaged.  Without, only
+    eigenvalues are wanted, and each midpoint is the cubic through the
+    four coarse points around it (the vector continued oddly through the
+    walls): from that start a level converges in about one solve instead
+    of two.  A kept vector is better for the second solve: from the cubic
+    start it would stop at the residual bound, about 1e-9 from orthonormal
+    at 4001 points.
     """
     stop = grid_n if parity is None else (grid_n + 1) // 2  # fine points taken, from the wall
     m = (stop + 1) // 2  # the coarse points among them
@@ -308,7 +312,6 @@ def _start_vectors(start, levels, parity: Parity | None, grid_n: int, vectors: b
         fine[0::2] = w[:m]
         np.add(w[:m - 1], w[1:m], out=mids)
         if vectors:
-            start[k] = None
             mids *= 0.5
         else:  # (9 (w[i] + w[i+1]) - w[i-1] - w[i+2]) / 16
             mids *= 9.0
@@ -496,19 +499,19 @@ def _bracketed_levels(d: np.ndarray, e: np.ndarray, count: int, keep=None) -> np
     return _continue_levels(d, e, starts, count, keep)
 
 
-def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
-    """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
+def _interior_eigensolve(B, tilt, grid_n, n_levels, modes=None, start=None):
+    """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points, and the grid.
 
-    With `vectors` the eigenvectors come back too, as one full-grid array
-    per level, zero at the walls and not yet normalized (at tilt 0 the
-    half-size block vectors unfolded), else None.  `start` holds such
-    arrays for the same levels on the grid of (grid_n + 1)/2 points; each
-    level is then continued from its interpolated vector by
-    `_continue_levels`.  Without `start`, or when that fails its
+    With `modes` (n_levels rows of at least grid_n values) level k's
+    eigenvector, zero at the walls and not yet normalized (at tilt 0 the
+    half-size block vector unfolded), is written into row k's leading
+    grid_n values.  `start` holds such rows for the grid of (grid_n + 1)/2
+    points, and may be `modes` itself (a row is overwritten only after it
+    is read); each level is then continued from its interpolated vector
+    by `_continue_levels`.  Without `start`, or when that fails its
     certificate, a block is continued from its own bracket
     (`_bracketed_levels`), and only when that fails too is it bisected to
-    full precision.  With `vectors` the start arrays are released as they
-    are read, so that the two grids' vectors are not all held at once.
+    full precision.  Returns (theta, energies).
     """
     theta = make_grid(grid_n)
     diag, off = grid_hamiltonian(theta, B, tilt)
@@ -518,19 +521,23 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
         blocks = {None: (diag, np.full(grid_n - 3, off))}
     stride = len(blocks)
     energies = np.empty(n_levels)
-    values = [None] * n_levels if vectors else None
     for p, (parity, (d, e)) in enumerate(blocks.items()):
         levels = range(p, n_levels, stride)
         if not levels:
             continue
 
         def keep(j, vec):
-            values[levels[j]] = _full_vector(vec, parity, grid_n)
+            row = modes[levels[j], 1:grid_n - 1]  # the interior: the walls stay zero
+            if parity is None:
+                row[:] = vec
+            else:
+                row[:] = 0.0  # unfold_parity adds to it
+                unfold_parity(vec, parity, row)
 
-        kept = keep if vectors else None
+        kept = None if modes is None else keep
         continued = None
         if start is not None:
-            starts = _start_vectors(start, levels, parity, grid_n, vectors)
+            starts = _start_vectors(start, levels, parity, grid_n, modes is not None)
             continued = _continue_levels(d, e, starts, len(levels), kept)
         if continued is None:
             continued = _bracketed_levels(d, e, len(levels), kept)
@@ -538,12 +545,12 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
             energies[p::stride] = continued
             continue
         select = dict(select="i", select_range=(0, len(levels) - 1))
-        if not vectors:
+        if modes is None:
             energies[p::stride] = eigh_tridiagonal(d, e, eigvals_only=True, **select)
             continue
         energies[p::stride], vecs = eigh_tridiagonal(d, e, **select)
-        for k, v in zip(levels, vecs.T):
-            values[k] = _full_vector(v, parity, grid_n)
+        for j, vec in enumerate(vecs.T):
+            keep(j, vec)
     if tilt == 0.0:
         # Bisection of the full matrix cannot resolve a doublet within its
         # absolute tolerance; tie it, so that its splitting reads 0 whether
@@ -551,10 +558,10 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, start=None, vectors=True):
         even, odd = energies[0:n_levels - 1:2], energies[1::2]
         tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
         odd[tied] = even[tied]
-    return theta, energies, values
+    return theta, energies
 
 
-def _nested_eigensolve(B, tilt, grid_n, n_levels, depth=0):
+def _nested_eigensolve(B, tilt, grid_n, n_levels, modes=None, depth=0):
     """`_interior_eigensolve` with eigenvectors, bracketing only the coarsest grid of a chain.
 
     The chain halves grid_n -> (grid_n + 1)/2 -> ... while the next grid
@@ -566,19 +573,21 @@ def _nested_eigensolve(B, tilt, grid_n, n_levels, depth=0):
     (min-max).  That is about the top level's drift onto the next grid
     over the level spacing; from a coarser grid the continuation fails,
     and the next grid is bracketed after all.  `depth` is grid_n's place
-    in the chain, 0 for the base grid.
-    Returns (theta, chain, values): grid_n's grid and eigenvectors, and
-    the eigenvalues of every grid of the chain, grid_n's first.
+    in the chain, 0 for the base grid, where `modes` is allocated.
+    Returns (theta, chain, modes): grid_n's grid, the eigenvalues of
+    every grid of the chain, grid_n's first, and its eigenvectors as rows.
     """
+    modes = np.zeros((n_levels, grid_n)) if modes is None else modes
     coarse_n = (grid_n + 1) // 2
     h = math.pi / (coarse_n - 1)
     top = B * (1.0 + abs(tilt)) + n_levels**2
-    chain, start = [], None
+    chain = []
     if (coarse_n % 2 and coarse_n >= min_grid_n(n_levels)
             and (depth + 1 < ROMBERG_GRIDS or h**2 * top * n_levels <= CHAIN_FLOOR)):
-        _, chain, start = _nested_eigensolve(B, tilt, coarse_n, n_levels, depth + 1)
-    theta, energies, values = _interior_eigensolve(B, tilt, grid_n, n_levels, start=start)
-    return theta, [energies, *chain], values
+        chain = _nested_eigensolve(B, tilt, coarse_n, n_levels, modes, depth + 1)[1]
+    theta, energies = _interior_eigensolve(B, tilt, grid_n, n_levels, modes,
+                                           start=modes if chain else None)
+    return theta, [energies, *chain], modes
 
 
 def _richardson_table(energies):
@@ -606,6 +615,8 @@ class SpectrumResult:
     tilt: float
     levels: list[EnergyLevel]
     wavefunctions: list[Wavefunction]
+    grid: np.ndarray
+    modes: np.ndarray  # (n_levels, grid_n), C-contiguous; wavefunctions[k].values is row k
 
     @property
     def energies(self) -> np.ndarray:
@@ -633,15 +644,11 @@ def solve_spectrum(
 ) -> SpectrumResult:
     """Solve for the lowest n_levels stationary states.
 
-    Eigenfunctions are returned on the base grid.  Every eigenvalue is
-    a Rayleigh quotient certified by a Sturm count.  Only the coarsest
-    grid of the chain grid_n -> (grid_n + 1)/2 -> ... (odd grids of at
-    least min_grid_n(n_levels) points, see `_nested_eigensolve`) is
-    bisected, and only to a bracket, from whose vectors Rayleigh-quotient
-    iteration finishes each eigenpair; every finer grid continues each
-    eigenpair from the grid below.  A block that fails on a grid is
-    restarted from that grid's bracket, and bisected to full precision
-    only if that fails too.
+    Eigenfunctions are returned on the base grid as the rows of
+    `SpectrumResult.modes`, normalized by `row_simpson` and signed so that
+    the first value above 1e-8 of the largest is positive.  Every
+    eigenvalue is a certified Rayleigh quotient (see the module docstring)
+    on the chain grid_n -> (grid_n + 1)/2 -> ... of `_nested_eigensolve`.
 
     The energies are the Richardson table (`_richardson_table`) of the
     finest ROMBERG_GRIDS = 3 of these grids: Romberg's
@@ -652,11 +659,12 @@ def solve_spectrum(
     (grid_n + 1)/2 points, or Richardson over 2 grid_n - 1 and grid_n.
     `EnergyLevel.drift` is the raw change over the finest doubling used.
 
-    Raises InvalidParameterError unless n_levels and grid_n are integers
-    (not bool), n_levels >= 1 and grid_n is odd and at least
-    min_grid_n(n_levels); raises ResolutionError when that drift exceeds
-    RESOLUTION_RTOL relative, i.e. when even the extrapolated values
-    should not be trusted.
+    Raises InvalidParameterError, before anything is allocated, unless
+    n_levels and grid_n are integers (not bool), n_levels >= 1, grid_n is
+    odd, at least min_grid_n(n_levels) and at most MAX_GRID_N, and
+    n_levels * grid_n is at most MAX_MODE_VALUES; raises ResolutionError
+    when that drift exceeds RESOLUTION_RTOL relative, i.e. when even the
+    extrapolated values should not be trusted.
 
     With refine=False the energies are the raw eigenvalues of the
     base-grid operator (no extrapolation, drift not available).  Use
@@ -676,13 +684,17 @@ def solve_spectrum(
         )
     if grid_n % 2 == 0:
         raise InvalidParameterError("grid_n must be odd so the grid contains theta = 0")
+    if grid_n > MAX_GRID_N:
+        raise InvalidParameterError(f"grid_n={grid_n} exceeds the largest grid, {MAX_GRID_N}")
+    if n_levels * grid_n > MAX_MODE_VALUES:
+        raise InvalidParameterError(f"{n_levels} x {grid_n} mode values exceed {MAX_MODE_VALUES}")
 
-    theta, chain, values = _nested_eigensolve(B, tilt, grid_n, n_levels)
+    theta, chain, modes = _nested_eigensolve(B, tilt, grid_n, n_levels)
     if refine:
         grids = chain[:ROMBERG_GRIDS]  # finest first
         if len(grids) < ROMBERG_GRIDS:
             grids.insert(0, _interior_eigensolve(B, tilt, 2 * grid_n - 1, n_levels,
-                                                 start=values, vectors=False)[1])
+                                                 start=modes)[1])
         drift = np.abs(grids[0] - grids[1])
         refined = _richardson_table(grids)
         rel_drift = drift / np.maximum(np.abs(refined), 1.0)
@@ -695,28 +707,20 @@ def solve_spectrum(
         refined = chain[0]
         drift = np.full(n_levels, math.nan)
 
-    symmetric = tilt == 0.0
-    # Simpson norms of many levels per call, row by row (each as one call per
-    # level would give it), in blocks of about SIMPSON_BLOCK values.
-    norms = np.empty(n_levels)
-    rows = max(1, SIMPSON_BLOCK // grid_n)
-    for k in range(0, n_levels, rows):
-        squares = np.stack(values[k:k + rows])
-        squares *= squares
-        norms[k:k + rows] = np.sqrt(simpson(squares, x=theta))
     levels: list[EnergyLevel] = []
     wavefunctions: list[Wavefunction] = []
-    for k, (full, norm) in enumerate(zip(values, norms)):
-        full /= norm
-        first = np.argmax(np.abs(full) > 1e-8 * np.max(np.abs(full)))
-        if full[first] < 0.0:
-            full *= -1.0  # in place: `values` still holds this array
-        parity, idx = ((EVEN, ODD)[k % 2], k // 2) if symmetric else (None, k)
+    for k, (row, norm) in enumerate(zip(modes, np.sqrt(row_simpson(modes, theta)))):
+        row /= norm
+        first = np.argmax(np.abs(row) > 1e-8 * np.max(np.abs(row)))
+        if row[first] < 0.0:
+            row *= -1.0
+        parity, idx = ((EVEN, ODD)[k % 2], k // 2) if tilt == 0.0 else (None, k)
         levels.append(EnergyLevel(index=idx, parity=parity,
                                   energy=float(refined[k]), drift=float(drift[k])))
-        wavefunctions.append(Wavefunction(grid=theta, values=full))
+        wavefunctions.append(Wavefunction(grid=theta, values=row))
 
-    return SpectrumResult(B=spec.B, tilt=spec.tilt, levels=levels, wavefunctions=wavefunctions)
+    return SpectrumResult(B=spec.B, tilt=spec.tilt, levels=levels, wavefunctions=wavefunctions,
+                          grid=theta, modes=modes)
 
 
 def pairing_table(result: SpectrumResult) -> list[Doublet]:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,15 @@ SUBCOMMANDS = ["spectrum", "wkb-compare", "summit", "airy", "fall-time",
                "evolve", "slant"]
 
 FREE_SPECTRUM = ["spectrum", "--B", "0", "--n-levels", "6", "--grid-n", "201"]
+
+
+# A grid past spectrum.MAX_GRID_N, on the eigenbasis and the direct route,
+# and a mode matrix of 600 levels x MAX_GRID_N points, past MAX_MODE_VALUES.
+OVERSIZED = [
+    ["spectrum", "--B", "1e4", "--n-levels", "4", "--grid-n", "1000000001"],
+    ["evolve", "--B", "100", "--method", "direct", "--grid-n", "1000000001"],
+    ["spectrum", "--B", "1e4", "--n-levels", "600", "--grid-n", "1048577"],
+]
 
 
 def run_json(capsys, argv):
@@ -234,12 +244,27 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "0"],
     ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "nan"],
     ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "inf"],
+    ["evolve", "--B", "100", "--method", "direct", "--grid-n", "0"],
+    ["evolve", "--B", "100", "--method", "direct", "--grid-n", "-5"],
+    *OVERSIZED,
 ])
 def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", OVERSIZED)
+def test_oversized_grid_is_refused_before_allocation(capsys, argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_numerical_error_exits(capsys):

@@ -1,6 +1,7 @@
 """Wavepacket preparation, propagation (two independent routes), fall times."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -144,6 +145,20 @@ def test_expand_matches_per_mode_quadrature(basis_b1e4_raw):
     assert np.array_equal(coeffs, loop)
 
 
+def test_expand_holds_no_second_mode_matrix():
+    # The products with the state are formed a block of rows at a time, so
+    # the traced peak is a small fraction of the 280 x 2801 mode matrix.
+    basis = solve_spectrum(1e3, 280, grid_n=2801, refine=False)
+    state = dynamics.prepare_gaussian(0.04, basis.grid)
+    tracemalloc.start()
+    try:
+        dynamics.expand(state, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * basis.modes.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Propagation
 
@@ -176,7 +191,7 @@ def test_evolve_eigen_matches_complex_mode_sum(basis_b1e4_raw):
     # differ by at most twice that, in the real and in the imaginary part.
     grid = basis_b1e4_raw.wavefunctions[0].grid
     coeffs = dynamics.expand(dynamics.prepare_gaussian(0.05, grid), basis_b1e4_raw)
-    modes = np.stack([wf.values for wf in basis_b1e4_raw.wavefunctions])
+    modes = basis_b1e4_raw.modes
     energies = basis_b1e4_raw.energies
     times = np.linspace(0.0, 2.0, 9)
     res = dynamics.evolve_eigen(coeffs, basis_b1e4_raw, times, snapshot_times=times)

@@ -1,5 +1,6 @@
 """Finite-difference spectrum: exact limits, invariants, reference doublets."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ def test_parameter_validation():
         with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
             solve_spectrum(*args, **kwargs)
     assert len(solve_spectrum(100.0, np.int64(4), grid_n=np.int64(401)).levels) == 4
+    # A grid past MAX_GRID_N, or a mode matrix past MAX_MODE_VALUES, is
+    # refused before anything of its size is allocated.
+    for n_levels, grid_n, message in [(4, 1000000001, "exceeds the largest grid"),
+                                      (600, spectrum.MAX_GRID_N, "mode values")]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match=message):
+                solve_spectrum(1e4, n_levels, grid_n=grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 def test_potential_values():
@@ -238,6 +251,31 @@ def test_levels_are_normalized_and_signed_one_by_one(B, n_levels, grid_n, tilt):
         assert np.array_equal(wf.values, full)
 
 
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+def test_modes_are_one_matrix(tilt):
+    # The eigenfunctions are the rows of one C-contiguous array, and each
+    # Wavefunction's values are a view of its row, not a copy.
+    res = solve_spectrum(1e4, 16, grid_n=401, tilt=tilt)
+    assert res.modes.shape == (16, 401) and res.modes.flags.c_contiguous
+    for k, wf in enumerate(res.wavefunctions):
+        assert wf.grid is res.grid and wf.values.shape == (401,)
+        assert np.shares_memory(wf.values, res.modes[k])
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n", [(1e4, 140, 5601), (1e6, 200, 20001)])
+def test_solve_holds_about_one_mode_matrix(B, n_levels, grid_n):
+    # Every grid of the chain writes into the rows of the result's modes, and
+    # the norms are taken a block of rows at a time, so the traced peak is
+    # the mode matrix plus about one coarser grid's work.
+    tracemalloc.start()
+    try:
+        res = solve_spectrum(B, n_levels, grid_n=grid_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * res.modes.nbytes
+
+
 def test_tilted_levels_have_no_parity():
     res = solve_spectrum(100.0, 4, grid_n=401, tilt=0.01)
     assert all(lv.parity is None for lv in res.levels)
@@ -260,6 +298,13 @@ def _count_bisections(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
     return calls
+
+
+def _solve(B, tilt, grid_n, n_levels, start=None):
+    # `_interior_eigensolve` with eigenvectors: (energies, modes), the
+    # vectors written into the rows of a fresh (n_levels, grid_n) array.
+    modes = np.zeros((n_levels, grid_n))
+    return spectrum._interior_eigensolve(B, tilt, grid_n, n_levels, modes, start)[1], modes
 
 
 def _bisected(monkeypatch, call):
@@ -307,14 +352,13 @@ CONTINUATION_CASES = [(0.0, 2001, 12), (1e2, 2001, 16), (1e4, 4001, 40), (1e6, 2
 def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_levels, tilt):
     # tilt = 1e-12 splits the deep doublets by less than the certificate's
     # interval width at B >= 1e4: they are continued as two-level clusters.
-    _, _, values = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
+    values = _solve(B, tilt, grid_n, n_levels)[1]
     fine_n = 2 * grid_n - 1
     calls = _count_bisections(monkeypatch)
-    _, continued, _ = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values,
-                                                    vectors=False)
+    continued = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values)[1]
     assert not calls                             # no block fell back to bisection
-    _, bisected, _ = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, fine_n, n_levels, start=values, vectors=False))
+    bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, fine_n, n_levels, start=values))[1]
     assert [kind for _, kind in calls] == ["bracket", "values"] * (2 if tilt == 0.0 else 1)
     assert np.max(np.abs(continued - bisected)) <= _tol(fine_n, B, tilt)
     if tilt == 0.0:  # the tie rule holds for continued values as for bisected ones
@@ -336,8 +380,8 @@ def _record_solves(monkeypatch):
     solves = {}
     interior_eigensolve = spectrum._interior_eigensolve
 
-    def recorded(B, tilt, grid_n, n_levels, start=None, vectors=True):
-        out = interior_eigensolve(B, tilt, grid_n, n_levels, start, vectors)
+    def recorded(B, tilt, grid_n, n_levels, modes=None, start=None):
+        out = interior_eigensolve(B, tilt, grid_n, n_levels, modes, start)
         solves[grid_n] = out[1]
         return out
 
@@ -389,12 +433,10 @@ def test_romberg_on_the_chain_beats_richardson(monkeypatch, B, n_levels, grid_n,
     res = solve_spectrum(B, n_levels, grid_n=grid_n)
     assert 2 * grid_n - 1 not in solves
     energies, base = res.energies, solves[grid_n]
-    start = [wf.values for wf in res.wavefunctions]
-    del res  # so that the base vectors are freed as the finer grid's fill
-    _, fine, fine_vectors = spectrum._interior_eigensolve(B, 0.0, 2 * grid_n - 1, n_levels,
-                                                          start=start)
-    finer = spectrum._interior_eigensolve(B, 0.0, 4 * grid_n - 3, n_levels, start=fine_vectors,
-                                          vectors=False)[1]
+    fine, fine_vectors = _solve(B, 0.0, 2 * grid_n - 1, n_levels, start=res.modes)
+    del res
+    finer = spectrum._interior_eigensolve(B, 0.0, 4 * grid_n - 3, n_levels,
+                                          start=fine_vectors)[1]
     reference = (64.0 * finer - 20.0 * fine + base) / 45.0
     error = np.max(np.abs(energies - reference))
     assert error <= np.max(np.abs((4.0 * fine - base) / 3.0 - reference))
@@ -423,8 +465,7 @@ def _unit(v):
 
 
 def _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, vectors):
-    _, bisected, stein = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels))
+    bisected, stein = _bisected(monkeypatch, lambda: _solve(B, tilt, grid_n, n_levels))
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
     # Davis-Kahan: a unit vector with residual r is within r/gap of the
     # eigenvector whose eigenvalue is gap away from every other one with
@@ -433,7 +474,7 @@ def _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, ve
     # sine and the gap's own error).
     stride = 2 if tilt == 0.0 else 1
     ladder = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels + 2, vectors=False))[1]
+        B, tilt, grid_n, n_levels + 2))[1]
     diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
 
     def residual(v):
@@ -460,7 +501,7 @@ def test_base_grid_eigenpairs_match_bisection(monkeypatch, B, grid_n, n_levels, 
     assert len(chain) == len(grids)
     for n, energies in zip(grids[1:], chain[1:]):
         bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-            B, tilt, n, n_levels, vectors=False))[1]
+            B, tilt, n, n_levels))[1]
         assert np.max(np.abs(energies - bisected)) <= _tol(n, B, tilt)
 
 
@@ -476,7 +517,7 @@ def test_unrefined_bases_are_bracketed_not_bisected(monkeypatch, B, n_levels, gr
     calls = _count_bisections(monkeypatch)
     res = solve_spectrum(B, n_levels, grid_n=grid_n, refine=False)
     assert calls == [(size, "bracket") for size in _block_sizes(grid_n, 0.0)]
-    _, energies, vectors = spectrum._interior_eigensolve(B, 0.0, grid_n, n_levels)
+    energies, vectors = _solve(B, 0.0, grid_n, n_levels)
     assert np.array_equal(res.energies, energies)
     _assert_match_bisection(monkeypatch, B, 0.0, grid_n, n_levels, energies, vectors)
 
@@ -490,9 +531,9 @@ def test_bracket_separates_unresolved_doublets(monkeypatch, B, n_levels, grid_n)
     # bisection (without it, at B = 1e4, some values are 22 eps|T| off).
     tilt = 1e-12
     bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels, vectors=False))[1]
+        B, tilt, grid_n, n_levels))[1]
     calls = _count_bisections(monkeypatch)
-    energies = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels, vectors=False)[1]
+    energies = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)[1]
     assert calls == [(grid_n - 2, "bracket")]
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
 
@@ -502,8 +543,7 @@ def test_failed_bracket_falls_back_to_bisection(monkeypatch, tilt):
     # stein failing on the bracket (LinAlgError) sends the block straight to
     # full-precision bisection.
     B, grid_n, n_levels = 1e4, 1001, 40
-    _, bisected, stein = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels))
+    bisected, stein = _bisected(monkeypatch, lambda: _solve(B, tilt, grid_n, n_levels))
     calls = _count_bisections(monkeypatch)
     counted = spectrum.eigh_tridiagonal
 
@@ -514,11 +554,11 @@ def test_failed_bracket_falls_back_to_bisection(monkeypatch, tilt):
         return out
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", failing)
-    _, energies, vectors = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
+    energies, vectors = _solve(B, tilt, grid_n, n_levels)
     assert calls == [(size, kind) for size in _block_sizes(grid_n, tilt)
                      for kind in ("bracket", "vectors")]
     assert np.array_equal(energies, bisected)
-    assert all(np.array_equal(v, w) for v, w in zip(vectors, stein))
+    assert np.array_equal(vectors, stein)
 
 
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
