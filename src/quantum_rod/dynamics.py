@@ -132,10 +132,11 @@ def closed_form_energy(sigma: float, B: float) -> float:
 def _hamiltonian_apply(psi: np.ndarray, grid: np.ndarray, B: float) -> np.ndarray:
     h = grid[1] - grid[0]
     v = potential(grid, B)
-    out = np.empty_like(psi)
-    out[1:-1] = (-psi[:-2] + 2.0 * psi[1:-1] - psi[2:]) / h**2 + v[1:-1] * psi[1:-1]
-    out[0] = out[-1] = 0.0
-    return out
+    # A complex psi as (real, imag) pairs: complex division rounds differently.
+    x = psi.view(float).reshape(len(psi), -1)
+    out = np.zeros_like(x)  # zero at the walls
+    out[1:-1] = (-x[:-2] + 2.0 * x[1:-1] - x[2:]) / h**2 + v[1:-1, None] * x[1:-1]
+    return out.view(psi.dtype).reshape(psi.shape)
 
 
 def energy_expectation(state: InitialState, B: float) -> float:
@@ -192,7 +193,7 @@ def _observables(psi: np.ndarray, grid: np.ndarray, B: float,
                  theta_fall: float) -> tuple[float, float, float, float]:
     dens = np.abs(psi) ** 2
     norm = float(simpson(dens, x=grid))
-    hpsi = _hamiltonian_apply(psi.real, grid, B) + 1j * _hamiltonian_apply(psi.imag, grid, B)
+    hpsi = _hamiltonian_apply(psi, grid, B)
     energy = float(simpson(np.real(np.conj(psi) * hpsi), x=grid)) / norm
     mean_abs = float(simpson(np.abs(grid) * dens, x=grid)) / norm
     fallen = float(simpson(dens * (np.abs(grid) > theta_fall), x=grid)) / norm

@@ -9,58 +9,50 @@ hits the table.  The solver uses second-order central finite differences
 on a uniform grid from wall to wall; the symmetric tridiagonal matrix
 `grid_hamiltonian`, which `dynamics` steps too, is diagonalized with
 LAPACK.  Eigenvalues are Romberg-extrapolated from the base grid and the
-two grids of twice and four times its spacing that the halving chain
-below solves anyway, which removes the O(h^2) and O(h^4) discretization
-errors: at B = 1e4 the 72 lowest levels from the default 4001 points
-are within 6e-5 of the converged ones, half the error of Richardson on
-4001 and 8001 points.  When the chain is shorter a grid of half the
-spacing is added, eigenvalues only.
+two coarser grids of the halving chain below (see `solve_spectrum`),
+which removes the O(h^2) and O(h^4) discretization errors: at B = 1e4
+the 72 lowest levels from the default 4001 points are within 6e-5 of
+the converged ones, half the error of Richardson on 4001 and 8001 points.
 
 Every eigenvalue is a certified Rayleigh quotient; none is a bisection
 midpoint, save in the last-resort fallback below.  A halving chain runs
 from the base grid of N points down through (N + 1)/2, ... while the
 next grid is odd and has at least `min_grid_n(n_levels)` points (and,
 below the third grid, resolves the top level; see `_nested_eigensolve`).
-Its coarsest grid is only bracketed: bisection (`stebz`) stops once each
-eigenvalue lies in an interval of width BRACKET_RTOL |T|, and `stein`
-gives a vector at each midpoint (levels the bracket cannot tell apart
-are first separated by Rayleigh-Ritz).  Each finer grid, up to the base
-grid (and the doubled one, if any), continues every level from the
-eigenvector on the grid below it, interpolated.  From either start
-Rayleigh-quotient iteration, which converges cubically from so close a
-start (none to three shifted tridiagonal solves per level), takes the
-vector to a residual at rounding level.  Each Rayleigh quotient then
-lies within its residual of an eigenvalue, and when these intervals are
-disjoint one Sturm count fixes which eigenvalue each is, the guarantee
-full bisection gives (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
-Levels closer together than that residual bound, such as deep doublets
-split by a tiny tilt, are continued as one cluster by Rayleigh-Ritz on
-the span of their vectors, whose Ritz values lie as close to as many
-eigenvalues (Kahan; Parlett, ch. 11), and the cluster's interval takes
-their place in the certificate.  A block whose levels fail to converge
-or to certify from the grid below is restarted from its own grid's
-bracket, and only if that fails too (or `stein` does) is it bisected to
-full precision; the chain goes on from its vectors.  Every grid writes
-its vectors into the rows of one (n_levels, grid_n) array, the result's
-modes, a row once its start is read, so one grid's vectors are held.
+Its coarsest grid is only bracketed by `_bisect`, which makes every
+by-index bisection (LAPACK `stebz`) and inverse iteration (`stein`):
+each eigenvalue to an interval of width BRACKET_RTOL |T|, with a vector
+at its midpoint (levels the bracket cannot tell apart are then
+separated by Rayleigh-Ritz).  Each finer grid, up to the base grid (and the
+doubled one, if any), continues every level from its interpolated
+eigenvector on the grid below.  From either start Rayleigh-quotient
+iteration, cubically convergent (none to three shifted tridiagonal
+solves per level), takes the vector to a residual at rounding level.
+Each Rayleigh quotient then lies within its residual of an eigenvalue,
+and when these intervals are disjoint one Sturm count fixes which
+eigenvalue each is, the guarantee full bisection gives (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4).  Levels closer than that, such as
+deep doublets split by a tiny tilt, are continued as one cluster by
+Rayleigh-Ritz on the span of their vectors, whose Ritz values lie as
+close to as many eigenvalues (Kahan; Parlett, ch. 11).  A block that
+fails to converge or to certify from the grid below is restarted from
+its own grid's bracket, and if that fails too `_bisect` runs to full
+precision; a LAPACK failure there is a ResolutionError.  Every grid
+writes its vectors into the rows of one (n_levels, grid_n) array, the
+result's modes, a row once its start is read.
 
-For tilt = 0 the matrix commutes with the reflection theta -> -theta,
-so it splits into two half-size tridiagonal blocks, `parity_blocks`,
-that are solved on their own (and that Crank-Nicolson in `dynamics`
-steps on their own).  `make_grid` is exactly mirror-symmetric, so an
-even or odd function sampled on it keeps its parity exactly.  With c
-the interior index of theta = 0, the odd block is the leading c x c
-corner (psi vanishes at the centre).  The even block adds the centre
-row; folding psi[c+1] = psi[c-1] onto it and rescaling the centre
-amplitude by 1/sqrt(2) keeps it symmetric, with sqrt(2) times the
-usual off-diagonal on that last row.  Even level j is global level 2j
+For tilt = 0 the matrix commutes with the reflection theta -> -theta, so
+it splits into two half-size tridiagonal blocks, `parity_blocks`, that
+are solved on their own (and that Crank-Nicolson in `dynamics` steps on
+their own).  `make_grid` is exactly mirror-symmetric, so an even or odd
+function sampled on it keeps its parity exactly.  The odd block is a
+leading corner of the matrix; the even block adds the centre row, kept
+symmetric by `fold_parity`'s scaling.  Even level j is global level 2j
 and odd level j is 2j+1, so parity labels follow the level order, and
 the eigenvectors unfold onto the full grid with exact parity; no
-rotation of near-degenerate doublets is needed.  A doublet below
-bisection's own tolerance, eps*(max|diag| + 2|off|), is one that
-bisection of the full matrix could not resolve, so its odd member is set
-to the even value: the splitting reads exactly 0, as that bisection
-would return it.
+rotation of near-degenerate doublets is needed.  A doublet split by less
+than bisection's own tolerance, eps*(max|diag| + 2|off|), is tied: its
+splitting reads 0, as bisection of the full matrix would return it.
 """
 from __future__ import annotations
 
@@ -70,8 +62,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .errors import DomainError, InvalidParameterError, ResolutionError
 
@@ -468,29 +459,42 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
     return rho if info == 0 and found == count else None
 
 
+def _bisect(d: np.ndarray, e: np.ndarray, count: int, width: float, vectors: bool):
+    """The lowest `count` eigenvalues of the tridiagonal (d, e) by bisection, and their vectors.
+
+    `stebz` by index (range 2) stops once each lies in an interval of width
+    `width` (0: full precision); with `vectors`, `stein` gives unit
+    eigenvectors as rows (its matrix transposed, not copied), else none.
+    Vectors take stebz's block order, sorted here only if the matrix splits
+    (|d| ~ 1e16/h^2).  Returns (values, rows), or None when LAPACK fails.
+    """
+    m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, count, width, b"B" if vectors else b"E")
+    w = w[:m]
+    if info:
+        return None
+    z, info = dstein(d, e, w, block, split) if vectors else (np.empty((len(d), 0)), 0)
+    order = slice(None) if np.all(w[:-1] <= w[1:]) else np.argsort(w)
+    return None if info else (w[order], z.T[order])
+
+
 def _bracketed_levels(d: np.ndarray, e: np.ndarray, count: int, keep=None) -> np.ndarray | None:
     """`_continue_levels` started from a bracketing bisection of the same block.
 
-    `stebz` stops once each of the lowest `count` eigenvalues lies in an
-    interval of width BRACKET_RTOL |T| (|T| = max|d| + 2 max|e|), far
-    inside the spacing of the levels, and `stein` gives a vector at each
-    midpoint.  Levels within two widths of each other, such as deep
-    doublets split by a tiny tilt, come out as arbitrary mixtures of their
-    eigenvectors, from which Rayleigh-quotient iteration can stall, so
+    `_bisect` brackets each of the lowest `count` eigenvalues to a width
+    of BRACKET_RTOL |T| (|T| = max|d| + 2 max|e|), far inside the level
+    spacing, with a vector at each midpoint.  Levels within two widths of
+    each other, such as deep doublets split by a tiny tilt, come out as
+    mixtures from which Rayleigh-quotient iteration can stall, so
     Rayleigh-Ritz on each such run's span separates them first.
-    `_continue_levels` then finishes and certifies every pair; most of
-    stein's vectors already have rounding-level residuals and take no
-    solve.  They are iterated in place, as columns of stein's matrix.
-    Returns None where `_continue_levels` does, or when `stein` fails to
-    converge.
+    `_continue_levels` then finishes and certifies every pair, iterating
+    the rows in place; most have rounding-level residuals and take no
+    solve.  Returns None where `_continue_levels` or `_bisect` does.
     """
     scale, tol = _norm_and_tol(d, e)
     width = BRACKET_RTOL * scale
-    try:
-        w, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), tol=width)
-    except np.linalg.LinAlgError:
+    if (bracket := _bisect(d, e, count, width, vectors=True)) is None:
         return None
-    starts = vecs.T  # rows are stein's columns
+    w, starts = bracket
     for run in np.split(np.arange(count), np.flatnonzero(np.diff(w) > 2.0 * width) + 1):
         if len(run) > 1:
             ritz = _rayleigh_ritz(d, e, starts[run].T, tol)
@@ -511,7 +515,8 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, modes=None, start=None):
     by `_continue_levels`.  Without `start`, or when that fails its
     certificate, a block is continued from its own bracket
     (`_bracketed_levels`), and only when that fails too is it bisected to
-    full precision.  Returns (theta, energies).
+    full precision, where a LAPACK failure raises ResolutionError.
+    Returns (theta, energies).
     """
     theta = make_grid(grid_n)
     diag, off = grid_hamiltonian(theta, B, tilt)
@@ -541,16 +546,14 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, modes=None, start=None):
             continued = _continue_levels(d, e, starts, len(levels), kept)
         if continued is None:
             continued = _bracketed_levels(d, e, len(levels), kept)
-        if continued is not None:
-            energies[p::stride] = continued
-            continue
-        select = dict(select="i", select_range=(0, len(levels) - 1))
-        if modes is None:
-            energies[p::stride] = eigh_tridiagonal(d, e, eigvals_only=True, **select)
-            continue
-        energies[p::stride], vecs = eigh_tridiagonal(d, e, **select)
-        for j, vec in enumerate(vecs.T):
-            keep(j, vec)
+        if continued is None:
+            bisected = _bisect(d, e, len(levels), 0.0, vectors=modes is not None)
+            if bisected is None:
+                raise ResolutionError(f"bisection failed on a block of the {grid_n}-point grid")
+            continued, rows = bisected
+            for j, vec in enumerate(rows):
+                keep(j, vec)
+        energies[p::stride] = continued
     if tilt == 0.0:
         # Bisection of the full matrix cannot resolve a doublet within its
         # absolute tolerance; tie it, so that its splitting reads 0 whether
@@ -629,10 +632,7 @@ class SpectrumResult:
         raise InvalidParameterError(f"no {parity} level with index {n}")
 
     def wavefunction(self, parity: Parity, n: int) -> Wavefunction:
-        for lv, wf in zip(self.levels, self.wavefunctions):
-            if lv.parity == parity and lv.index == n:
-                return wf
-        raise InvalidParameterError(f"no {parity} level with index {n}")
+        return self.wavefunctions[self.levels.index(self.level(parity, n))]
 
 
 def solve_spectrum(
@@ -651,20 +651,18 @@ def solve_spectrum(
     on the chain grid_n -> (grid_n + 1)/2 -> ... of `_nested_eigensolve`.
 
     The energies are the Richardson table (`_richardson_table`) of the
-    finest ROMBERG_GRIDS = 3 of these grids: Romberg's
-    (64 E_N - 20 E_(N+1)/2 + E_(N+3)/4)/45 when the chain holds
-    (grid_n + 1)/2 and (grid_n + 3)/4.  A shorter chain gets the grid of
-    2 grid_n - 1 points too, continued for eigenvalues only, and the
-    table of what exists: Romberg over 2 grid_n - 1, grid_n and
-    (grid_n + 1)/2 points, or Richardson over 2 grid_n - 1 and grid_n.
-    `EnergyLevel.drift` is the raw change over the finest doubling used.
+    finest ROMBERG_GRIDS = 3 of these grids, Romberg's when the chain
+    holds (grid_n + 1)/2 and (grid_n + 3)/4.  A shorter chain gets the
+    grid of 2 grid_n - 1 points too, continued for eigenvalues only, and
+    the table of what exists.  `EnergyLevel.drift` is the raw change over
+    the finest doubling used.
 
     Raises InvalidParameterError, before anything is allocated, unless
     n_levels and grid_n are integers (not bool), n_levels >= 1, grid_n is
     odd, at least min_grid_n(n_levels) and at most MAX_GRID_N, and
     n_levels * grid_n is at most MAX_MODE_VALUES; raises ResolutionError
-    when that drift exceeds RESOLUTION_RTOL relative, i.e. when even the
-    extrapolated values should not be trusted.
+    when that drift exceeds RESOLUTION_RTOL relative (even the
+    extrapolated values should not be trusted) or LAPACK's bisection fails.
 
     With refine=False the energies are the raw eigenvalues of the
     base-grid operator (no extrapolation, drift not available).  Use

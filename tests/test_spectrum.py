@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
 from quantum_rod import spectrum
+from quantum_rod.cli import main
 from quantum_rod.errors import DomainError, InvalidParameterError, ResolutionError
 from quantum_rod.spectrum import (
     grid_hamiltonian,
@@ -262,18 +263,29 @@ def test_modes_are_one_matrix(tilt):
         assert np.shares_memory(wf.values, res.modes[k])
 
 
+def _peak_over_modes(B, n_levels, grid_n, refine=True):
+    # The traced peak of a solve, over the size of its mode matrix.
+    tracemalloc.start()
+    try:
+        res = solve_spectrum(B, n_levels, grid_n=grid_n, refine=refine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / res.modes.nbytes
+
+
 @pytest.mark.parametrize("B, n_levels, grid_n", [(1e4, 140, 5601), (1e6, 200, 20001)])
 def test_solve_holds_about_one_mode_matrix(B, n_levels, grid_n):
     # Every grid of the chain writes into the rows of the result's modes, and
     # the norms are taken a block of rows at a time, so the traced peak is
     # the mode matrix plus about one coarser grid's work.
-    tracemalloc.start()
-    try:
-        res = solve_spectrum(B, n_levels, grid_n=grid_n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * res.modes.nbytes
+    assert _peak_over_modes(B, n_levels, grid_n) <= 1.15
+
+
+def test_unrefined_basis_holds_about_one_mode_matrix():
+    # The benchmark's largest dynamics basis has no grid below it, so one
+    # block's stein vectors, held once, coexist with the whole matrix.
+    assert _peak_over_modes(1e3, 280, 2801, refine=False) <= 1.35
 
 
 def test_tilted_levels_have_no_parity():
@@ -285,18 +297,19 @@ def test_tilted_levels_have_no_parity():
 
 
 def _count_bisections(monkeypatch):
-    # One (block size, kind) entry per bisection.  A "bracket" passes `tol`
-    # and starts the Rayleigh-quotient iteration; a full-precision one is
-    # the fallback, with eigenvectors ("vectors") on the chain's grids and
-    # eigenvalues only ("values") on the doubled grid.
+    # One (block size, kind) entry per `_bisect` call, labelled from its own
+    # arguments.  A "bracket" has width > 0 and starts the Rayleigh-quotient
+    # iteration; a full-precision one (width 0) is the fallback, with
+    # eigenvectors ("vectors") on the chain's grids and eigenvalues only
+    # ("values") on the doubled grid.
     calls = []
+    bisect = spectrum._bisect
 
-    def counted(d, e, **kwargs):
-        kind = "values" if kwargs.get("eigvals_only") else "vectors"
-        calls.append((len(d), "bracket" if "tol" in kwargs else kind))
-        return eigh_tridiagonal(d, e, **kwargs)
+    def counted(d, e, count, width, vectors):
+        calls.append((len(d), "bracket" if width > 0.0 else "vectors" if vectors else "values"))
+        return bisect(d, e, count, width, vectors)
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(spectrum, "_bisect", counted)
     return calls
 
 
@@ -540,25 +553,62 @@ def test_bracket_separates_unresolved_doublets(monkeypatch, B, n_levels, grid_n)
 
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
 def test_failed_bracket_falls_back_to_bisection(monkeypatch, tilt):
-    # stein failing on the bracket (LinAlgError) sends the block straight to
-    # full-precision bisection.
+    # LAPACK failing on the bracket (`_bisect` returns None) sends the block
+    # straight to full-precision bisection.
     B, grid_n, n_levels = 1e4, 1001, 40
     bisected, stein = _bisected(monkeypatch, lambda: _solve(B, tilt, grid_n, n_levels))
     calls = _count_bisections(monkeypatch)
-    counted = spectrum.eigh_tridiagonal
+    counted = spectrum._bisect
 
-    def failing(d, e, **kwargs):
-        out = counted(d, e, **kwargs)
-        if "tol" in kwargs:
-            raise np.linalg.LinAlgError("stein (eigh_tridiagonal): 1 eigenvectors failed")
-        return out
+    def failing(d, e, count, width, vectors):
+        out = counted(d, e, count, width, vectors)
+        return None if width > 0.0 else out
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", failing)
+    monkeypatch.setattr(spectrum, "_bisect", failing)
     energies, vectors = _solve(B, tilt, grid_n, n_levels)
     assert calls == [(size, kind) for size in _block_sizes(grid_n, tilt)
                      for kind in ("bracket", "vectors")]
     assert np.array_equal(energies, bisected)
     assert np.array_equal(vectors, stein)
+
+
+# (B, levels, grid, tilt): parity blocks, full matrices whose deep doublets
+# a 1e-12 tilt splits far inside one bracket width, and a matrix that
+# stebz splits into blocks, whose values it lists out of order.
+BISECT_CASES = [(1e4, 40, 501, 0.0), (1e3, 280, 2801, 0.0), (1e6, 200, 2501, 0.0),
+                (1e4, 40, 501, 1e-12), (1e6, 534, 5001, 1e-12), (1e25, 40, 401, 0.09)]
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n, tilt", BISECT_CASES)
+def test_bisect_is_eigh_tridiagonal_bit_for_bit(B, n_levels, grid_n, tilt):
+    # `_bisect` makes scipy's calls, stebz by index and stein, and reorders
+    # the values only where they do not already ascend, as at B = 1e25.
+    diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
+    blocks = (list(spectrum.parity_blocks(diag, off).values()) if tilt == 0.0
+              else [(diag, np.full(grid_n - 3, off))])
+    count = n_levels // len(blocks)
+    for d, e in blocks:
+        for width in (spectrum.BRACKET_RTOL * spectrum._norm_and_tol(d, e)[0], 0.0):
+            select = dict(select="i", select_range=(0, count - 1), tol=width)
+            values, vectors = eigh_tridiagonal(d, e, **select)
+            w, rows = spectrum._bisect(d, e, count, width, vectors=True)
+            assert np.array_equal(w, values) and np.array_equal(rows, vectors.T)
+            assert rows.flags.c_contiguous
+            w, rows = spectrum._bisect(d, e, count, width, vectors=False)
+            assert np.array_equal(w, eigh_tridiagonal(d, e, eigvals_only=True, **select))
+            assert rows.shape == (0, len(d))
+
+
+def test_failed_bisection_is_a_resolution_error(monkeypatch, capsys):
+    # With LAPACK failing at every width the last rung has no fallback: a
+    # typed error, which the CLI reports in one line with exit code 3.
+    monkeypatch.setattr(spectrum, "_bisect", lambda *args, **kwargs: None)
+    with pytest.raises(ResolutionError, match="bisection failed"):
+        solve_spectrum(1e4, 16, grid_n=401)
+    assert main(["spectrum", "--B", "1e4", "--n-levels", "16", "--grid-n", "401"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
@@ -645,9 +695,9 @@ def _one_start(start_vectors):
 
 
 def _one_too_many(dstebz):
-    def patched(*args):
-        found, *rest = dstebz(*args)
-        return (found + 1, *rest)
+    def patched(d, e, range_, *args):  # only the Sturm count, by value (range 1), is off
+        found, *rest = dstebz(d, e, range_, *args)
+        return (found + 1 if range_ == 1 else found, *rest)
     return patched
 
 
