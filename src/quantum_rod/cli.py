@@ -49,7 +49,8 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import MAX_GRID_N, make_grid, min_grid_n, pairing_table, simpson, solve_spectrum
+from .spectrum import (MAX_GRID_N, MAX_MODE_VALUES, make_grid, min_grid_n, pairing_table, simpson,
+                       solve_spectrum)
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
@@ -284,10 +285,14 @@ def run_wkb_compare(cfg: dict[str, Any]) -> Payload:
             pred = wkb.doublet_prediction(n, B)
             center_wkb, split_wkb, regime = pred.center, pred.splitting, pred.regime
         except RegimeError:
-            lo = wkb.high_energy_quantize(2 * n + 1, B)
-            hi = wkb.high_energy_quantize(2 * n + 2, B)
-            center_wkb, split_wkb = 0.5 * (lo + hi), hi - lo
-            regime = wkb.ABOVE_BARRIER
+            try:
+                lo = wkb.high_energy_quantize(2 * n + 1, B)
+                hi = wkb.high_energy_quantize(2 * n + 2, B)
+                center_wkb, split_wkb = 0.5 * (lo + hi), hi - lo
+                regime = wkb.ABOVE_BARRIER
+            except RegimeError:  # too high for one well, too low for the full domain
+                center_wkb = split_wkb = None  # the summit route is `summit`'s
+                regime = wkb.NEAR_SUMMIT
         rows.append([n, d.center, center_wkb, d.splitting, split_wkb, regime])
     return {"doublets": [dict(zip(header, r)) for r in rows]}, header, rows
 
@@ -393,23 +398,27 @@ def run_evolve(cfg: dict[str, Any]) -> Payload:
     from . import dynamics
 
     B = _resolve_barrier(cfg)
-    if not (math.isfinite(cfg["t_max"]) and cfg["t_max"] > 0.0) or cfg["n_times"] < 2:
+    grid_n, n_times, method = cfg["grid_n"], cfg["n_times"], cfg["method"]
+    if not (math.isfinite(cfg["t_max"]) and cfg["t_max"] > 0.0) or n_times < 2:
         raise InvalidParameterError("need finite t-max > 0 and n-times >= 2")
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
-    method = cfg["method"]
+    if not 9 <= grid_n <= MAX_GRID_N:  # evolve_direct's least grid, the solver's most
+        raise InvalidParameterError(f"grid_n={grid_n} is not in 9..{MAX_GRID_N}")
+    if n_times * grid_n > MAX_MODE_VALUES // 4:  # the two complex snapshot stacks of `both`
+        raise InvalidParameterError(
+            f"{n_times} times x {grid_n} points exceed {MAX_MODE_VALUES // 4} values")
+    times = np.linspace(0.0, cfg["t_max"], n_times)
+    snapshot_times = times if method == "both" else None  # only l2_distance reads them
+    state = dynamics.prepare_gaussian(cfg["sigma"], make_grid(grid_n))
 
     res_eigen = res_direct = None
     if method in ("eigen", "both"):
         # refine=False so both propagators step the same discrete operator
-        basis = solve_spectrum(B, cfg["n_levels"], grid_n=cfg["grid_n"], refine=False)
-        state = dynamics.prepare_gaussian(cfg["sigma"], basis.grid)
+        basis = solve_spectrum(B, cfg["n_levels"], grid_n=grid_n, refine=False)
         res_eigen = dynamics.evolve_eigen(dynamics.expand(state, basis), basis, times,
-                                          snapshot_times=times)
+                                          snapshot_times=snapshot_times)
     if method in ("direct", "both"):
-        if not 9 <= cfg["grid_n"] <= MAX_GRID_N:  # evolve_direct's least grid, the solver's most
-            raise InvalidParameterError(f"grid_n={cfg['grid_n']} is not in 9..{MAX_GRID_N}")
-        state = dynamics.prepare_gaussian(cfg["sigma"], make_grid(cfg["grid_n"]))
-        res_direct = dynamics.evolve_direct(state, B, cfg["dt"], times, snapshot_times=times)
+        res_direct = dynamics.evolve_direct(state, B, cfg["dt"], times,
+                                            snapshot_times=snapshot_times)
 
     main_res = res_eigen if res_eigen is not None else res_direct
     header = ["time", "norm", "energy", "mean_abs_theta", "fall_prob"]
@@ -418,11 +427,10 @@ def run_evolve(cfg: dict[str, Any]) -> Payload:
             for i, t in enumerate(times)]
     if method == "both":
         header.append("l2_distance")
-        grid = make_grid(cfg["grid_n"])
         for i in range(len(times)):
             diff = res_eigen.snapshots[i] - res_direct.snapshots[i]
             rows[i].append(math.sqrt(float(
-                simpson(np.abs(diff) ** 2, x=grid))))
+                simpson(np.abs(diff) ** 2, x=state.grid))))
     return {"method": method,
             "series": [dict(zip(header, r)) for r in rows]}, header, rows
 

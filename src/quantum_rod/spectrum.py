@@ -8,26 +8,25 @@ with hard walls (Dirichlet conditions) at theta = +/- pi/2 where the rod
 hits the table.  The solver uses second-order central finite differences
 on a uniform grid from wall to wall; the symmetric tridiagonal matrix
 `grid_hamiltonian`, which `dynamics` steps too, is diagonalized with
-LAPACK.  Eigenvalues are Romberg-extrapolated from the base grid and the
-two coarser grids of the halving chain below (see `solve_spectrum`),
-which removes the O(h^2) and O(h^4) discretization errors: at B = 1e4
-the 72 lowest levels from the default 4001 points are within 6e-5 of
-the converged ones, half the error of Richardson on 4001 and 8001 points.
+LAPACK.  Eigenvalues are Romberg-extrapolated from the finest three
+grids of the solve (see `solve_spectrum`), which removes the O(h^2) and
+O(h^4) discretization errors: at B = 1e4 the 72 lowest levels from the
+default 4001 points are within 6e-5 of the converged ones, half the
+error of Richardson on 4001 and 8001 points.
 
 Every eigenvalue is a certified Rayleigh quotient; none is a bisection
-midpoint, save in the last-resort fallback below.  A halving chain runs
-from the base grid of N points down through (N + 1)/2, ... while the
-next grid is odd and has at least `min_grid_n(n_levels)` points (and,
-below the third grid, resolves the top level; see `_nested_eigensolve`).
-Its coarsest grid is only bracketed by `_bisect`, which makes every
+midpoint, save in the last-resort fallback below.  `_grids` plans the
+grids of a solve, coarsest first: a halving chain up to the base grid of
+N points and, where that chain is short, the doubled grid of 2N - 1.
+The first grid is only bracketed by `_bisect`, which makes every
 by-index bisection (LAPACK `stebz`) and inverse iteration (`stein`):
 each eigenvalue to an interval of width BRACKET_RTOL |T|, with a vector
 at its midpoint (levels the bracket cannot tell apart are then
-separated by Rayleigh-Ritz).  Each finer grid, up to the base grid (and the
-doubled one, if any), continues every level from its interpolated
-eigenvector on the grid below.  From either start Rayleigh-quotient
-iteration, cubically convergent (none to three shifted tridiagonal
-solves per level), takes the vector to a residual at rounding level.
+separated by Rayleigh-Ritz).  Each later grid continues every level
+from its interpolated eigenvector on the grid before it.  From either
+start Rayleigh-quotient iteration, cubically convergent (none to three
+shifted tridiagonal solves per level), takes the vector to a residual
+at rounding level.
 Each Rayleigh quotient then lies within its residual of an eigenvalue,
 and when these intervals are disjoint one Sturm count fixes which
 eigenvalue each is, the guarantee full bisection gives (Parlett, The
@@ -37,9 +36,9 @@ Rayleigh-Ritz on the span of their vectors, whose Ritz values lie as
 close to as many eigenvalues (Kahan; Parlett, ch. 11).  A block that
 fails to converge or to certify from the grid below is restarted from
 its own grid's bracket, and if that fails too `_bisect` runs to full
-precision; a LAPACK failure there is a ResolutionError.  Every grid
-writes its vectors into the rows of one (n_levels, grid_n) array, the
-result's modes, a row once its start is read.
+precision; a LAPACK failure there is a ResolutionError.  Every grid up
+to the base grid writes its vectors into the rows of one (n_levels,
+grid_n) array, the result's modes, a row once its start is read.
 
 For tilt = 0 the matrix commutes with the reflection theta -> -theta, so
 it splits into two half-size tridiagonal blocks, `parity_blocks`, that
@@ -155,11 +154,9 @@ class EnergyLevel:
 
     `index` counts levels of the same parity from 0 upward; for tilted
     potentials parity is undefined and `index` is the global position.
-    `drift` is the raw eigenvalue change over the last doubling of the
-    grid that the extrapolation uses, a direct measure of the
-    discretization error: from (grid_n + 1)/2 to grid_n points when the
-    halving chain holds (grid_n + 1)/2 and (grid_n + 3)/4, else from
-    grid_n to 2 grid_n - 1; NaN when unrefined.
+    `drift` is the raw eigenvalue change between the two finest grids of
+    `spectrum._grids`, a direct measure of the discretization error; NaN
+    when unrefined.
     """
 
     index: int
@@ -435,15 +432,21 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
     Rayleigh-quotient iteration takes each to a residual |T x - rho x| of
     at most tol = 8 eps |T| sqrt(n), so rho_j lies within residual_j + tol
     of an eigenvalue (tol covering rounding); a cluster of levels too
-    close for that holds as many eigenvalues within its shared radius.  If
-    these intervals (a cluster's taken as one) are disjoint and one Sturm
-    count (`stebz` by value, with a tolerance that spans the whole range
-    so that it stops at once) finds exactly `count` eigenvalues up to the
-    top of the last interval, each interval holds its own eigenvalues and
-    rho_j is eigenvalue j.  Returns None when the iteration fails or the
-    certificate does not hold; keep(j, vector), if given, has then been
-    called for some levels only.  The iteration's buffers are freed
-    before `stebz` allocates its own.
+    close for that holds as many eigenvalues within its shared radius.
+    Take these intervals (a cluster's as one) in order; the top run is the
+    last level or cluster, and its first level is j = top.  If the
+    intervals are disjoint and one Sturm count (`stebz` by value, with a
+    tolerance that spans the whole range so that it stops at once) finds
+    exactly `top` eigenvalues up to the bottom of the top run, then each
+    interval below holds exactly its own eigenvalues, and the top run,
+    which holds at least its own, holds the lowest ones above: rho_j lies
+    in one interval with eigenvalue j, for every j.  The top run may also
+    hold an eigenvalue past `count`, such as the partner of a doublet
+    whose lower member is the last level asked for; counting to its
+    bottom, not its top, certifies that cut doublet too.  Returns None
+    when the iteration fails or the certificate does not hold; keep(j,
+    vector), if given, has then been called for some levels only.  The
+    iteration's buffers are freed before `stebz` allocates its own.
     """
     scale, tol = _norm_and_tol(d, e)
     iterated = _rayleigh_quotient_iteration(d, e, starts, count, tol, keep)
@@ -454,9 +457,10 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
     if not np.all((rho[:-1] + radius[:-1] < rho[1:] - radius[1:]) | joined):
         return None
     vl = np.min(d) - scale  # below every eigenvalue (Gershgorin)
-    vu = rho[-1] + radius[-1]
+    top = np.flatnonzero(np.append(True, ~joined))[-1]  # the first level of the top run
+    vu = rho[top] - radius[top]
     found, *_, info = dstebz(d, e, 1, vl, vu, 1, 1, vu - vl, b"E")  # range 1: (vl, vu]
-    return rho if info == 0 and found == count else None
+    return rho if info == 0 and found == top else None
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, count: int, width: float, vectors: bool):
@@ -504,7 +508,7 @@ def _bracketed_levels(d: np.ndarray, e: np.ndarray, count: int, keep=None) -> np
 
 
 def _interior_eigensolve(B, tilt, grid_n, n_levels, modes=None, start=None):
-    """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points, and the grid.
+    """Lowest n_levels eigenvalues of `grid_hamiltonian` on grid_n points.
 
     With `modes` (n_levels rows of at least grid_n values) level k's
     eigenvector, zero at the walls and not yet normalized (at tilt 0 the
@@ -516,10 +520,9 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, modes=None, start=None):
     certificate, a block is continued from its own bracket
     (`_bracketed_levels`), and only when that fails too is it bisected to
     full precision, where a LAPACK failure raises ResolutionError.
-    Returns (theta, energies).
+    Returns the energies.
     """
-    theta = make_grid(grid_n)
-    diag, off = grid_hamiltonian(theta, B, tilt)
+    diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
     if tilt == 0.0:
         blocks = parity_blocks(diag, off)  # level 2j is even j, level 2j + 1 is odd j
     else:
@@ -561,36 +564,30 @@ def _interior_eigensolve(B, tilt, grid_n, n_levels, modes=None, start=None):
         even, odd = energies[0:n_levels - 1:2], energies[1::2]
         tied = np.abs(odd - even) <= np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
         odd[tied] = even[tied]
-    return theta, energies
+    return energies
 
 
-def _nested_eigensolve(B, tilt, grid_n, n_levels, modes=None, depth=0):
-    """`_interior_eigensolve` with eigenvectors, bracketing only the coarsest grid of a chain.
+def _grids(B, tilt, grid_n, n_levels, refine):
+    """Grid sizes of one solve, coarsest first: the halving chain, then the doubled grid.
 
     The chain halves grid_n -> (grid_n + 1)/2 -> ... while the next grid
-    is odd and has at least min_grid_n(n_levels) points; each finer grid
-    is continued from the eigenvectors of the one below it.  Below the
-    first ROMBERG_GRIDS grids, which the extrapolation uses, a grid of
+    is odd and has at least min_grid_n(n_levels) points.  Below the
+    finest ROMBERG_GRIDS grids, which the extrapolation uses, a grid of
     spacing h must also resolve the top level: h^2 E n_levels <=
     CHAIN_FLOOR, with E = B (1 + |tilt|) + n_levels^2 above every level
     (min-max).  That is about the top level's drift onto the next grid
     over the level spacing; from a coarser grid the continuation fails,
-    and the next grid is bracketed after all.  `depth` is grid_n's place
-    in the chain, 0 for the base grid, where `modes` is allocated.
-    Returns (theta, chain, modes): grid_n's grid, the eigenvalues of
-    every grid of the chain, grid_n's first, and its eigenvectors as rows.
+    and the next grid is bracketed after all.  With `refine`, a chain of
+    fewer than ROMBERG_GRIDS grids is followed by the doubled grid of
+    2 grid_n - 1 points.  Only the first grid is bracketed; each later
+    one is continued from the eigenvectors of the one before it.
     """
-    modes = np.zeros((n_levels, grid_n)) if modes is None else modes
-    coarse_n = (grid_n + 1) // 2
-    h = math.pi / (coarse_n - 1)
     top = B * (1.0 + abs(tilt)) + n_levels**2
-    chain = []
-    if (coarse_n % 2 and coarse_n >= min_grid_n(n_levels)
-            and (depth + 1 < ROMBERG_GRIDS or h**2 * top * n_levels <= CHAIN_FLOOR)):
-        chain = _nested_eigensolve(B, tilt, coarse_n, n_levels, modes, depth + 1)[1]
-    theta, energies = _interior_eigensolve(B, tilt, grid_n, n_levels, modes,
-                                           start=modes if chain else None)
-    return theta, [energies, *chain], modes
+    grids = [grid_n]
+    while (n := (grids[0] + 1) // 2) % 2 and n >= min_grid_n(n_levels) and (
+            len(grids) < ROMBERG_GRIDS or (math.pi / (n - 1))**2 * top * n_levels <= CHAIN_FLOOR):
+        grids.insert(0, n)
+    return grids + [2 * grid_n - 1] if refine and len(grids) < ROMBERG_GRIDS else grids
 
 
 def _richardson_table(energies):
@@ -648,14 +645,13 @@ def solve_spectrum(
     `SpectrumResult.modes`, normalized by `row_simpson` and signed so that
     the first value above 1e-8 of the largest is positive.  Every
     eigenvalue is a certified Rayleigh quotient (see the module docstring)
-    on the chain grid_n -> (grid_n + 1)/2 -> ... of `_nested_eigensolve`.
+    on each grid of `_grids`, in one loop: every grid up to grid_n writes
+    its eigenvectors into the rows of the one mode matrix, and the
+    doubled grid, if any, is solved for eigenvalues only.
 
     The energies are the Richardson table (`_richardson_table`) of the
-    finest ROMBERG_GRIDS = 3 of these grids, Romberg's when the chain
-    holds (grid_n + 1)/2 and (grid_n + 3)/4.  A shorter chain gets the
-    grid of 2 grid_n - 1 points too, continued for eigenvalues only, and
-    the table of what exists.  `EnergyLevel.drift` is the raw change over
-    the finest doubling used.
+    finest ROMBERG_GRIDS = 3 of these grids, and `EnergyLevel.drift` is
+    the raw change between the finest two.
 
     Raises InvalidParameterError, before anything is allocated, unless
     n_levels and grid_n are integers (not bool), n_levels >= 1, grid_n is
@@ -687,14 +683,15 @@ def solve_spectrum(
     if n_levels * grid_n > MAX_MODE_VALUES:
         raise InvalidParameterError(f"{n_levels} x {grid_n} mode values exceed {MAX_MODE_VALUES}")
 
-    theta, chain, modes = _nested_eigensolve(B, tilt, grid_n, n_levels)
+    modes = np.zeros((n_levels, grid_n))
+    solved = []  # the eigenvalues of each grid, finest first
+    for n in _grids(B, tilt, grid_n, n_levels, refine):
+        solved.insert(0, _interior_eigensolve(B, tilt, n, n_levels, modes if n <= grid_n else None,
+                                              start=modes if solved else None))
+    theta = make_grid(grid_n)
     if refine:
-        grids = chain[:ROMBERG_GRIDS]  # finest first
-        if len(grids) < ROMBERG_GRIDS:
-            grids.insert(0, _interior_eigensolve(B, tilt, 2 * grid_n - 1, n_levels,
-                                                 start=modes)[1])
-        drift = np.abs(grids[0] - grids[1])
-        refined = _richardson_table(grids)
+        drift = np.abs(solved[0] - solved[1])
+        refined = _richardson_table(solved[:ROMBERG_GRIDS])
         rel_drift = drift / np.maximum(np.abs(refined), 1.0)
         if np.max(rel_drift) > RESOLUTION_RTOL:
             raise ResolutionError(
@@ -702,7 +699,7 @@ def solve_spectrum(
                 f"increase grid_n beyond {grid_n}"
             )
     else:
-        refined = chain[0]
+        refined = solved[0]
         drift = np.full(n_levels, math.nan)
 
     levels: list[EnergyLevel] = []

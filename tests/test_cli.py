@@ -19,11 +19,15 @@ FREE_SPECTRUM = ["spectrum", "--B", "0", "--n-levels", "6", "--grid-n", "201"]
 
 
 # A grid past spectrum.MAX_GRID_N, on the eigenbasis and the direct route,
-# and a mode matrix of 600 levels x MAX_GRID_N points, past MAX_MODE_VALUES.
+# a mode matrix of 600 levels x MAX_GRID_N points, past MAX_MODE_VALUES, and
+# output times x grid points past MAX_MODE_VALUES / 4 on each evolve route.
 OVERSIZED = [
     ["spectrum", "--B", "1e4", "--n-levels", "4", "--grid-n", "1000000001"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "1000000001"],
     ["spectrum", "--B", "1e4", "--n-levels", "600", "--grid-n", "1048577"],
+    ["evolve", "--B", "100", "--n-times", "400000000"],
+    ["evolve", "--B", "100", "--method", "direct", "--n-times", "3000000"],
+    ["evolve", "--B", "100", "--method", "both", "--n-times", "67109", "--grid-n", "2001"],
 ]
 
 
@@ -322,6 +326,26 @@ def test_evolve_both_routes(capsys):
         assert row["l2_distance"] < 1e-3
 
 
+@pytest.mark.parametrize("method, kept", [("eigen", [False]), ("direct", [False]),
+                                          ("both", [True, True])])
+def test_evolve_keeps_snapshots_only_for_both(monkeypatch, capsys, method, kept):
+    # Only l2_distance reads the full-grid states, so one route keeps none.
+    from quantum_rod import dynamics
+    series = dynamics._series
+    snapshots = []
+
+    def spy(*args):
+        res = series(*args)
+        snapshots.append(res.snapshots is not None)
+        return res
+
+    monkeypatch.setattr(dynamics, "_series", spy)
+    run_json(capsys, ["evolve", "--B", "100", "--sigma", "0.1", "--t-max", "0.1",
+                      "--n-times", "3", "--grid-n", "401", "--n-levels", "30",
+                      "--method", method])
+    assert snapshots == kept
+
+
 @pytest.mark.parametrize("dt", ["1e-3", "1e-5"])
 def test_evolve_direct_coarse_grid(capsys, dt):
     # Simpson's norm drifts on 9 points; the plain sum CN conserves does not.
@@ -448,3 +472,25 @@ def test_wkb_compare_free_and_barrier(capsys):
         assert abs(r["center_wkb"] - r["center"]) < 2.0   # ~1% of the spacing
     assert rows[0]["regime"] == "deep-well"
     assert rows[2]["regime"] == "near-summit"
+
+
+@pytest.mark.filterwarnings("ignore:E=.* is not far above the barrier")
+@pytest.mark.parametrize("B, n_max, gap", [("100", "5", 2), ("300", "12", 4)])
+def test_wkb_compare_rows_in_the_summit_gap(capsys, B, n_max, gap):
+    # Doublet `gap` is too high for the single-well condition while its
+    # (2n + 1)-th full-domain level is still below the barrier: its WKB
+    # columns are empty and its regime near-summit; the table goes on.
+    from quantum_rod import wkb
+    argv = ["wkb-compare", "--B", B, "--n-min", "0", "--n-max", n_max, "--grid-n", "2001"]
+    rows = run_json(capsys, argv)["results"]["doublets"]
+    assert [r["n"] for r in rows] == list(range(int(n_max) + 1))
+    assert rows[gap]["center_wkb"] is None and rows[gap]["splitting_wkb"] is None
+    assert rows[gap]["regime"] == "near-summit"
+    for r in rows[gap + 1:]:  # the full-domain ladder above
+        lo, hi = (wkb.high_energy_quantize(2 * r["n"] + k, float(B)) for k in (1, 2))
+        assert r["center_wkb"] == pytest.approx(0.5 * (lo + hi), rel=1e-8)
+        assert r["splitting_wkb"] == pytest.approx(hi - lo, rel=1e-8)
+        assert r["regime"] == "above-barrier"
+    assert main(argv + ["--format", "csv"]) == 0
+    cells = capsys.readouterr().out.splitlines()[gap + 1].split(",")
+    assert cells[2] == cells[4] == "" and cells[5] == "near-summit"

@@ -239,13 +239,22 @@ def test_simpson_is_scipy_simpson_bit_for_bit(grid_n):
 
 @pytest.mark.parametrize("B, n_levels, grid_n, tilt", [(1e3, 280, 2801, 0.0),
                                                        (1e4, 16, 401, 1e-3)])
-def test_levels_are_normalized_and_signed_one_by_one(B, n_levels, grid_n, tilt):
+def test_levels_are_normalized_and_signed_one_by_one(monkeypatch, B, n_levels, grid_n, tilt):
     # Reference: each level normalized by its own Simpson quadrature, then
     # signed so that its first non-negligible value is positive.
-    res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt, refine=False)
-    theta, _, values = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
-    for full, wf in zip(values, res.wavefunctions):
-        full /= math.sqrt(grid_simpson(full**2, x=theta))
+    raw = []
+    interior_eigensolve = spectrum._interior_eigensolve
+
+    def copied(B, tilt, n, n_levels, modes=None, start=None):  # the rows as each grid left them
+        energies = interior_eigensolve(B, tilt, n, n_levels, modes, start)
+        raw[:] = [modes.copy()]
+        return energies
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_interior_eigensolve", copied)
+        res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt, refine=False)
+    for full, wf in zip(raw[0], res.wavefunctions):
+        full /= math.sqrt(grid_simpson(full**2, x=res.grid))
         first = np.argmax(np.abs(full) > 1e-8 * np.max(np.abs(full)))
         if full[first] < 0.0:
             full *= -1.0
@@ -317,7 +326,7 @@ def _solve(B, tilt, grid_n, n_levels, start=None):
     # `_interior_eigensolve` with eigenvectors: (energies, modes), the
     # vectors written into the rows of a fresh (n_levels, grid_n) array.
     modes = np.zeros((n_levels, grid_n))
-    return spectrum._interior_eigensolve(B, tilt, grid_n, n_levels, modes, start)[1], modes
+    return spectrum._interior_eigensolve(B, tilt, grid_n, n_levels, modes, start), modes
 
 
 def _bisected(monkeypatch, call):
@@ -326,22 +335,6 @@ def _bisected(monkeypatch, call):
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_continue_levels", lambda *args: None)
         return call()
-
-
-def _chain(grid_n, n_levels, B, tilt=0.0):
-    # The halving chain, finest grid first: each next grid has (n + 1)/2
-    # points, while that is odd and at least min_grid_n(n_levels) and,
-    # below the ROMBERG_GRIDS finest grids, h^2 (B (1 + |tilt|) +
-    # n_levels^2) n_levels is at most CHAIN_FLOOR.
-    chain = [grid_n]
-    while True:
-        n = (chain[-1] + 1) // 2
-        h = math.pi / (n - 1)
-        if (n % 2 == 0 or n < spectrum.min_grid_n(n_levels)
-                or len(chain) >= spectrum.ROMBERG_GRIDS
-                and h**2 * (B * (1.0 + abs(tilt)) + n_levels**2) * n_levels > spectrum.CHAIN_FLOOR):
-            return chain
-        chain.append(n)
 
 
 def _block_sizes(grid_n, tilt):
@@ -368,10 +361,10 @@ def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_l
     values = _solve(B, tilt, grid_n, n_levels)[1]
     fine_n = 2 * grid_n - 1
     calls = _count_bisections(monkeypatch)
-    continued = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values)[1]
+    continued = spectrum._interior_eigensolve(B, tilt, fine_n, n_levels, start=values)
     assert not calls                             # no block fell back to bisection
     bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, fine_n, n_levels, start=values))[1]
+        B, tilt, fine_n, n_levels, start=values))
     assert [kind for _, kind in calls] == ["bracket", "values"] * (2 if tilt == 0.0 else 1)
     assert np.max(np.abs(continued - bisected)) <= _tol(fine_n, B, tilt)
     if tilt == 0.0:  # the tie rule holds for continued values as for bisected ones
@@ -381,11 +374,11 @@ def test_doubled_grid_continuation_matches_bisection(monkeypatch, B, grid_n, n_l
 @pytest.mark.parametrize("tilt", [0.0, 1e-3, 1e-12])
 @pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
 def test_only_the_coarsest_grid_is_bisected(monkeypatch, B, grid_n, n_levels, tilt):
-    chain = _chain(grid_n, n_levels, B, tilt)
+    chain = spectrum._grids(B, tilt, grid_n, n_levels, refine=False)
     calls = _count_bisections(monkeypatch)
     solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
     assert len(chain) > 1
-    assert calls == [(size, "bracket") for size in _block_sizes(chain[-1], tilt)]
+    assert calls == [(size, "bracket") for size in _block_sizes(chain[0], tilt)]
 
 
 def _record_solves(monkeypatch):
@@ -394,9 +387,8 @@ def _record_solves(monkeypatch):
     interior_eigensolve = spectrum._interior_eigensolve
 
     def recorded(B, tilt, grid_n, n_levels, modes=None, start=None):
-        out = interior_eigensolve(B, tilt, grid_n, n_levels, modes, start)
-        solves[grid_n] = out[1]
-        return out
+        solves[grid_n] = interior_eigensolve(B, tilt, grid_n, n_levels, modes, start)
+        return solves[grid_n]
 
     monkeypatch.setattr(spectrum, "_interior_eigensolve", recorded)
     return solves
@@ -449,11 +441,29 @@ def test_romberg_on_the_chain_beats_richardson(monkeypatch, B, n_levels, grid_n,
     fine, fine_vectors = _solve(B, 0.0, 2 * grid_n - 1, n_levels, start=res.modes)
     del res
     finer = spectrum._interior_eigensolve(B, 0.0, 4 * grid_n - 3, n_levels,
-                                          start=fine_vectors)[1]
+                                          start=fine_vectors)
     reference = (64.0 * finer - 20.0 * fine + base) / 45.0
     error = np.max(np.abs(energies - reference))
     assert error <= np.max(np.abs((4.0 * fine - base) / 3.0 - reference))
     assert error <= richardson_error
+
+
+@pytest.mark.parametrize("B, n_levels, grid_n, refine, grids", [
+    (1e4, 72, 4001, True, [1001, 2001, 4001]),        # Romberg on the chain
+    (1e4, 72, 2001, True, [1001, 2001, 4001]),        # the chain has (N + 1)/2 only
+    (1e4, 72, 4003, True, [4003, 8005]),              # 2002 points is even: no chain
+    (1e4, 140, 2001, True, [2001, 4001]),             # 1001 < min_grid_n(140)
+    (1e6, 200, 10001, True, [2501, 5001, 10001]),     # kept below the floor
+    (1e6, 200, 20001, True, [5001, 10001, 20001]),    # 2501 points miss the top level
+    (1.6156e5, 32, 16001, True, [1001, 2001, 4001, 8001, 16001]),  # and 501 here
+    (1e6, 20, 20001, True, [1251, 2501, 5001, 10001, 20001]),      # 626 points is even
+    (1e4, 72, 2001, False, [1001, 2001]),             # unrefined: no doubled grid
+    (1e4, 72, 4003, False, [4003]),
+    (1e4, 140, 2001, False, [2001]),
+])
+def test_grids_of_a_solve(B, n_levels, grid_n, refine, grids):
+    # The plan alone, coarsest first, for the solves of the two tests around it.
+    assert spectrum._grids(B, 0.0, grid_n, n_levels, refine) == grids
 
 
 @pytest.mark.parametrize("B, n_levels, grid_n, coarsest, wasted", [
@@ -462,7 +472,7 @@ def test_chain_floor_follows_the_top_level(monkeypatch, B, n_levels, grid_n, coa
     # min_grid_n alone would take the first two chains one grid lower, from
     # which the continuation fails, so that the grid above is bracketed
     # again; the third chain goes down to 1251 points either way.
-    assert _chain(grid_n, n_levels, B)[-1] == coarsest
+    assert spectrum._grids(B, 0.0, grid_n, n_levels, refine=True)[0] == coarsest
     calls = _count_bisections(monkeypatch)
     solve_spectrum(B, n_levels, grid_n=grid_n)
     assert calls == [(size, "bracket") for size in _block_sizes(coarsest, 0.0)]
@@ -487,7 +497,7 @@ def _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, ve
     # sine and the gap's own error).
     stride = 2 if tilt == 0.0 else 1
     ladder = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels + 2))[1]
+        B, tilt, grid_n, n_levels + 2))
     diag, off = grid_hamiltonian(make_grid(grid_n), B, tilt)
 
     def residual(v):
@@ -507,14 +517,15 @@ def _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, energies, ve
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
 @pytest.mark.parametrize("B, grid_n, n_levels", CONTINUATION_CASES)
 def test_base_grid_eigenpairs_match_bisection(monkeypatch, B, grid_n, n_levels, tilt):
-    _, chain, vectors = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)
-    _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, chain[0], vectors)
+    with monkeypatch.context() as m:
+        solves = _record_solves(m)
+        res = solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt, refine=False)
+    _assert_match_bisection(monkeypatch, B, tilt, grid_n, n_levels, solves[grid_n], res.modes)
     # The coarser grids' eigenvalues, which the extrapolation uses, are certified too.
-    grids = _chain(grid_n, n_levels, B, tilt)
-    assert len(chain) == len(grids)
-    for n, energies in zip(grids[1:], chain[1:]):
+    assert list(solves) == spectrum._grids(B, tilt, grid_n, n_levels, refine=False)
+    for n, energies in solves.items():
         bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-            B, tilt, n, n_levels))[1]
+            B, tilt, n, n_levels))
         assert np.max(np.abs(energies - bisected)) <= _tol(n, B, tilt)
 
 
@@ -544,11 +555,31 @@ def test_bracket_separates_unresolved_doublets(monkeypatch, B, n_levels, grid_n)
     # bisection (without it, at B = 1e4, some values are 22 eps|T| off).
     tilt = 1e-12
     bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels))[1]
+        B, tilt, grid_n, n_levels))
     calls = _count_bisections(monkeypatch)
-    energies = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)[1]
+    energies = spectrum._interior_eigensolve(B, tilt, grid_n, n_levels)
     assert calls == [(grid_n - 2, "bracket")]
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
+
+
+def test_cut_doublet_is_certified_on_every_grid(monkeypatch):
+    # 41 levels at tilt 1e-12 cut the top doublet: the unrequested partner
+    # of level 40 lies within that level's radius on the grids of 1001
+    # points or more.  The Sturm count stops at the bottom of the top
+    # level's interval, so those grids are certified as continued, and only
+    # the 501-point grid is bracketed.  (Its top level starts from a mixture
+    # of the doublet the bracket cannot split and ends 3.5 eps|T| from full
+    # bisection, inside its certificate's radius.)
+    B, n_levels, grid_n, tilt = 1e4, 41, 4001, 1e-12
+    grids = spectrum._grids(B, tilt, grid_n, n_levels, refine=True)
+    bisected = {n: _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
+        B, tilt, n, n_levels)) for n in grids[1:]}
+    solves = _record_solves(monkeypatch)
+    calls = _count_bisections(monkeypatch)
+    solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt)
+    assert grids[0] == 501 and calls == [(grids[0] - 2, "bracket")]
+    for n in grids[1:]:
+        assert np.max(np.abs(solves[n] - bisected[n])) <= _tol(n, B, tilt)
 
 
 @pytest.mark.parametrize("tilt", [0.0, 1e-3])
@@ -623,7 +654,7 @@ def test_failure_on_one_grid_falls_back_for_that_block(monkeypatch, tilt):
     block = slice(0, None, 2 if tilt == 0.0 else 1)
     continue_levels = spectrum._continue_levels
     bisected = {n: _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, n, n_levels))[1] for n in (2001, grid_n)}
+        B, tilt, n, n_levels)) for n in (2001, grid_n)}
     failed = []
 
     def sabotaged(d, *args):  # the first `failures` calls on the failing block fail
@@ -667,10 +698,12 @@ def test_exactly_singular_shift_is_moved(monkeypatch, tilt):
     # no block falls back; tilt = 1e-12 covers the clusters' solves too.
     B, grid_n, n_levels = 1e4, 4001, 40
     bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
-        B, tilt, grid_n, n_levels))[1]
+        B, tilt, grid_n, n_levels))
+    solves = _record_solves(monkeypatch)
     monkeypatch.setattr(spectrum, "dgtsv", _singular_first(spectrum.dgtsv))
     calls = _count_bisections(monkeypatch)
-    energies = spectrum._nested_eigensolve(B, tilt, grid_n, n_levels)[1][0]
+    solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt, refine=False)
+    energies = solves[grid_n]
     assert calls == [(size, "bracket") for size in _block_sizes(501, tilt)]
     assert np.max(np.abs(energies - bisected)) <= _tol(grid_n, B, tilt)
 
@@ -716,7 +749,7 @@ def test_failed_continuation_falls_back_to_bisection(monkeypatch, name, wrap, ti
     monkeypatch.setattr(spectrum, name, wrap(getattr(spectrum, name)))
     calls = _count_bisections(monkeypatch)
     energies = solve().energies
-    grids = _chain(2001, 16, 1e4, tilt)[::-1]  # 251 -> 501 -> 1001 -> 2001; no doubled grid
+    grids = spectrum._grids(1e4, tilt, 2001, 16, refine=True)  # 251 -> 501 -> 1001 -> 2001
     if name != "dstebz":
         # Only the chain starts fail: stein's vectors from the brackets have
         # rounding-level residuals, so their continuation needs no solve (and
