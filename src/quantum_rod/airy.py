@@ -19,6 +19,7 @@ import math
 from scipy.special import ai_zeros, airy
 
 from .errors import DomainError, InvalidParameterError
+from .spectrum import PotentialSpec
 
 
 def airy_zero(n: int) -> float:
@@ -40,7 +41,6 @@ def wkb_lambda(n: int) -> float:
 
 def linear_well_energy(n: int, B: float, exact: bool = True) -> float:
     """Deep level B^(2/3)*lambda_n using the exact Airy zero (or WKB)."""
-    if not (math.isfinite(B) and B >= 0.0):
-        raise InvalidParameterError(f"B must be finite and non-negative, got {B}")
+    PotentialSpec(B)  # validates B before a zero is looked up
     lam = airy_zero(n) if exact else wkb_lambda(n)
     return B ** (2.0 / 3.0) * lam

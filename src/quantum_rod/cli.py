@@ -49,8 +49,8 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import (MAX_GRID_N, MAX_MODE_VALUES, make_grid, min_grid_n, pairing_table, simpson,
-                       solve_spectrum)
+from .spectrum import (MAX_GRID_N, MAX_MODE_VALUES, PotentialSpec, make_grid, min_grid_n,
+                       pairing_table, simpson, solve_spectrum)
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
@@ -143,16 +143,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, value: Any, typ: type) -> Any:
-    """`value` as `typ`; bools, and fractional numbers for int, are refused.
+    """`value` as `typ`; bools, fractional numbers for int and non-finite floats are refused.
 
     Raises InvalidParameterError naming `key` when the value does not convert.
+    No option takes NaN or inf, so none reaches a handler or the output.
     """
     if not isinstance(value, bool) and not (
             typ is int and isinstance(value, float) and not value.is_integer()):
         try:
-            return typ(value)
+            result = typ(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if typ is not float or math.isfinite(result):
+                return result
     raise InvalidParameterError(f"config value {key}={value!r} is not a valid {typ.__name__}")
 
 
@@ -214,9 +218,7 @@ def _resolve_barrier(cfg: dict[str, Any]) -> float:
         B = derive_scales(_rod_params(cfg)).B
     else:
         raise InvalidParameterError("need --B or --mass and --length")
-    if not (math.isfinite(B) and B >= 0.0):
-        raise InvalidParameterError(f"B must be finite and non-negative, got {B}")
-    return B
+    return PotentialSpec(B).B  # validates B
 
 
 def _rod_params(cfg: dict[str, Any]) -> RodParams:
@@ -308,6 +310,10 @@ def run_summit(cfg: dict[str, Any]) -> Payload:
         raise InvalidParameterError("need 0 <= n-min <= n-max")
 
     n_levels = 2 * (n_max + 1) + 4
+    if n_levels * min_grid_n(n_levels) > MAX_MODE_VALUES:
+        raise InvalidParameterError(
+            f"a grid solve cannot check these summit rows: their lowest {n_levels} levels "
+            f"need more than {MAX_MODE_VALUES} mode values")
     if cfg["grid_n"] < min_grid_n(n_levels):
         raise InvalidParameterError(
             f"the summit rows need the lowest {n_levels} levels, which takes "
@@ -399,7 +405,7 @@ def run_evolve(cfg: dict[str, Any]) -> Payload:
 
     B = _resolve_barrier(cfg)
     grid_n, n_times, method = cfg["grid_n"], cfg["n_times"], cfg["method"]
-    if not (math.isfinite(cfg["t_max"]) and cfg["t_max"] > 0.0) or n_times < 2:
+    if not cfg["t_max"] > 0.0 or n_times < 2:  # _coerce refused a non-finite t-max
         raise InvalidParameterError("need finite t-max > 0 and n-times >= 2")
     if not 9 <= grid_n <= MAX_GRID_N:  # evolve_direct's least grid, the solver's most
         raise InvalidParameterError(f"grid_n={grid_n} is not in 9..{MAX_GRID_N}")
@@ -470,8 +476,6 @@ def _round_value(value: Any, precision: int) -> Any:
         return {k: _round_value(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_value(v, precision) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_round_value(v, precision) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

@@ -126,7 +126,12 @@ def uncertainty_product(state: InitialState) -> tuple[float, float, float]:
 
 def closed_form_energy(sigma: float, B: float) -> float:
     """Gaussian energy expectation 1/(2 sigma^2) + B exp(-sigma^2/4)."""
-    return 1.0 / (2.0 * sigma**2) + B * math.exp(-(sigma**2) / 4.0)
+    if not math.sqrt(sys.float_info.min) < sigma < math.sqrt(sys.float_info.max):  # sigma^2 normal
+        raise InvalidParameterError(f"need 1.5e-154 < sigma < 1.3e154, got {sigma}")
+    energy = 1.0 / (2.0 * sigma**2) + B * math.exp(-(sigma**2) / 4.0)
+    if not math.isfinite(energy):
+        raise InvalidParameterError(f"the energy at sigma={sigma}, B={B} is not finite")
+    return energy
 
 
 def _hamiltonian_apply(psi: np.ndarray, grid: np.ndarray, B: float) -> np.ndarray:
@@ -289,8 +294,9 @@ def evolve_direct(
     output interval, and each step is one `gttrs` back-substitution
     followed by one subtraction.  The grid must have an odd number of
     points, at least 9, and be exactly mirror-symmetric, as
-    `spectrum.make_grid` makes it.  A grid that is not, non-finite `B`,
-    `dt`, `times`, state or initial energy, an all-zero state and times that
+    `spectrum.make_grid` makes it.  A grid that is not, a `B` that
+    `PotentialSpec` refuses (checked by `potential`), non-finite `dt`,
+    `times`, state or initial energy, an all-zero state and times that
     could take more than MAX_CN_STEPS steps raise InvalidParameterError.
     Crank-Nicolson conserves sum |psi|^2; a relative drift of it beyond
     1e-6 (or a NaN) raises StepSizeError.
@@ -298,8 +304,6 @@ def evolve_direct(
     times = np.asarray(times, dtype=float)
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(B):
-        raise InvalidParameterError(f"B must be finite, got {B}")
     factor = _tau_factor(B, times_unit)
     grid = state.grid
     # scipy's gttrf takes no system of fewer than 3 rows, so each block needs 3.
@@ -405,8 +409,8 @@ def summit_transit_time(delta_theta: float) -> float:
     Differs from `classical_fall_time` (release from rest) by ln 2 in
     the constant term.
     """
-    if not 0.0 < delta_theta < HALF_PI:
-        raise DomainError("need 0 < delta_theta < pi/2")
+    if not 1e-323 < delta_theta < HALF_PI:  # below it delta_theta/4 rounds to 0
+        raise DomainError("need 1e-323 < delta_theta < pi/2")
     return math.log(math.tan(0.25 * HALF_PI) / math.tan(0.25 * delta_theta))
 
 
@@ -463,7 +467,10 @@ def fall_time_assembly(scales_or_b, delta_theta: float) -> float:
     s = _summit_scale_of(scales_or_b) if isinstance(scales_or_b, DerivedScales) \
         else summit.summit_scale(float(scales_or_b))
     transit = summit_transit_time(delta_theta)
-    spread = 0.5 * math.log(2.0 * delta_theta**2 / s**2)
+    ratio = 2.0 * delta_theta**2 / s**2
+    if not ratio > 0.0:
+        raise DomainError(f"2 delta_theta^2 / s^2 underflows at delta_theta={delta_theta}, s={s}")
+    spread = 0.5 * math.log(ratio)
     return transit + spread + summit.wavepacket_phase_derivative(0.0)
 
 

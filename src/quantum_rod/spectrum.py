@@ -98,10 +98,12 @@ class PotentialSpec:
 def potential(theta, B: float, tilt: float = 0.0):
     """Potential B*(cos(theta) + tilt*sin(theta)) in units of hbar^2/2J.
 
-    Raises DomainError outside the physical domain |theta| <= pi/2.
+    Raises DomainError outside the physical domain |theta| <= pi/2 (NaN
+    included), and InvalidParameterError where `PotentialSpec` does.
     """
+    PotentialSpec(B, tilt)  # validates B and tilt
     th = np.asarray(theta, dtype=float)
-    if np.any(np.abs(th) > HALF_PI + 1e-12):
+    if not np.all(np.abs(th) <= HALF_PI + 1e-12):
         raise DomainError("theta outside [-pi/2, pi/2]")
     v = B * (np.cos(th) + tilt * np.sin(th))
     return float(v) if np.isscalar(theta) else v

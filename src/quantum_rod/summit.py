@@ -27,10 +27,8 @@ import numpy as np
 from scipy.special import loggamma
 
 from .errors import DomainError, InvalidParameterError, RegimeError
-from .spectrum import EVEN, ODD
+from .spectrum import EVEN, HALF_PI, ODD
 from .wkb import phase_integral
-
-HALF_PI = 0.5 * math.pi
 
 FIT_GAMMA = 1.78107          # exp(Euler-Mascheroni) as used in the phase fit
 FIT_C = 1.0 / (4.0 * FIT_GAMMA)
@@ -73,10 +71,14 @@ def _arctan_exp(x: float) -> float:
 
 
 def _eps_log(epsilon: float) -> float:
-    """(eps/2) * ln(|eps|/e), with the eps -> 0 limit handled."""
-    if epsilon == 0.0:
+    """(eps/2) * ln(|eps|/e), with the eps -> 0 limit handled.
+
+    |eps|/e is 0 for eps = 0 and for the least subnormal eps alone.
+    """
+    ratio = abs(epsilon) / math.e
+    if ratio == 0.0:
         return 0.0
-    return 0.5 * epsilon * math.log(abs(epsilon) / math.e)
+    return 0.5 * epsilon * math.log(ratio)
 
 
 BELOW, AT, ABOVE = "below-summit", "at-summit", "above-summit"
@@ -118,7 +120,10 @@ def _deltas(epsilon: float) -> tuple[float, float]:
     """(delta_plus, delta_minus) of `phase_delta`, without the record."""
     if not math.isfinite(epsilon):
         raise DomainError("epsilon must be finite")
-    core = _eps_log(epsilon) - half_arg_gamma_fit(epsilon)
+    try:
+        core = _eps_log(epsilon) - half_arg_gamma_fit(epsilon)
+    except OverflowError as exc:  # (eps/e)^2, from |eps| ~ 3.6e154 on
+        raise DomainError(f"epsilon={epsilon} is too large to square") from exc
     wave = 0.5 * _arctan_exp(math.pi * epsilon)
     return core + wave, core - wave
 
@@ -151,20 +156,23 @@ def quadratic_action(epsilon: float, xi: float) -> float:
 
     The lower limit is the parabolic turning point sqrt(2|eps|) for
     eps < 0 and the summit xi' = 0 for eps >= 0.  Closed form; at
-    eps = 0 it reduces to xi^2/2 exactly.
+    eps = 0 it reduces to xi^2/2 exactly.  Raises DomainError unless
+    xi >= 0 and xi^2 + 2|eps| is finite, or when the action overflows.
     """
-    if xi < 0.0:
-        raise DomainError("xi must be >= 0")
+    if not (xi >= 0.0 and xi * xi + 2.0 * abs(epsilon) < math.inf):  # NaN fails too
+        raise DomainError(f"need xi >= 0 and finite xi^2 + 2|epsilon|, got epsilon={epsilon}, "
+                          f"xi={xi}")
     if epsilon == 0.0:
         return 0.5 * xi * xi
     m = 2.0 * abs(epsilon)
-    if epsilon > 0.0:
-        r = math.sqrt(xi * xi + m)
-        return 0.5 * (xi * r + m * math.log((xi + r) / math.sqrt(m)))
-    if xi * xi < m:
+    if epsilon < 0.0 and xi * xi < m:
         raise DomainError(f"xi={xi} inside the forbidden region (xi0={math.sqrt(m):.4g})")
-    r = math.sqrt(xi * xi - m)
-    return 0.5 * (xi * r - m * math.log((xi + r) / math.sqrt(m)))
+    sign = math.copysign(1.0, epsilon)
+    r = math.sqrt(xi * xi + sign * m)
+    action = 0.5 * (xi * r + sign * m * math.log((xi + r) / math.sqrt(m)))
+    if not math.isfinite(action):
+        raise DomainError(f"quadratic action overflows at epsilon={epsilon}, xi={xi}")
+    return action
 
 
 @dataclass(frozen=True)
@@ -180,16 +188,18 @@ def summit_action(epsilon: float, xi: float) -> SummitAction:
     difference decays like O(eps^2/xi^2).
     """
     exact = quadratic_action(epsilon, xi)
-    if xi <= 0.0:
-        raise DomainError("asymptotic form needs xi > 0")
+    if not xi * xi > 0.0:
+        raise DomainError(f"asymptotic form needs xi^2 > 0, got xi={xi}")
     asym = 0.5 * xi * xi + 0.5 * epsilon * math.log(2.0 * xi * xi) - _eps_log(epsilon)
+    if not math.isfinite(asym):
+        raise DomainError(f"asymptotic action overflows at epsilon={epsilon}, xi={xi}")
     return SummitAction(exact=exact, asymptotic=asym)
 
 
 def summit_scale(B: float) -> float:
     """Summit angular scale s = (2/B)^(1/4) in internal units."""
-    if B <= 0.0:
-        raise InvalidParameterError("summit scale needs B > 0")
+    if not (0.0 < B < math.inf and 2.0 / B < math.inf):  # NaN fails too
+        raise InvalidParameterError(f"summit scale needs 0 < B < inf and finite 2/B, got {B}")
     return (2.0 / B) ** 0.25
 
 
@@ -246,6 +256,7 @@ def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> flo
     """
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
+    s = summit_scale(B)  # validates B
     from scipy.optimize import brentq
 
     hw = math.sqrt(2.0 * B)
@@ -273,7 +284,7 @@ def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> flo
         raise RegimeError(
             f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"
         )
-    delta_theta = _matching_xi((root - B) / hw, xi_match) * summit_scale(B)
+    delta_theta = _matching_xi((root - B) / hw, xi_match) * s
     if not delta_theta < HALF_PI:
         raise RegimeError(
             f"{parity} level n={n} at B={B:g}: matching angle {delta_theta:.3f} rad "

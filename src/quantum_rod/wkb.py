@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from scipy.special import ellipeinc, elliprd, elliprf
 
 from .errors import DomainError, InvalidParameterError, RegimeError
-
-HALF_PI = 0.5 * math.pi
+from .spectrum import HALF_PI, PotentialSpec
 
 DEEP_WELL = "deep-well"
 NEAR_SUMMIT = "near-summit"
@@ -65,8 +64,8 @@ def regime_of(energy: float, B: float) -> str:
 
 def turning_point(energy: float, B: float) -> float:
     """Classical turning angle theta0 = arccos(E/B) for 0 <= E <= B."""
-    if B <= 0.0 or not 0.0 <= energy <= B:
-        raise DomainError(f"turning point needs 0 <= E <= B, got E={energy}, B={B}")
+    if B <= 0.0 or not 0.0 <= energy <= B < math.inf:
+        raise DomainError(f"turning point needs 0 <= E <= B < inf, got E={energy}, B={B}")
     return math.acos(energy / B)
 
 
@@ -92,7 +91,11 @@ def phase_integral(energy: float, B: float, lower: float, upper: float) -> float
     nothing cancels as E/B -> 0.  Above it, theta = pi - 2 phi gives
     -2 sqrt(E + B) E((pi - theta)/2|m) with m = 2B/(E + B) <= 1.  The
     integrand is even and 2 pi-periodic, which places any other limit.
+    Raises DomainError unless B >= 0, E + B < inf and the limits are
+    finite, or when the integral leaves the float range.
     """
+    if not (B >= 0.0 and energy + B < math.inf):  # NaN fails too
+        raise DomainError(f"phase integral needs B >= 0 and finite E + B, got E={energy}, B={B}")
     if energy + B <= 0.0:
         return 0.0  # E <= -B: the integrand vanishes everywhere
     if energy < B:
@@ -105,17 +108,21 @@ def phase_integral(energy: float, B: float, lower: float, upper: float) -> float
         def primitive(theta: float) -> float:
             return scale * ellipeinc(0.5 * (math.pi - theta), m)
     if 0.0 <= lower <= math.pi and 0.0 <= upper <= math.pi:
-        return primitive(upper) - primitive(lower)
-    if not (math.isfinite(lower) and math.isfinite(upper)):
+        total = primitive(upper) - primitive(lower)
+    elif not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(f"phase integral limits must be finite, got {lower}, {upper}")
-    at_zero = primitive(0.0)
-    total = 0.0
-    for theta, sign in ((upper, 1.0), (lower, -1.0)):
-        turns = round(theta / (2.0 * math.pi))
-        rest = theta - 2.0 * math.pi * turns  # in [-pi, pi]
-        if turns:
-            total += sign * 2 * turns * (primitive(math.pi) - at_zero)
-        total += sign * math.copysign(primitive(abs(rest)) - at_zero, rest)
+    else:
+        at_zero = primitive(0.0)
+        total = 0.0
+        for theta, sign in ((upper, 1.0), (lower, -1.0)):
+            turns = round(theta / (2.0 * math.pi))
+            rest = theta - 2.0 * math.pi * turns  # in [-pi, pi]
+            if turns:
+                total += sign * 2 * turns * (primitive(math.pi) - at_zero)
+            total += sign * math.copysign(primitive(abs(rest)) - at_zero, rest)
+    if not math.isfinite(total):
+        raise DomainError(f"phase integral of E={energy}, B={B} from {lower} to {upper} "
+                          "leaves the float range")
     return total
 
 
@@ -139,12 +146,12 @@ def barrier_action(energy: float, B: float, method: str = "substitution") -> flo
     R_D(0, 2B/(B+E), 1) / sqrt(B + E), or adaptive quadrature, which
     exists as an independent cross-check.
     """
-    if B <= 0.0:
-        raise DomainError("barrier action needs B > 0")
+    if not 0.0 < 2.0 * B < math.inf:  # so E + B cannot overflow either
+        raise DomainError(f"barrier action needs 0 < 2B < inf, got B={B}")
     if energy > B:
         raise DomainError(f"no barrier above the summit: E={energy} > B={B}")
-    if energy < 0.0:
-        raise DomainError("energy must be >= 0 (the wells sit at E = 0)")
+    if not energy >= 0.0:
+        raise DomainError(f"energy must be >= 0 (the wells sit at E = 0), got {energy}")
     if method == "adaptive":
         from scipy.integrate import quad
 
@@ -163,12 +170,15 @@ def period_integral(energy: float, B: float) -> float:
 
     Closed form 2 sqrt(E) R_F(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2) for
     0 <= E <= B; it is zero at E = 0 and diverges logarithmically as E
-    reaches the summit, where it returns inf.
+    reaches the summit, where it returns inf.  Below the summit, a
+    E/(B^2 - E^2) that under- or overflows raises DomainError.
     """
     turning_point(energy, B)  # domain check
     if energy == B:
         return math.inf
     scale = math.sqrt(energy / (B + energy) / (B - energy))
+    if not (0.0 < scale < math.inf or energy == 0.0):  # so 2/interval cannot overflow
+        raise DomainError(f"the period integral at E={energy}, B={B} leaves the float range")
     return 2.0 * scale * elliprf(B / (B + energy), B / (B - energy), 1.0)
 
 
@@ -205,8 +215,8 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
     a warning is emitted near the summit where the exponent is small.
     Needs 0 < E < B, the range of `classical_frequency`.
     """
-    if not 0.0 < energy < B:
-        raise DomainError(f"tunneling needs 0 < E < B, got E={energy}, B={B}")
+    if not 0.0 < energy < B < math.inf:
+        raise DomainError(f"tunneling needs 0 < E < B < inf, got E={energy}, B={B}")
     w = barrier_action(energy, B)
     regime = regime_of(energy, B)
     if w < 1.0:
@@ -222,17 +232,23 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
 
 def max_well_action(B: float) -> float:
     """Single-well action at the summit energy: sqrt(B)*(2*sqrt(2) - 2)."""
+    PotentialSpec(B)  # validates B
     return math.sqrt(B) * (2.0 * math.sqrt(2.0) - 2.0)
 
 
 def single_well_quantize(n: int, B: float) -> float:
     """Below-barrier level: root of well_action(E) = (n + 3/4)*pi.
 
-    Raises RegimeError when level n does not fit under the barrier, in
-    which case the summit or high-energy conditions apply instead.
+    Verified for B <= 1e230, where the roots lie within 2e-14 of the
+    deep-well limit; beyond it well_action's E/B^2 underflows, and B is
+    refused with InvalidParameterError.  Raises RegimeError when level n
+    does not fit under the barrier, in which case the summit or
+    high-energy conditions apply instead.
     """
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
+    if not B <= 1e230:  # NaN fails too
+        raise InvalidParameterError(f"single-well levels are verified for B <= 1e230, got {B}")
     if B <= 0.0:
         raise RegimeError("no well below the barrier for B = 0")
     target = (n + 0.75) * math.pi
@@ -244,19 +260,9 @@ def single_well_quantize(n: int, B: float) -> float:
     from scipy.optimize import brentq
 
     # well_action(0) is exactly 0, so the bracket reaches the deepest level
-    # at any B (the 1 g rod's E_0 ~ 1e40 sits 20 decades below B ~ 3e59)
-    return brentq(lambda e: well_action(e, B) - target, 0.0, B * (1.0 - 1e-12))
-
-
-def low_energy_levels(n: int, B: float) -> float:
-    """Closed-form deep level B^(2/3) * [3*pi/2*(n + 3/4)]^(2/3).
-
-    Linearizes the wall-side potential, valid while the classical
-    amplitude stays small against the full quarter circle.
-    """
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
-    return B ** (2.0 / 3.0) * (1.5 * math.pi * (n + 0.75)) ** (2.0 / 3.0)
+    # at any B (the 1 g rod's E_0 ~ 1e40 sits 20 decades below B ~ 3e59);
+    # bisecting down that far takes up to 372 steps at B = 1e230
+    return brentq(lambda e: well_action(e, B) - target, 0.0, B * (1.0 - 1e-12), maxiter=500)
 
 
 def full_action(energy: float, B: float) -> float:
@@ -265,8 +271,8 @@ def full_action(energy: float, B: float) -> float:
     With m = 2B/(E + B) <= 1 this is 4 sqrt(E + B) [E(m) - E(pi/4|m)],
     which is pi sqrt(E) at B = 0.
     """
-    if not 0.0 <= B <= energy:
-        raise DomainError(f"full-domain action needs 0 <= B <= E, got E={energy}, B={B}")
+    if not 0.0 <= B <= energy < math.inf:
+        raise DomainError(f"full-domain action needs 0 <= B <= E < inf, got E={energy}, B={B}")
     return 2.0 * phase_integral(energy, B, 0.0, HALF_PI)
 
 
@@ -320,9 +326,10 @@ class WkbDoublet:
 def doublet_prediction(n: int, B: float) -> WkbDoublet:
     """Center from the single-well condition, splitting from tunneling.
 
-    Works at any B: for the 1 g, 10 cm rod (B ~ 2.94e59) the centres sit
-    on the deep-well limit B^(2/3) [3 pi/2 (n + 3/4)]^(2/3), the splitting
-    exp(-W) underflows to 0.0, and `action` carries W ~ 1.3e30 instead.
+    Works at any B up to `single_well_quantize`'s 1e230: for the 1 g,
+    10 cm rod (B ~ 2.94e59) the centres sit on the deep-well limit
+    B^(2/3) [3 pi/2 (n + 3/4)]^(2/3), the splitting exp(-W) underflows to
+    0.0, and `action` carries W ~ 1.3e30 instead.
     """
     center = single_well_quantize(n, B)
     with warnings.catch_warnings():

@@ -388,6 +388,16 @@ def test_summit_names_the_grid_it_needs(capsys):
     assert "--grid-n >= 52821 (default 4001)" in err
 
 
+@pytest.mark.parametrize("B, advice", [("1.9e8", True), ("2e8", False), ("4e10", False)])
+def test_summit_names_no_grid_past_the_mode_matrix_bound(capsys, B, advice):
+    # From B ~ 2e8 the levels times min_grid_n(levels) exceed MAX_MODE_VALUES,
+    # so no --grid-n could work: the refusal names none.
+    assert main(["summit", "--B", B]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ("--grid-n" in err) == advice
+
+
 def test_summit_refuses_a_row_past_the_wall(capsys):
     # At B = 100 the n = 0 root would match at 2.102 rad, beyond the table.
     assert main(["summit", "--B", "100", "--grid-n", "2001"]) == 3

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from quantum_rod.airy import linear_well_energy
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.spectrum import pairing_table
 from quantum_rod import wkb
@@ -13,7 +14,6 @@ from quantum_rod.wkb import (
     doublet_prediction,
     full_action,
     high_energy_quantize,
-    low_energy_levels,
     max_well_action,
     period_integral,
     phase_integral,
@@ -215,9 +215,19 @@ def test_doublet_prediction_reference_rod_deep_limit():
     b = 2.940325636472887e59
     for n in range(4):
         pred = doublet_prediction(n, b)
-        assert pred.center == pytest.approx(low_energy_levels(n, b), rel=1e-12)
+        assert pred.center == pytest.approx(linear_well_energy(n, b, exact=False), rel=1e-12)
         assert pred.splitting == 0.0
         assert math.isfinite(pred.action) and pred.action > 1e30
+
+
+@pytest.mark.parametrize("b", [1e108, 1e150, 1e230])
+def test_single_well_quantize_converges_up_to_1e230(b):
+    # From B ~ 1e108 the root takes more than brentq's default 100 steps.
+    for n in (0, 1, 10):
+        assert single_well_quantize(n, b) == pytest.approx(
+            linear_well_energy(n, b, exact=False), rel=2e-14)
+    with pytest.raises(InvalidParameterError, match="1e230"):
+        single_well_quantize(0, 1.01e230)
 
 
 def test_low_energy_closed_form():
@@ -225,13 +235,13 @@ def test_low_energy_closed_form():
     # E_n = B^(2/3) * (3*pi*(n + 3/4)/2)^(2/3).
     for n in range(4):
         expected = B ** (2.0 / 3.0) * (1.5 * math.pi * (n + 0.75)) ** (2.0 / 3.0)
-        assert low_energy_levels(n, B) == pytest.approx(expected, rel=1e-12)
+        assert linear_well_energy(n, B, exact=False) == pytest.approx(expected, rel=1e-12)
     # The scaled form is independent of B.
-    r1 = low_energy_levels(2, 1e4) / 1e4 ** (2.0 / 3.0)
-    r2 = low_energy_levels(2, 1e8) / 1e8 ** (2.0 / 3.0)
+    r1 = linear_well_energy(2, 1e4, exact=False) / 1e4 ** (2.0 / 3.0)
+    r2 = linear_well_energy(2, 1e8, exact=False) / 1e8 ** (2.0 / 3.0)
     assert r1 == pytest.approx(r2, rel=1e-12)
     assert single_well_quantize(0, B) == pytest.approx(
-        low_energy_levels(0, B), rel=1e-2)
+        linear_well_energy(0, B, exact=False), rel=1e-2)
 
 
 def test_tunneling_splitting_growth_and_warning():
