@@ -23,7 +23,8 @@ one `warning: <message>` line on stderr.
 
 The modules a subcommand needs beyond `spectrum` and `slanted` are
 imported by its handler, so that, for example, `spectrum` never loads
-`scipy.special`.
+`scipy.special`.  `spectrum`, `evolve` and `slant` load no `scipy.linalg`
+package either: their LAPACK routines come from `_lapack`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

@@ -21,9 +21,9 @@ half-size blocks of `spectrum.parity_blocks`; a part that is exactly
 zero (the odd part of the even Gaussian) is never stepped.  With
 A = i dtau/2 H, one step (1 + A)^-1 (1 - A) psi is written as
 2 (1 + A)^-1 psi - psi: each block's (1 + A)/2 is LU-factored once per
-step size (LAPACK `gttrf`), and a step is one `gttrs` back-substitution
-with the stored factors and one subtraction, with no explicit
-right-hand side.
+step size (LAPACK `gttrf`, loaded by `_lapack` with `gttrs`), and a
+step is one `gttrs` back-substitution with the stored factors and one
+subtraction, with no explicit right-hand side.
 
 Both propagators only yield the state at each output time; one driver,
 `_series`, checks the times and records observables and snapshots.
@@ -45,8 +45,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
+from ._lapack import zgttrf, zgttrs
 from .errors import (
     DomainError,
     InsufficientBasisError,

@@ -8,11 +8,12 @@ with hard walls (Dirichlet conditions) at theta = +/- pi/2 where the rod
 hits the table.  The solver uses second-order central finite differences
 on a uniform grid from wall to wall; the symmetric tridiagonal matrix
 `grid_hamiltonian`, which `dynamics` steps too, is diagonalized with
-LAPACK.  Eigenvalues are Romberg-extrapolated from the finest three
-grids of the solve (see `solve_spectrum`), which removes the O(h^2) and
-O(h^4) discretization errors: at B = 1e4 the 72 lowest levels from the
-default 4001 points are within 6e-5 of the converged ones, half the
-error of Richardson on 4001 and 8001 points.
+LAPACK (`stebz`, `stein` and `gtsv`, loaded by `_lapack`).  Eigenvalues
+are Romberg-extrapolated from the finest three grids of the solve (see
+`solve_spectrum`), which removes the O(h^2) and O(h^4) discretization
+errors: at B = 1e4 the 72 lowest levels from the default 4001 points are
+within 6e-5 of the converged ones, half the error of Richardson on 4001
+and 8001 points.
 
 Every eigenvalue is a certified Rayleigh quotient; none is a bisection
 midpoint, save in the last-resort fallback below.  `_grids` plans the
@@ -61,8 +62,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
+from ._lapack import dgtsv, dstebz, dstein
 from .errors import DomainError, InvalidParameterError, ResolutionError
 
 HALF_PI = 0.5 * math.pi

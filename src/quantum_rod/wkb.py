@@ -130,12 +130,16 @@ def well_action(energy: float, B: float) -> float:
     """Action from the turning point to the wall, 0 <= E <= B.
 
     Closed form (2/3) E^(3/2) R_D(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2):
-    zero at E = 0, and `max_well_action` at E = B.
+    zero at E = 0, and `max_well_action` at E = B.  Raises DomainError
+    when the action leaves the float range.
     """
     turning_point(energy, B)  # domain check
     if energy == B:
         return max_well_action(B)
-    return _turning_point_action(energy, B, 0.0)
+    action = _turning_point_action(energy, B, 0.0)
+    if not math.isfinite(action):
+        raise DomainError(f"well action of E={energy}, B={B} leaves the float range")
+    return action
 
 
 def barrier_action(energy: float, B: float, method: str = "substitution") -> float:
@@ -187,13 +191,17 @@ def classical_frequency(energy: float, B: float) -> float:
 
     The classical bounce runs from the turning point to the wall and
     back, so the period is twice the traversal time; it diverges
-    logarithmically as E approaches the summit from below.
+    logarithmically as E approaches the summit from below.  Raises
+    DomainError when the period, sqrt(2B) times `period_integral`, leaves
+    the float range.
     """
     if B <= 0.0:
         raise InvalidParameterError("omega_c units need B > 0")
     if not 0.0 < energy < B:
         raise DomainError(f"well motion needs 0 < E < B, got E={energy}")
     period = math.sqrt(2.0 * B) * period_integral(energy, B)
+    if not period < math.inf:
+        raise DomainError(f"the period at E={energy}, B={B} leaves the float range")
     return 2.0 * math.pi / period
 
 

@@ -410,7 +410,7 @@ def test_summit_refuses_a_row_past_the_wall(capsys):
 _FOOTPRINT = """
 import contextlib, io, json, sys
 from quantum_rod.cli import main
-unused = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants")
+unused = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants")
 loaded = {"import": [m for m in unused if m in sys.modules]}
 for group, runs in (("no-special", [
         "spectrum --B 1e4 --n-levels 72",
@@ -430,18 +430,66 @@ print(json.dumps(loaded))
 """
 
 
-def test_import_footprint():
-    # One fresh process: spectrum, evolve and slant load no scipy.special, no
-    # subcommand loads scipy.integrate, and only the root-finding summit and
-    # wkb-compare load scipy.optimize.
+def _run_fresh(code):
+    """stdout of `code` run in a fresh interpreter that imports this package."""
     src = str(Path(quantum_rod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    loaded = json.loads(proc.stdout)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+
+
+def test_import_footprint():
+    # One fresh process: spectrum, evolve and slant load neither the
+    # scipy.linalg package nor scipy.special, no subcommand loads
+    # scipy.integrate, and only the root-finding summit and wkb-compare load
+    # scipy.optimize.
+    loaded = json.loads(_run_fresh(_FOOTPRINT))
     assert loaded["import"] == [] and loaded["no-special"] == []
     assert loaded["lean"] == ["scipy.special"]
     assert "scipy.integrate" not in loaded["root-finding"]
+
+
+_IDENTITY = """
+import json, sys
+{first}
+{second}
+print(json.dumps([all(getattr(_lapack, name) is getattr(lapack, name) for name in _lapack.ROUTINES),
+                  sys.modules[_lapack.FLAPACK] is lapack._flapack]))
+"""
+
+
+@pytest.mark.parametrize("first, second", [
+    ("from quantum_rod import _lapack", "from scipy.linalg import lapack"),
+    ("from scipy.linalg import lapack", "from quantum_rod import _lapack"),
+])
+def test_loaded_routines_are_scipy_lapack_objects(first, second):
+    # In either import order there is one _flapack module, so the loader's
+    # routines are scipy's own objects.
+    assert json.loads(_run_fresh(_IDENTITY.format(first=first, second=second))) == [True, True]
+
+
+def _raise_import_error(self, module):
+    raise ImportError("refused")
+
+
+@pytest.mark.parametrize("break_load", ["missing file", "exec_module raises"])
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path, break_load):
+    import importlib.machinery
+
+    from scipy.linalg import lapack
+
+    from quantum_rod import _lapack
+
+    path = _lapack.flapack_path()
+    if break_load == "missing file":
+        path = str(tmp_path / "_flapack.so")
+    else:
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module",
+                            _raise_import_error)
+    monkeypatch.delitem(sys.modules, _lapack.FLAPACK)
+    routines = _lapack.load(path)
+    assert _lapack.FLAPACK not in sys.modules  # no half-loaded module left behind
+    assert all(r is getattr(lapack, name) for r, name in zip(routines, _lapack.ROUTINES))
 
 
 def test_warning_is_one_line_and_zero_has_no_sign(capsys):

@@ -36,6 +36,7 @@ LIBRARY = {
     "turning_point": (wkb.turning_point, (reals, reals)),
     "period_integral": (wkb.period_integral, (reals, reals)),
     "classical_frequency": (wkb.classical_frequency, (reals, reals)),
+    "well_action": (wkb.well_action, (reals, reals)),
     "barrier_action": (wkb.barrier_action, (reals, reals)),
     "tunneling_splitting": (wkb.tunneling_splitting, (reals, reals)),
     "full_action": (wkb.full_action, (reals, reals)),
@@ -68,7 +69,8 @@ REFUSED = [
     (summit.summit_quantize, (0, -1.0, "even")), (wkb.single_well_quantize, (0, math.inf)),
     (wkb.high_energy_quantize, (1, math.inf)), (summit.phase_delta, (1e300,)),
     (summit.summit_phase, (1e300, 100.0, "even")), (summit.summit_action, (1.0, 1e-300)),
-    (wkb.single_well_quantize, (0, 1e231)),
+    (wkb.single_well_quantize, (0, 1e231)), (wkb.classical_frequency, (0.5e308, 1e308)),
+    (wkb.well_action, (5e-324, 1e-320)),
 ]
 
 
