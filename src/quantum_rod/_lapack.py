@@ -24,24 +24,19 @@ FLAPACK = "scipy.linalg._flapack"
 ROUTINES = ("dgtsv", "dstebz", "dstein", "zgttrf", "zgttrs")
 
 
-def flapack_path() -> str | None:
-    """Path of scipy's `_flapack` extension, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.submodule_search_locations is None:
+def flapack_spec() -> importlib.machinery.ModuleSpec | None:
+    """Spec of scipy's `_flapack` extension, found without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or scipy.submodule_search_locations is None:
         return None
-    for base in spec.submodule_search_locations:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(base, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+    linalg = [os.path.join(base, "linalg") for base in scipy.submodule_search_locations]
+    return importlib.machinery.PathFinder.find_spec(FLAPACK, linalg)
 
 
-def load(path: str | None) -> tuple:
-    """`ROUTINES` from the extension at `path`, else from scipy.linalg.lapack."""
-    if path is not None and FLAPACK not in sys.modules:
+def load(spec: importlib.machinery.ModuleSpec | None) -> tuple:
+    """`ROUTINES` from the module `spec` locates, else from scipy.linalg.lapack."""
+    if spec is not None and FLAPACK not in sys.modules:
         try:
-            spec = importlib.util.spec_from_file_location(FLAPACK, path)
             module = importlib.util.module_from_spec(spec)
             sys.modules[FLAPACK] = module
             spec.loader.exec_module(module)
@@ -52,4 +47,4 @@ def load(path: str | None) -> tuple:
     return tuple(getattr(lapack, name) for name in ROUTINES)
 
 
-dgtsv, dstebz, dstein, zgttrf, zgttrs = load(flapack_path())
+dgtsv, dstebz, dstein, zgttrf, zgttrs = load(flapack_spec())
