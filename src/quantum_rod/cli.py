@@ -50,15 +50,13 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import (MAX_GRID_N, MAX_MODE_VALUES, PotentialSpec, make_grid, min_grid_n,
-                       pairing_table, simpson, solve_spectrum)
+from .spectrum import (DEFAULT_GRID_N, MAX_GRID_N, MAX_MODE_VALUES, PotentialSpec, make_grid,
+                       min_grid_n, pairing_table, simpson, solve_spectrum)
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
 _NUMERICAL_ERRORS = (ResolutionError, RegimeError, InsufficientBasisError,
                      StepSizeError)
-
-_GRID_N = 4001  # default base grid of the stationary subcommands
 
 # (flag, type, default, help); None default means optional/absent
 _COMMON = [
@@ -78,21 +76,20 @@ _SCHEMAS: dict[str, list[tuple[str, type, Any, str]]] = {
     "spectrum": _COMMON + _ROD + [
         ("B", float, None, "dimensionless barrier height 2J*V0/hbar^2"),
         ("n-levels", int, 10, "number of levels (both parities combined)"),
-        ("grid-n", int, _GRID_N, "base grid size (odd)"),
+        ("grid-n", int, DEFAULT_GRID_N, "base grid size (odd)"),
         ("tilt", float, 0.0, "table tilt delta_theta in rad"),
     ],
     "wkb-compare": _COMMON + _ROD + [
         ("B", float, None, "dimensionless barrier height"),
         ("n-min", int, 0, "first doublet index"),
         ("n-max", int, 9, "last doublet index"),
-        ("grid-n", int, _GRID_N, "base grid size (odd)"),
+        ("grid-n", int, DEFAULT_GRID_N, "base grid size (odd)"),
     ],
     "summit": _COMMON + _ROD + [
         ("B", float, None, "dimensionless barrier height"),
         ("n-min", int, None, "first per-parity level index (default: near summit)"),
         ("n-max", int, None, "last per-parity level index"),
-        ("grid-n", int, _GRID_N, "base grid size (odd)"),
-        ("xi-match", float, 3.0, "matching point of the parabolic region"),
+        ("grid-n", int, DEFAULT_GRID_N, "base grid size (odd)"),
     ],
     "airy": _COMMON + [
         ("count", int, 6, "number of levels"),
@@ -116,7 +113,7 @@ _SCHEMAS: dict[str, list[tuple[str, type, Any, str]]] = {
         ("B", float, None, "dimensionless barrier height"),
         ("n", int, 18, "doublet index"),
         ("tilts", float, [1e-3], "tilt values delta_theta in rad"),
-        ("grid-n", int, _GRID_N, "base grid size (odd)"),
+        ("grid-n", int, DEFAULT_GRID_N, "base grid size (odd)"),
     ],
 }
 
@@ -318,15 +315,14 @@ def run_summit(cfg: dict[str, Any]) -> Payload:
     if cfg["grid_n"] < min_grid_n(n_levels):
         raise InvalidParameterError(
             f"the summit rows need the lowest {n_levels} levels, which takes "
-            f"--grid-n >= {min_grid_n(n_levels)} (default {_GRID_N})")
+            f"--grid-n >= {min_grid_n(n_levels)} (default {DEFAULT_GRID_N})")
     result = solve_spectrum(B, n_levels, grid_n=cfg["grid_n"])
     hw = math.sqrt(2.0 * B)
     header = ["n", "parity", "epsilon", "energy_model", "energy", "error"]
     rows = []
     for n in range(n_min, n_max + 1):
         for parity in ("even", "odd"):
-            e_model = summit.summit_quantize(n, B, parity,
-                                             xi_match=cfg["xi_match"])
+            e_model = summit.summit_quantize(n, B, parity)
             e_num = result.level(parity, n).energy
             rows.append([n, parity, (e_model - B) / hw, e_model, e_num,
                          e_model - e_num])
@@ -445,6 +441,8 @@ def run_evolve(cfg: dict[str, Any]) -> Payload:
 def run_slant(cfg: dict[str, Any]) -> Payload:
     B = _resolve_barrier(cfg)
     n = cfg["n"]
+    if n < 0:
+        raise InvalidParameterError("n must be >= 0")
     basis = solve_spectrum(B, 2 * (n + 1) + 4, grid_n=cfg["grid_n"])
     responses = slanted.tilt_sweep(basis, n, np.asarray(cfg["tilts"]))
     header = ["delta_theta", "coupling", "effective_splitting",

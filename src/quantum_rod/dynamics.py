@@ -171,10 +171,8 @@ def expand(state: InitialState, basis: SpectrumResult) -> np.ndarray:
 
 @dataclass
 class EvolutionResult:
-    """Time series of the standard observables, plus optional snapshots."""
+    """The standard observables at each requested time, plus optional snapshots."""
 
-    times: np.ndarray
-    times_unit: str
     norm: np.ndarray
     energy: np.ndarray
     mean_abs_theta: np.ndarray
@@ -205,7 +203,7 @@ def _observables(psi: np.ndarray, grid: np.ndarray, B: float,
     return norm, energy, mean_abs, fallen
 
 
-def _series(states, times: np.ndarray, times_unit: str, grid: np.ndarray, B: float,
+def _series(states, times: np.ndarray, grid: np.ndarray, B: float,
             theta_fall: float, snapshot_times: np.ndarray | None) -> EvolutionResult:
     """Observables and snapshots of `states`, one full-grid state per time.
 
@@ -226,8 +224,7 @@ def _series(states, times: np.ndarray, times_unit: str, grid: np.ndarray, B: flo
             snap_ts.append(t)
     norm, energy, mean_abs, fall = observables
     return EvolutionResult(
-        times=times, times_unit=times_unit, norm=norm, energy=energy,
-        mean_abs_theta=mean_abs, fall_prob=fall,
+        norm=norm, energy=energy, mean_abs_theta=mean_abs, fall_prob=fall,
         snapshot_times=np.array(snap_ts) if snaps else None,
         snapshots=np.stack(snaps) if snaps else None,
     )
@@ -265,8 +262,7 @@ def evolve_eigen(
             real, imag = np.stack((weights.real, weights.imag)) @ basis.modes
             yield real + 1j * imag
 
-    return _series(eigen_states(), times, times_unit, basis.grid, basis.B, theta_fall,
-                   snapshot_times)
+    return _series(eigen_states(), times, basis.grid, basis.B, theta_fall, snapshot_times)
 
 
 def evolve_direct(
@@ -358,7 +354,7 @@ def evolve_direct(
                 raise StepSizeError(f"norm drifted by {drift:.2e} at t={t}; reduce dt")
             yield full
 
-    return _series(cn_states(), times, times_unit, grid, B, theta_fall, snapshot_times)
+    return _series(cn_states(), times, grid, B, theta_fall, snapshot_times)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class TwoLevelProblem:
 class TwoLevelSolution:
     """Eigenpairs of the 2x2 problem; amplitudes are (even, odd) weights."""
 
-    problem: TwoLevelProblem
     energies: tuple[float, float]
     amplitudes: tuple[tuple[float, float], tuple[float, float]]
 
@@ -93,13 +92,11 @@ def solve_two_level(problem: TwoLevelProblem) -> TwoLevelSolution:
     if root == 0.0:
         warnings.warn("degenerate doublet with zero coupling: "
                       "mixing is arbitrary", stacklevel=2)
-        return TwoLevelSolution(problem=problem, energies=(e_lo, e_hi),
-                                amplitudes=((1.0, 0.0), (0.0, 1.0)))
+        return TwoLevelSolution(energies=(e_lo, e_hi), amplitudes=((1.0, 0.0), (0.0, 1.0)))
     scale = math.hypot(half + root, v)
     lo = ((half + root) / scale, -v / scale)
     hi = (v / scale, (half + root) / scale)
-    return TwoLevelSolution(problem=problem, energies=(e_lo, e_hi),
-                            amplitudes=(lo, hi))
+    return TwoLevelSolution(energies=(e_lo, e_hi), amplitudes=(lo, hi))
 
 
 def regime_check(problem: TwoLevelProblem, gap_to_next: float) -> dict[str, bool]:
@@ -153,6 +150,8 @@ def tilt_sweep(basis: SpectrumResult, n: int,
     The doublet energies and the gap to the next doublet come from the
     untilted basis; each tilt only rescales the coupling element.
     """
+    if n < 0:
+        raise InvalidParameterError("n must be >= 0")
     if basis.tilt != 0.0:
         raise InvalidParameterError("sweep needs an untilted basis")
     deltas = np.asarray(delta_thetas, dtype=float)
@@ -166,14 +165,12 @@ def tilt_sweep(basis: SpectrumResult, n: int,
         gap_next = doublets[n + 1].center - d.center
     else:
         gap_next = d.gap
-    element = sin_matrix_element(basis.wavefunction(ODD, n),
-                                 basis.wavefunction(EVEN, n))
 
     out = []
     for delta in deltas:
         problem = TwoLevelProblem(n=n, delta_theta=float(delta),
                                   e_plus=d.e_plus, e_minus=d.e_minus,
-                                  coupling=basis.B * float(delta) * element)
+                                  coupling=coupling_element(basis, n, float(delta)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             checks = regime_check(problem, gap_next)

@@ -73,6 +73,7 @@ ROMBERG_GRIDS = 3  # grids, each of twice the last one's spacing, that refined e
 CHAIN_FLOOR = 180.0  # largest h^2 E n_levels of a chain grid below those
 BRACKET_RTOL = 1e-8  # width of a bracketing bisection's intervals, relative to |T|
 SIMPSON_BLOCK = 2**15  # grid values multiplied and integrated per `simpson` call, in `row_simpson`
+DEFAULT_GRID_N = 4001  # base grid of `solve_spectrum` and the stationary subcommands
 MAX_GRID_N = 2**20 + 1  # most base-grid points `solve_spectrum` accepts
 MAX_MODE_VALUES = 2**29  # most n_levels * grid_n values of one mode matrix
 
@@ -638,7 +639,7 @@ class SpectrumResult:
 def solve_spectrum(
     B: float,
     n_levels: int,
-    grid_n: int = 4001,
+    grid_n: int = DEFAULT_GRID_N,
     tilt: float = 0.0,
     refine: bool = True,
 ) -> SpectrumResult:

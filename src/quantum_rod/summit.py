@@ -16,6 +16,10 @@ used throughout the quantization is
 with 4g = 4 * 1.78107 (g is exp(Euler-Mascheroni) to the figures used
 in the fit).  The fit has the exact slope at eps = 0 and stays within a
 few hundredths of a radian out to |eps| ~ 5.
+
+The inner and outer regions are matched at xi = XI_MATCH, moved further
+out when the parabolic turning point approaches it.  The matching point
+is a numerical device, not a parameter of the rod, so it is a constant.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .wkb import phase_integral
 FIT_GAMMA = 1.78107          # exp(Euler-Mascheroni) as used in the phase fit
 FIT_C = 1.0 / (4.0 * FIT_GAMMA)
 EPS_WINDOW = 10.0  # summit_quantize searches |epsilon| <= EPS_WINDOW
+XI_MATCH = 3.0     # matching point of the parabolic region, in xi
 
 
 def half_arg_gamma_exact(epsilon: float) -> float:
@@ -49,7 +54,6 @@ def half_arg_gamma_fit(epsilon: float) -> float:
 class GammaPhase:
     """Exact and fitted summit phase, plus their difference."""
 
-    epsilon: float
     exact: float
     fit: float
 
@@ -59,8 +63,7 @@ class GammaPhase:
 
 
 def gamma_phase(epsilon: float) -> GammaPhase:
-    return GammaPhase(epsilon=epsilon, exact=half_arg_gamma_exact(epsilon),
-                      fit=half_arg_gamma_fit(epsilon))
+    return GammaPhase(exact=half_arg_gamma_exact(epsilon), fit=half_arg_gamma_fit(epsilon))
 
 
 def _arctan_exp(x: float) -> float:
@@ -81,9 +84,6 @@ def _eps_log(epsilon: float) -> float:
     return 0.5 * epsilon * math.log(ratio)
 
 
-BELOW, AT, ABOVE = "below-summit", "at-summit", "above-summit"
-
-
 @dataclass(frozen=True)
 class PhaseCorrection:
     """Even/odd phase corrections replacing the usual turning-point pi/4.
@@ -94,10 +94,8 @@ class PhaseCorrection:
     matching formulas cancels against the arctan term).
     """
 
-    epsilon: float
     delta_plus: float
     delta_minus: float
-    regime: str
 
 
 def phase_delta(epsilon: float) -> PhaseCorrection:
@@ -111,9 +109,7 @@ def phase_delta(epsilon: float) -> PhaseCorrection:
     recovering the degeneracy-free above-barrier phases.
     """
     delta_plus, delta_minus = _deltas(epsilon)
-    regime = AT if epsilon == 0.0 else (BELOW if epsilon < 0.0 else ABOVE)
-    return PhaseCorrection(epsilon=epsilon, delta_plus=delta_plus,
-                           delta_minus=delta_minus, regime=regime)
+    return PhaseCorrection(delta_plus=delta_plus, delta_minus=delta_minus)
 
 
 def _deltas(epsilon: float) -> tuple[float, float]:
@@ -203,17 +199,17 @@ def summit_scale(B: float) -> float:
     return (2.0 / B) ** 0.25
 
 
-def _matching_xi(epsilon: float, xi_match: float) -> float:
-    """Matching point in xi: xi_match, or further out when the parabolic
+def _matching_xi(epsilon: float) -> float:
+    """Matching point in xi: XI_MATCH, or further out when the parabolic
     turning point sqrt(-2 eps) approaches it."""
-    return max(xi_match, 1.3 * math.sqrt(max(2.0 * -epsilon, 0.0) + 1.0))
+    return max(XI_MATCH, 1.3 * math.sqrt(max(2.0 * -epsilon, 0.0) + 1.0))
 
 
-def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) -> float:
+def summit_phase(energy: float, B: float, parity: str) -> float:
     """Total accumulated phase at the wall for a near-summit energy.
 
     Assembled as quadratic_action out to the matching angle
-    xi_match * s, plus the exact-potential action from there to the
+    XI_MATCH * s, plus the exact-potential action from there to the
     wall, plus the phase correction for the requested parity.  The
     epsilon*ln(epsilon) bookkeeping cancels between the first and last
     pieces: quadratic_action's asymptote subtracts the same
@@ -222,16 +218,13 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
     node at the wall lands exactly on the (n + 3/4)*pi ladder.  The
     matching angle grows automatically when the parabolic turning point
     approaches it; a warning flags matching angles so large that the
-    quadratic approximation of the potential is strained.  xi_match
-    must be finite and positive.
+    quadratic approximation of the potential is strained.
     """
     if parity not in (EVEN, ODD):
         raise InvalidParameterError(f"parity must be even or odd, got {parity!r}")
-    if not (math.isfinite(xi_match) and xi_match > 0.0):
-        raise InvalidParameterError(f"xi_match must be finite and > 0, got {xi_match}")
     s = summit_scale(B)
     eps = (energy - B) / math.sqrt(2.0 * B)
-    xi_eff = _matching_xi(eps, xi_match)
+    xi_eff = _matching_xi(eps)
     delta_theta = xi_eff * s
     if delta_theta > 0.6:
         warnings.warn(
@@ -244,7 +237,7 @@ def summit_phase(energy: float, B: float, parity: str, xi_match: float = 3.0) ->
     return inner + outer + (delta_plus if parity == EVEN else delta_minus)
 
 
-def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> float:
+def summit_quantize(n: int, B: float, parity: str) -> float:
     """Level n of the given parity from the summit quantization.
 
     Solves summit_phase(E) = (n + 3/4)*pi for E inside the window
@@ -263,7 +256,7 @@ def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> flo
     target = (n + 0.75) * math.pi
 
     def residual(energy: float) -> float:
-        return summit_phase(energy, B, parity, xi_match) - target
+        return summit_phase(energy, B, parity) - target
 
     eps_grid = np.linspace(-EPS_WINDOW, EPS_WINDOW, 81)
     energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
@@ -284,7 +277,7 @@ def summit_quantize(n: int, B: float, parity: str, xi_match: float = 3.0) -> flo
         raise RegimeError(
             f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"
         )
-    delta_theta = _matching_xi((root - B) / hw, xi_match) * s
+    delta_theta = _matching_xi((root - B) / hw) * s
     if not delta_theta < HALF_PI:
         raise RegimeError(
             f"{parity} level n={n} at B={B:g}: matching angle {delta_theta:.3f} rad "

@@ -22,13 +22,13 @@ HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)  # J*s: the exact SI Planck constant 
 class RodParams:
     """A thin rigid rod of given mass and length standing on one end.
 
-    `hbar` is overridable so tests can work in hbar = 1 units.
+    hbar is always HBAR_SI: it reaches the physics only through B, so a
+    different hbar is the same problem at a different B.
     """
 
     mass: float            # kg
     length: float          # m
     gravity: float = 9.81  # m/s^2
-    hbar: float = HBAR_SI  # J*s
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mass) and self.mass > 0.0):
@@ -38,13 +38,11 @@ class RodParams:
         if not (math.isfinite(self.gravity) and self.gravity >= 0.0):
             raise InvalidParameterError(
                 f"gravity must be non-negative and finite, got {self.gravity}")
-        if not (self.hbar > 0.0):
-            raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
 
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """Derived mechanical scales of a rod.
+    """Derived mechanical scales of a rod, with hbar = HBAR_SI.
 
     Attributes
     ----------
@@ -53,7 +51,6 @@ class DerivedScales:
     omega_c : sqrt(V0/J) = sqrt(3g/2l) (1/s)
     B : V0 in units of hbar^2/2J (dimensionless)
     s : summit angular scale sqrt(hbar/(J*omega_c)) (rad); s**4*B = 2
-    hbar : the hbar used to build the dimensionless quantities (J*s)
     """
 
     J: float
@@ -61,12 +58,11 @@ class DerivedScales:
     omega_c: float
     B: float
     s: float
-    hbar: float
 
     @property
     def energy_unit(self) -> float:
         """hbar^2/2J in joules."""
-        return self.hbar**2 / (2.0 * self.J)
+        return HBAR_SI**2 / (2.0 * self.J)
 
 
 def derive_scales(params: RodParams) -> DerivedScales:
@@ -82,14 +78,14 @@ def derive_scales(params: RodParams) -> DerivedScales:
         J = params.mass * params.length**2 / 3.0
         V0 = params.mass * params.gravity * params.length / 2.0
         omega_c = math.sqrt(V0 / J)
-        B = V0 / (params.hbar**2 / (2.0 * J))
-        s = math.sqrt(params.hbar / (J * omega_c)) if omega_c > 0.0 else math.inf
+        B = V0 / (HBAR_SI**2 / (2.0 * J))
+        s = math.sqrt(HBAR_SI / (J * omega_c)) if omega_c > 0.0 else math.inf
     except (OverflowError, ZeroDivisionError) as exc:
         raise InvalidParameterError(out_of_range) from exc
     checked = (J, omega_c, B, s) if params.gravity > 0.0 else (J,)
     if not all(0.0 < v < math.inf for v in checked):
         raise InvalidParameterError(out_of_range)
-    return DerivedScales(J=J, V0=V0, omega_c=omega_c, B=B, s=s, hbar=params.hbar)
+    return DerivedScales(J=J, V0=V0, omega_c=omega_c, B=B, s=s)
 
 
 def energy_to_dimensionless(energy_si: float, scales: DerivedScales) -> float:

@@ -207,11 +207,13 @@ def classical_frequency(energy: float, B: float) -> float:
 
 @dataclass(frozen=True)
 class SplittingResult:
-    """Tunneling splitting of a doublet, with its ingredients."""
+    """Tunneling splitting of a doublet, with its barrier action W.
+
+    The well frequency is `classical_frequency(energy, B)`.
+    """
 
     splitting: float      # E_minus - E_plus, units hbar^2/2J
     action: float         # barrier action W
-    omega: float          # well frequency, units omega_c
     regime: str
 
 
@@ -232,10 +234,8 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
             f"barrier action W={w:.3f} < 1: splitting formula unreliable near the summit",
             stacklevel=2,
         )
-    interval = period_integral(energy, B)
-    splitting = (2.0 / interval) * math.exp(-w)
-    omega = 2.0 * math.pi / (math.sqrt(2.0 * B) * interval)  # classical_frequency, same interval
-    return SplittingResult(splitting=splitting, action=w, omega=omega, regime=regime)
+    splitting = (2.0 / period_integral(energy, B)) * math.exp(-w)
+    return SplittingResult(splitting=splitting, action=w, regime=regime)
 
 
 def max_well_action(B: float) -> float:
@@ -319,7 +319,6 @@ class WkbDoublet:
     center: float
     splitting: float
     action: float
-    omega: float
     regime: str
 
     @property
@@ -344,4 +343,4 @@ def doublet_prediction(n: int, B: float) -> WkbDoublet:
         warnings.simplefilter("ignore")
         sp = tunneling_splitting(center, B)
     return WkbDoublet(n=n, center=center, splitting=sp.splitting,
-                      action=sp.action, omega=sp.omega, regime=sp.regime)
+                      action=sp.action, regime=sp.regime)

@@ -1,4 +1,6 @@
 """Command-line interface: schemas, precedence, formats, exit codes."""
+import csv
+import io
 import json
 import math
 import os
@@ -76,16 +78,38 @@ def test_spectrum_csv(capsys):
     assert float(second[2]) == pytest.approx(4.0, rel=1e-6)
 
 
+# The README examples whose results are one list of rows, on smaller grids.
+ROW_EXAMPLES = [
+    ["spectrum", "--B", "1e4", "--n-levels", "72", "--grid-n", "2001"],
+    ["wkb-compare", "--B", "1e4", "--n-min", "22", "--n-max", "24", "--grid-n", "2001"],
+    ["summit", "--B", "1e4", "--grid-n", "2001"],
+    ["airy", "--count", "6", "--B", "100"],
+    ["evolve", "--B", "100", "--sigma", "0.1", "--method", "both", "--t-max", "0.5",
+     "--grid-n", "2001"],
+    ["slant", "--B", "1e4", "--n", "18", "--tilts", "1e-4", "1e-3", "--grid-n", "2001"],
+]
+
+
 def test_json_matches_csv(capsys):
-    doc = run_json(capsys, FREE_SPECTRUM)
-    assert main(FREE_SPECTRUM + ["--format", "csv"]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    for level, line in zip(doc["results"]["levels"], lines):
-        cells = line.split(",")
-        assert level["n"] == int(cells[0])
-        assert level["parity"] == cells[1]
-        # JSON and CSV round identically (same significant digits).
-        assert level["energy"] == float(cells[2])
+    # The JSON rows hold the CSV table cell for cell, null for an empty cell.
+    for argv in ROW_EXAMPLES:
+        doc = run_json(capsys, argv)
+        entries, = [v for v in doc["results"].values() if isinstance(v, list)]
+        assert main(argv + ["--format", "csv"]) == 0
+        header, *lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(lines) == len(entries) > 0, argv
+        for entry, cells in zip(entries, lines):
+            assert list(entry) == header, argv
+            for value, cell in zip(entry.values(), cells):
+                if value is None:
+                    assert cell == "", argv
+                elif isinstance(value, bool):
+                    assert cell == str(value).lower(), argv
+                elif isinstance(value, (int, float)):
+                    # JSON and CSV round identically (same significant digits).
+                    assert float(cell) == value, argv
+                else:
+                    assert cell == value, argv
 
 
 def test_envelope_and_determinism(capsys):
@@ -244,10 +268,6 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["evolve", "--B", "100", "--sigma", "1e-300", "--method", "direct", "--grid-n", "401"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "2000"],
     ["evolve", "--B", "100", "--t-max", "1e18", "--n-times", "3"],
-    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "-1"],
-    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "0"],
-    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "nan"],
-    ["summit", "--B", "1e4", "--grid-n", "2001", "--xi-match", "inf"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "0"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "-5"],
     *OVERSIZED,
@@ -368,6 +388,13 @@ def test_slant_sweep(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("delta_theta,coupling,")
     assert lines[1].endswith("true,true")
+
+
+@pytest.mark.parametrize("n", ["-1", "-3"])
+def test_slant_refuses_a_negative_doublet_index(capsys, n):
+    # Refused before the solve, naming the flag the user passed.
+    assert main(["slant", "--B", "1e4", "--n", n]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 0\n"
 
 
 def test_summit_table(capsys):

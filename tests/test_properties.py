@@ -130,7 +130,6 @@ CLI_FLAGS = {
     "tilt": (_pick(None, 0, 1e-3, 1e-12), cli_reals),
     "n-min": (_pick(None, 0, 5), _pick(-1, 20, 10**6)),
     "n-max": (_pick(None, 1, 5, 9), _pick(-1, 0, 20, 10**6)),
-    "xi-match": (_pick(None, 3, 5), cli_reals),
     "count": (_pick(None, 1, 6), _pick(-1, 0, 12, 10**9)),
     "delta-theta": (_pick(None, 0.1, 1.5), cli_reals),
     "alpha": (_pick(None, 1, 10), cli_reals),
@@ -147,7 +146,7 @@ ROD = ["mass", "length", "gravity"]
 SUBCOMMAND_FLAGS = {
     "spectrum": COMMON + ["n-levels", "grid-n", "tilt"],
     "wkb-compare": COMMON + ["n-min", "n-max", "grid-n"],
-    "summit": COMMON + ["n-min", "n-max", "grid-n", "xi-match"],
+    "summit": COMMON + ["n-min", "n-max", "grid-n"],
     "airy": COMMON + ["count", "B"],
     "fall-time": COMMON + ROD + ["delta-theta", "alpha"],
     "evolve": COMMON + ["sigma", "t-max", "n-times", "dt", "method", "grid-n", "n-levels"],

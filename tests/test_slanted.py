@@ -160,6 +160,9 @@ def test_tilt_sweep_monotone(spectrum_b1e4):
 def test_tilt_sweep_guards(spectrum_b1e4):
     with pytest.raises(RegimeError):
         tilt_sweep(spectrum_b1e4, 500, np.array([1e-3]))
+    # A negative index would wrap around to the top doublet.
+    with pytest.raises(InvalidParameterError, match="n must be >= 0"):
+        tilt_sweep(spectrum_b1e4, -1, np.array([1e-3]))
     tilted = solve_spectrum(100.0, 4, grid_n=401, tilt=0.01)
     with pytest.raises(InvalidParameterError):
         tilt_sweep(tilted, 0, np.array([1e-3]))

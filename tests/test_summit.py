@@ -46,7 +46,6 @@ def test_gamma_phase_fit_quality():
 
 def test_phase_delta_at_zero():
     pc = phase_delta(0.0)
-    assert pc.regime == "at-summit"
     assert pc.delta_plus == pytest.approx(math.pi / 8.0, abs=1e-15)
     assert pc.delta_minus == pytest.approx(-math.pi / 8.0, abs=1e-15)
     assert pc.delta_plus - pc.delta_minus == pytest.approx(QUARTER_PI, abs=1e-15)
@@ -63,12 +62,10 @@ def test_phase_delta_continuity():
 def test_phase_delta_asymptotics():
     # Deep below: the even/odd difference is the tunneling exponential.
     low = phase_delta(-3.0)
-    assert low.regime == "below-summit"
     assert low.delta_plus - low.delta_minus == pytest.approx(
         math.exp(-3.0 * math.pi), rel=1e-3)
     # Far above: it saturates at pi/2 (a quarter wave per parity).
     high = phase_delta(3.0)
-    assert high.regime == "above-summit"
     assert high.delta_plus - high.delta_minus == pytest.approx(
         0.5 * math.pi - math.exp(-3.0 * math.pi), abs=1e-12)
     # Overflow guard for very large arguments.

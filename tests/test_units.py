@@ -41,7 +41,7 @@ def test_scale_identities(scales_ref):
     assert scales_ref.omega_c**2 * scales_ref.J == pytest.approx(
         scales_ref.V0, rel=1e-12)
     assert scales_ref.s**2 * scales_ref.J * scales_ref.omega_c == (
-        pytest.approx(scales_ref.hbar, rel=1e-12))
+        pytest.approx(HBAR_SI, rel=1e-12))
     # B is the barrier height V0 measured in energy units.
     assert scales_ref.B * scales_ref.energy_unit == pytest.approx(
         scales_ref.V0, rel=1e-12)
@@ -70,8 +70,6 @@ def test_invalid_parameters():
         RodParams(mass=1e-3, length=-0.1)
     with pytest.raises(InvalidParameterError):
         RodParams(mass=1e-3, length=0.1, gravity=-9.81)
-    with pytest.raises(InvalidParameterError):
-        RodParams(mass=1e-3, length=0.1, hbar=0.0)
     for bad in (math.nan, math.inf):
         for field in ("mass", "length", "gravity"):
             with pytest.raises(InvalidParameterError):
@@ -84,7 +82,7 @@ def test_energy_round_trip(scales_ref):
     assert energy_to_dimensionless(e_si, scales_ref) == pytest.approx(
         e_dimless, rel=1e-12)
     # One energy unit is hbar^2 / 2J by construction.
-    unit = scales_ref.hbar**2 / (2.0 * scales_ref.J)
+    unit = HBAR_SI**2 / (2.0 * scales_ref.J)
     assert energy_to_dimensionless(unit, scales_ref) == pytest.approx(
         1.0, rel=1e-12)
     # The barrier top V0 maps to B in dimensionless form.
@@ -101,8 +99,8 @@ def test_time_round_trip(scales_ref):
 
 
 def test_custom_hbar():
-    # hbar = 1 turns the converters into pure scale factors.
-    params = RodParams(mass=1.5, length=2.0, gravity=1.0, hbar=1.0)
+    # hbar is HBAR_SI alone: a different hbar is the same problem at another
+    # B, so B = V0 / (hbar^2 / 2J) is checked in SI units.
+    params = RodParams(mass=1.5, length=2.0, gravity=1.0)
     scales = derive_scales(params)
-    assert scales.hbar == 1.0
-    assert scales.B == pytest.approx(2.0 * scales.J * scales.V0, rel=1e-14)
+    assert scales.B == pytest.approx(2.0 * scales.J * scales.V0 / HBAR_SI**2, rel=1e-14)

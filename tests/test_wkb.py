@@ -152,8 +152,6 @@ def test_closed_form_edge_cases():
 
 
 def test_tunneling_splitting_computes_the_period_once(monkeypatch):
-    for frac in (0.3, 0.9):
-        assert tunneling_splitting(frac * B, B).omega == classical_frequency(frac * B, B)
     calls = []
     real = wkb.period_integral
     monkeypatch.setattr(wkb, "period_integral", lambda *a: calls.append(a) or real(*a))
