@@ -226,6 +226,24 @@ def _rod_params(cfg: dict[str, Any]) -> RodParams:
                      gravity=cfg["gravity"])
 
 
+def _solve_rows(cfg: dict[str, Any], B: float, n_levels: int, rows: str):
+    """`solve_spectrum` of the lowest n_levels levels, which `rows` need, on --grid-n.
+
+    Refuses, naming `rows`, when no grid holds that many levels
+    (`min_grid_n`), and when --grid-n is coarser than the least grid that
+    does, which the message names.
+    """
+    try:
+        least = min_grid_n(n_levels)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"a grid solve cannot check {rows}: {exc}") from None
+    if cfg["grid_n"] < least:
+        raise InvalidParameterError(
+            f"{rows} need the lowest {n_levels} levels, which takes "
+            f"--grid-n >= {least} (default {DEFAULT_GRID_N})")
+    return solve_spectrum(B, n_levels, grid_n=cfg["grid_n"])
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, csv header, csv rows)
 
@@ -265,16 +283,14 @@ def run_wkb_compare(cfg: dict[str, Any]) -> Payload:
     if B == 0.0:
         # free well: each level is its own row, E = n^2 exactly
         count = n_max + 1
-        result = solve_spectrum(B, count, grid_n=cfg["grid_n"])
+        result = _solve_rows(cfg, B, count, f"the rows up to --n-max {n_max}")
         header = ["n", "energy", "energy_wkb"]
         rows = [[k + 1, result.energies[k], wkb.high_energy_quantize(k + 1, B)]
                 for k in range(count)]
         return {"levels": [dict(zip(header, r)) for r in rows]}, header, rows
 
-    result = solve_spectrum(B, 2 * (n_max + 1) + 2, grid_n=cfg["grid_n"])
+    result = _solve_rows(cfg, B, 2 * (n_max + 1) + 2, f"the rows up to --n-max {n_max}")
     doublets = pairing_table(result)
-    if n_max >= len(doublets):
-        raise RegimeError(f"doublet {n_max} not resolved by the eigensolve")
 
     header = ["n", "center", "center_wkb", "splitting", "splitting_wkb",
               "regime"]
@@ -307,16 +323,7 @@ def run_summit(cfg: dict[str, Any]) -> Payload:
     if not 0 <= n_min <= n_max:
         raise InvalidParameterError("need 0 <= n-min <= n-max")
 
-    n_levels = 2 * (n_max + 1) + 4
-    if n_levels * min_grid_n(n_levels) > MAX_MODE_VALUES:
-        raise InvalidParameterError(
-            f"a grid solve cannot check these summit rows: their lowest {n_levels} levels "
-            f"need more than {MAX_MODE_VALUES} mode values")
-    if cfg["grid_n"] < min_grid_n(n_levels):
-        raise InvalidParameterError(
-            f"the summit rows need the lowest {n_levels} levels, which takes "
-            f"--grid-n >= {min_grid_n(n_levels)} (default {DEFAULT_GRID_N})")
-    result = solve_spectrum(B, n_levels, grid_n=cfg["grid_n"])
+    result = _solve_rows(cfg, B, 2 * (n_max + 1) + 4, "the summit rows")
     hw = math.sqrt(2.0 * B)
     header = ["n", "parity", "epsilon", "energy_model", "energy", "error"]
     rows = []
@@ -443,7 +450,7 @@ def run_slant(cfg: dict[str, Any]) -> Payload:
     n = cfg["n"]
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    basis = solve_spectrum(B, 2 * (n + 1) + 4, grid_n=cfg["grid_n"])
+    basis = _solve_rows(cfg, B, 2 * (n + 1) + 4, f"the rows of doublet --n {n}")
     responses = slanted.tilt_sweep(basis, n, np.asarray(cfg["tilts"]))
     header = ["delta_theta", "coupling", "effective_splitting",
               "p_left_lower", "regime_upper", "regime_lower"]

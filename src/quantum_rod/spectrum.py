@@ -217,8 +217,17 @@ def make_grid(grid_n: int) -> np.ndarray:
 
 
 def min_grid_n(n_levels: int) -> int:
-    """Fewest grid points `solve_spectrum` accepts for n_levels levels."""
-    return 10 * n_levels + 1
+    """Fewest grid points `solve_spectrum` accepts for n_levels levels: 10 n_levels + 1.
+
+    Raises InvalidParameterError, naming no grid, when even that grid's
+    mode matrix would hold more than MAX_MODE_VALUES values (from
+    n_levels = 7328 on): then no grid holds the levels.
+    """
+    grid_n = 10 * n_levels + 1
+    if n_levels * grid_n > MAX_MODE_VALUES:
+        raise InvalidParameterError(
+            f"no grid holds {n_levels} levels within {MAX_MODE_VALUES} mode values")
+    return grid_n
 
 
 def grid_hamiltonian(grid: np.ndarray, B: float, tilt: float = 0.0) -> tuple[np.ndarray, float]:
@@ -658,8 +667,9 @@ def solve_spectrum(
     the raw change between the finest two.
 
     Raises InvalidParameterError, before anything is allocated, unless
-    n_levels and grid_n are integers (not bool), n_levels >= 1, grid_n is
-    odd, at least min_grid_n(n_levels) and at most MAX_GRID_N, and
+    n_levels and grid_n are integers (not bool), n_levels >= 1, some grid
+    holds n_levels levels (`min_grid_n`), grid_n is odd, at least
+    min_grid_n(n_levels) and at most MAX_GRID_N, and
     n_levels * grid_n is at most MAX_MODE_VALUES; raises ResolutionError
     when that drift exceeds RESOLUTION_RTOL relative (even the
     extrapolated values should not be trusted) or LAPACK's bisection fails.
@@ -676,10 +686,10 @@ def solve_spectrum(
             raise InvalidParameterError(f"{name} must be an integer, got {size!r}")
     if n_levels < 1:
         raise InvalidParameterError("n_levels must be >= 1")
-    if grid_n < min_grid_n(n_levels):
+    least = min_grid_n(n_levels)  # refuses first where no grid holds the levels
+    if grid_n < least:
         raise InvalidParameterError(
-            f"grid_n={grid_n} too coarse for {n_levels} levels (need >= {min_grid_n(n_levels)})"
-        )
+            f"grid_n={grid_n} too coarse for {n_levels} levels (need >= {least})")
     if grid_n % 2 == 0:
         raise InvalidParameterError("grid_n must be odd so the grid contains theta = 0")
     if grid_n > MAX_GRID_N:

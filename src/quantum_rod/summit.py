@@ -8,14 +8,20 @@ even/odd solutions to WKB waves on both sides replaces the familiar
 turning-point pi/4 by an epsilon-dependent phase correction built from
 arg Gamma(1/2 + i*epsilon).
 
-The exact arg Gamma comes from `scipy.special.loggamma`; the smooth fit
-used throughout the quantization is
+The exact arg Gamma, `half_arg_gamma_exact`, comes from
+`scipy.special.loggamma`; the smooth fit `half_arg_gamma_fit` used
+throughout the quantization is
 
     (1/2) arg Gamma(1/2 + i*eps) ~ (eps/2) * ln sqrt((eps/e)^2 + (1/4g)^2)
 
 with 4g = 4 * 1.78107 (g is exp(Euler-Mascheroni) to the figures used
 in the fit).  The fit has the exact slope at eps = 0 and stays within a
-few hundredths of a radian out to |eps| ~ 5.
+few hundredths of a radian out to |eps| ~ 5; its error is the
+difference of the two functions.
+
+Each formula is one function returning plain floats: `phase_delta`
+gives the even/odd pair of phase corrections, `quadratic_action` the
+exact inner action and `asymptotic_action` its large-xi form.
 
 The inner and outer regions are matched at xi = XI_MATCH, moved further
 out when the parabolic turning point approaches it.  The matching point
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
@@ -50,22 +55,6 @@ def half_arg_gamma_fit(epsilon: float) -> float:
     return 0.25 * epsilon * math.log((epsilon / math.e) ** 2 + FIT_C**2)
 
 
-@dataclass(frozen=True)
-class GammaPhase:
-    """Exact and fitted summit phase, plus their difference."""
-
-    exact: float
-    fit: float
-
-    @property
-    def fit_error(self) -> float:
-        return self.fit - self.exact
-
-
-def gamma_phase(epsilon: float) -> GammaPhase:
-    return GammaPhase(exact=half_arg_gamma_exact(epsilon), fit=half_arg_gamma_fit(epsilon))
-
-
 def _arctan_exp(x: float) -> float:
     """arctan(exp(x)) without overflow for large positive x."""
     if x > 30.0:
@@ -84,36 +73,23 @@ def _eps_log(epsilon: float) -> float:
     return 0.5 * epsilon * math.log(ratio)
 
 
-@dataclass(frozen=True)
-class PhaseCorrection:
-    """Even/odd phase corrections replacing the usual turning-point pi/4.
+def phase_delta(epsilon: float) -> tuple[float, float]:
+    """Summit phase corrections (delta_plus, delta_minus) at epsilon.
 
-    These are the combinations that enter the quantization condition and
-    the outgoing-wave phase; they are continuous through epsilon = 0 by
-    construction (the regime-dependent pi/4 bookkeeping of the raw
-    matching formulas cancels against the arctan term).
-    """
-
-    delta_plus: float
-    delta_minus: float
-
-
-def phase_delta(epsilon: float) -> PhaseCorrection:
-    """Summit phase corrections delta^(+/-)(epsilon).
+    The even/odd corrections that replace the usual turning-point pi/4 in
+    the quantization condition and the outgoing-wave phase:
 
     delta = (eps/2) ln(|eps|/e) - (eps/2) ln sqrt((eps/e)^2 + (1/4g)^2)
             +/- (1/2) arctan(e^(pi*eps)).
 
-    Deep below the summit the arctan term collapses to +/- e^(pi*eps)/2,
-    half the tunneling exponential; far above it tends to +/- pi/4,
-    recovering the degeneracy-free above-barrier phases.
+    They are continuous through epsilon = 0 by construction: the
+    regime-dependent pi/4 bookkeeping of the raw matching formulas
+    cancels against the arctan term.  Deep below the summit the arctan
+    term collapses to +/- e^(pi*eps)/2, half the tunneling exponential;
+    far above it tends to +/- pi/4, recovering the degeneracy-free
+    above-barrier phases.  Raises DomainError unless epsilon is finite
+    and squares without overflow.
     """
-    delta_plus, delta_minus = _deltas(epsilon)
-    return PhaseCorrection(delta_plus=delta_plus, delta_minus=delta_minus)
-
-
-def _deltas(epsilon: float) -> tuple[float, float]:
-    """(delta_plus, delta_minus) of `phase_delta`, without the record."""
     if not math.isfinite(epsilon):
         raise DomainError("epsilon must be finite")
     try:
@@ -171,25 +147,20 @@ def quadratic_action(epsilon: float, xi: float) -> float:
     return action
 
 
-@dataclass(frozen=True)
-class SummitAction:
-    exact: float
-    asymptotic: float
+def asymptotic_action(epsilon: float, xi: float) -> float:
+    """Large-xi form of `quadratic_action`:
 
+    xi^2/2 + (eps/2) ln(2 xi^2) - (eps/2) ln(|eps|/e),
 
-def summit_action(epsilon: float, xi: float) -> SummitAction:
-    """Exact quadratic action and its large-xi asymptotic form.
-
-    asymptotic = xi^2/2 + (eps/2) ln(2 xi^2) - (eps/2) ln(|eps|/e); the
-    difference decays like O(eps^2/xi^2).
+    which differs from it by O(eps^2/xi^2).  Raises DomainError unless
+    xi^2 > 0 and the result is finite (NaN in either argument fails).
     """
-    exact = quadratic_action(epsilon, xi)
     if not xi * xi > 0.0:
         raise DomainError(f"asymptotic form needs xi^2 > 0, got xi={xi}")
-    asym = 0.5 * xi * xi + 0.5 * epsilon * math.log(2.0 * xi * xi) - _eps_log(epsilon)
-    if not math.isfinite(asym):
+    action = 0.5 * xi * xi + 0.5 * epsilon * math.log(2.0 * xi * xi) - _eps_log(epsilon)
+    if not math.isfinite(action):
         raise DomainError(f"asymptotic action overflows at epsilon={epsilon}, xi={xi}")
-    return SummitAction(exact=exact, asymptotic=asym)
+    return action
 
 
 def summit_scale(B: float) -> float:
@@ -233,7 +204,7 @@ def summit_phase(energy: float, B: float, parity: str) -> float:
         )
     inner = quadratic_action(eps, xi_eff)
     outer = phase_integral(energy, B, delta_theta, HALF_PI)
-    delta_plus, delta_minus = _deltas(eps)
+    delta_plus, delta_minus = phase_delta(eps)
     return inner + outer + (delta_plus if parity == EVEN else delta_minus)
 
 

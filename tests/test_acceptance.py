@@ -20,7 +20,8 @@ from quantum_rod.slanted import (
     tilt_sweep,
 )
 from quantum_rod.spectrum import make_grid, pairing_table, solve_spectrum
-from quantum_rod.summit import gamma_phase, phase_delta, summit_phase_difference
+from quantum_rod.summit import (half_arg_gamma_exact, half_arg_gamma_fit, phase_delta,
+                                summit_phase_difference)
 from quantum_rod.wkb import doublet_prediction
 
 # Doublet table at B = 1e4 through the pairing crossover:
@@ -133,15 +134,15 @@ def test_criterion_08_semiclassical_doublets_near_crossover(spectrum_b1e4):
 
 
 def test_criterion_09_barrier_top_phase_model():
-    band = max(abs(gamma_phase(e).fit_error)
+    band = max(abs(half_arg_gamma_fit(e) - half_arg_gamma_exact(e))
                for e in np.linspace(-5.0, 5.0, 201))
     assert band < 0.05
-    ref = phase_delta(0.0)
+    ref_plus, ref_minus = phase_delta(0.0)
     for h in (1e-12, -1e-12):
-        near = phase_delta(h)
-        assert abs(near.delta_plus - ref.delta_plus) < 1e-9
-        assert abs(near.delta_minus - ref.delta_minus) < 1e-9
-    assert ref.delta_plus - ref.delta_minus == pytest.approx(
+        near_plus, near_minus = phase_delta(h)
+        assert abs(near_plus - ref_plus) < 1e-9
+        assert abs(near_minus - ref_minus) < 1e-9
+    assert ref_plus - ref_minus == pytest.approx(
         math.pi / 4.0, abs=1e-12)
     assert summit_phase_difference() == pytest.approx(math.pi / 4.0, abs=1e-3)
 

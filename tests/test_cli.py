@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import quantum_rod
+from quantum_rod import spectrum
 from quantum_rod.cli import main
 
 SUBCOMMANDS = ["spectrum", "wkb-compare", "summit", "airy", "fall-time",
@@ -21,8 +22,17 @@ FREE_SPECTRUM = ["spectrum", "--B", "0", "--n-levels", "6", "--grid-n", "201"]
 
 
 # A grid past spectrum.MAX_GRID_N, on the eigenbasis and the direct route,
-# a mode matrix of 600 levels x MAX_GRID_N points, past MAX_MODE_VALUES, and
-# output times x grid points past MAX_MODE_VALUES / 4 on each evolve route.
+# a mode matrix of 600 levels x MAX_GRID_N points, past MAX_MODE_VALUES,
+# output times x grid points past MAX_MODE_VALUES / 4 on each evolve route,
+# and, on every subcommand that solves for levels, more levels than any
+# grid's mode matrix holds within MAX_MODE_VALUES.
+NO_GRID_HOLDS = {
+    "slant": "slant --B 1e4 --n 1000000",
+    "wkb-compare": "wkb-compare --B 1e4 --n-max 1000000",
+    "wkb-compare-free": "wkb-compare --B 0 --n-max 1000000",
+    "spectrum": "spectrum --B 1e4 --n-levels 8000",
+    "evolve": "evolve --B 1e4 --n-levels 1000000",
+}
 OVERSIZED = [
     ["spectrum", "--B", "1e4", "--n-levels", "4", "--grid-n", "1000000001"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "1000000001"],
@@ -30,6 +40,7 @@ OVERSIZED = [
     ["evolve", "--B", "100", "--n-times", "400000000"],
     ["evolve", "--B", "100", "--method", "direct", "--n-times", "3000000"],
     ["evolve", "--B", "100", "--method", "both", "--n-times", "67109", "--grid-n", "2001"],
+    *(argv.split() for argv in NO_GRID_HOLDS.values()),
 ]
 
 
@@ -407,22 +418,40 @@ def test_summit_table(capsys):
                                                   rel=1e-6)
 
 
-def test_summit_names_the_grid_it_needs(capsys):
-    # The rows reach level n = 2638 of each parity: 2 * 2639 + 4 levels.
-    assert main(["summit", "--B", "1e8"]) == 2
+@pytest.mark.parametrize("argv, rows, n_levels, grid_n", [
+    # The summit rows reach level n = 2638 of each parity: 2 * 2639 + 4 levels.
+    pytest.param("summit --B 1e8", "the summit rows", 5282, 52821, id="summit"),
+    pytest.param("slant --B 1e4 --n 300", "the rows of doublet --n 300", 606, 6061, id="slant"),
+    pytest.param("wkb-compare --B 1e4 --n-max 300", "the rows up to --n-max 300", 604, 6041,
+                 id="wkb-compare"),
+])
+def test_summit_names_the_grid_it_needs(capsys, argv, rows, n_levels, grid_n):
+    assert main(argv.split()) == 2
     err = capsys.readouterr().err
-    assert "the summit rows need the lowest 5282 levels" in err
-    assert "--grid-n >= 52821 (default 4001)" in err
+    assert err == (f"error: {rows} need the lowest {n_levels} levels, which takes "
+                   f"--grid-n >= {grid_n} (default 4001)\n")
+    # solve_spectrum accepts the grid it advises.
+    assert grid_n % 2 == 1 and grid_n <= spectrum.MAX_GRID_N
+    assert n_levels * grid_n <= spectrum.MAX_MODE_VALUES
 
 
-@pytest.mark.parametrize("B, advice", [("1.9e8", True), ("2e8", False), ("4e10", False)])
-def test_summit_names_no_grid_past_the_mode_matrix_bound(capsys, B, advice):
-    # From B ~ 2e8 the levels times min_grid_n(levels) exceed MAX_MODE_VALUES,
-    # so no --grid-n could work: the refusal names none.
-    assert main(["summit", "--B", B]) == 2
+@pytest.mark.parametrize("argv, advice", [
+    pytest.param("summit --B 1.9e8", True, id="1.9e8-True"),
+    pytest.param("summit --B 2e8", False, id="2e8-False"),
+    pytest.param("summit --B 4e10", False, id="4e10-False"),
+    *(pytest.param(argv, False, id=name) for name, argv in NO_GRID_HOLDS.items()),
+])
+def test_summit_names_no_grid_past_the_mode_matrix_bound(capsys, argv, advice):
+    # From B ~ 2e8 the summit rows' levels times min_grid_n(levels) exceed
+    # MAX_MODE_VALUES, and so do the levels of the other cases, so no
+    # --grid-n could work: the refusal names none.
+    assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert ("--grid-n" in err) == advice
+    assert "need >=" not in err
+    if argv.startswith(("slant", "wkb-compare")):  # the row flag and value the user passed
+        assert " ".join(argv.split()[-2:]) in err
 
 
 def test_summit_refuses_a_row_past_the_wall(capsys):

@@ -42,7 +42,7 @@ LIBRARY = {
     "full_action": (wkb.full_action, (reals, reals)),
     "phase_integral": (wkb.phase_integral, (reals, reals, reals, reals)),
     "quadratic_action": (summit.quadratic_action, (reals, reals)),
-    "summit_action": (summit.summit_action, (reals, reals)),
+    "asymptotic_action": (summit.asymptotic_action, (reals, reals)),
     "phase_delta": (summit.phase_delta, (reals,)),
     "summit_phase": (summit.summit_phase, (reals, reals, parities)),
     "summit_quantize": (summit.summit_quantize, (indices, reals, parities)),
@@ -68,7 +68,7 @@ REFUSED = [
     (spectrum.potential, (math.nan, 100.0)), (spectrum.potential, (0.1, math.nan)),
     (summit.summit_quantize, (0, -1.0, "even")), (wkb.single_well_quantize, (0, math.inf)),
     (wkb.high_energy_quantize, (1, math.inf)), (summit.phase_delta, (1e300,)),
-    (summit.summit_phase, (1e300, 100.0, "even")), (summit.summit_action, (1.0, 1e-300)),
+    (summit.summit_phase, (1e300, 100.0, "even")), (summit.asymptotic_action, (1.0, 1e-300)),
     (wkb.single_well_quantize, (0, 1e231)), (wkb.classical_frequency, (0.5e308, 1e308)),
     (wkb.well_action, (5e-324, 1e-320)),
 ]
@@ -83,7 +83,9 @@ def test_refused_input_raises_a_typed_error(func, args):
 
 def _floats_of(result):
     if dataclasses.is_dataclass(result):
-        return [float(v) for v in dataclasses.astuple(result) if isinstance(v, float)]
+        result = dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        return [float(v) for v in result if isinstance(v, float)]
     return [float(result)]
 
 

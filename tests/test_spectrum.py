@@ -198,6 +198,16 @@ def test_parameter_validation():
         assert peak < 2**16
 
 
+def test_min_grid_n_stops_at_the_mode_matrix_bound():
+    # 7327 levels on 73271 points fit in MAX_MODE_VALUES; 7328 levels fit on no grid,
+    # and solve_spectrum says so before judging the grid it was given.
+    assert spectrum.min_grid_n(7327) == 73271
+    assert 7327 * 73271 <= spectrum.MAX_MODE_VALUES < 7328 * 73281
+    for call in (lambda: spectrum.min_grid_n(7328), lambda: solve_spectrum(1e4, 7328, grid_n=201)):
+        with pytest.raises(InvalidParameterError, match="no grid holds 7328 levels"):
+            call()
+
+
 def test_potential_values():
     assert potential(0.0, 1e4) == pytest.approx(1e4, rel=1e-14)
     assert abs(potential(0.5 * math.pi, 1e4)) < 1e-9

@@ -9,10 +9,11 @@ from scipy.special import jv, jvp
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.summit import (
     FIT_GAMMA,
-    gamma_phase,
+    asymptotic_action,
+    half_arg_gamma_exact,
+    half_arg_gamma_fit,
     phase_delta,
     quadratic_action,
-    summit_action,
     summit_phase,
     summit_phase_difference,
     summit_quantize,
@@ -26,50 +27,52 @@ QUARTER_PI = 0.25 * math.pi
 
 
 def test_gamma_phase_at_zero_and_antisymmetry():
-    gp = gamma_phase(0.0)
-    assert gp.exact == 0.0
-    assert gp.fit == 0.0
+    assert half_arg_gamma_exact(0.0) == 0.0
+    assert half_arg_gamma_fit(0.0) == 0.0
     for eps in (0.7, 2.3):
-        plus, minus = gamma_phase(eps), gamma_phase(-eps)
-        assert plus.exact == pytest.approx(-minus.exact, rel=1e-12)
-        assert plus.fit == pytest.approx(-minus.fit, rel=1e-12)
+        assert half_arg_gamma_exact(eps) == pytest.approx(-half_arg_gamma_exact(-eps), rel=1e-12)
+        assert half_arg_gamma_fit(eps) == pytest.approx(-half_arg_gamma_fit(-eps), rel=1e-12)
+
+
+def fit_error(eps):
+    return half_arg_gamma_fit(eps) - half_arg_gamma_exact(eps)
 
 
 def test_gamma_phase_fit_quality():
     # The logarithmic fit misses by about 0.012 at worst on |eps| <= 5;
     # the band below pins both the quality and the honesty of the bound.
-    errors = [abs(gamma_phase(e).fit_error) for e in np.linspace(-5.0, 5.0, 1001)]
+    errors = [abs(fit_error(e)) for e in np.linspace(-5.0, 5.0, 1001)]
     assert 0.010 < max(errors) < 0.013
-    assert abs(gamma_phase(1.0).fit_error) == pytest.approx(
+    assert abs(fit_error(1.0)) == pytest.approx(
         0.011482013824962, abs=1e-9)
 
 
 def test_phase_delta_at_zero():
-    pc = phase_delta(0.0)
-    assert pc.delta_plus == pytest.approx(math.pi / 8.0, abs=1e-15)
-    assert pc.delta_minus == pytest.approx(-math.pi / 8.0, abs=1e-15)
-    assert pc.delta_plus - pc.delta_minus == pytest.approx(QUARTER_PI, abs=1e-15)
+    delta_plus, delta_minus = phase_delta(0.0)
+    assert delta_plus == pytest.approx(math.pi / 8.0, abs=1e-15)
+    assert delta_minus == pytest.approx(-math.pi / 8.0, abs=1e-15)
+    assert delta_plus - delta_minus == pytest.approx(QUARTER_PI, abs=1e-15)
 
 
 def test_phase_delta_continuity():
-    ref = phase_delta(0.0)
+    ref_plus, ref_minus = phase_delta(0.0)
     for h in (1e-12, -1e-12):
-        pc = phase_delta(h)
-        assert abs(pc.delta_plus - ref.delta_plus) < 1e-9
-        assert abs(pc.delta_minus - ref.delta_minus) < 1e-9
+        delta_plus, delta_minus = phase_delta(h)
+        assert abs(delta_plus - ref_plus) < 1e-9
+        assert abs(delta_minus - ref_minus) < 1e-9
 
 
 def test_phase_delta_asymptotics():
     # Deep below: the even/odd difference is the tunneling exponential.
-    low = phase_delta(-3.0)
-    assert low.delta_plus - low.delta_minus == pytest.approx(
+    low_plus, low_minus = phase_delta(-3.0)
+    assert low_plus - low_minus == pytest.approx(
         math.exp(-3.0 * math.pi), rel=1e-3)
     # Far above: it saturates at pi/2 (a quarter wave per parity).
-    high = phase_delta(3.0)
-    assert high.delta_plus - high.delta_minus == pytest.approx(
+    high_plus, high_minus = phase_delta(3.0)
+    assert high_plus - high_minus == pytest.approx(
         0.5 * math.pi - math.exp(-3.0 * math.pi), abs=1e-12)
     # Overflow guard for very large arguments.
-    assert math.isfinite(phase_delta(500.0).delta_plus)
+    assert math.isfinite(phase_delta(500.0)[0])
     with pytest.raises(DomainError):
         phase_delta(math.inf)
 
@@ -101,12 +104,10 @@ def test_quadratic_action_closed_form():
 
 
 def test_summit_action_asymptotics():
-    assert summit_action(0.0, 7.0).asymptotic == summit_action(0.0, 7.0).exact
+    assert asymptotic_action(0.0, 7.0) == quadratic_action(0.0, 7.0)
     for eps in (-2.0, 2.0):
-        near = summit_action(eps, 10.0)
-        far = summit_action(eps, 100.0)
-        assert abs(near.exact - near.asymptotic) < 0.02
-        assert abs(far.exact - far.asymptotic) < 2e-4
+        assert abs(quadratic_action(eps, 10.0) - asymptotic_action(eps, 10.0)) < 0.02
+        assert abs(quadratic_action(eps, 100.0) - asymptotic_action(eps, 100.0)) < 2e-4
 
 
 def test_summit_scale():
