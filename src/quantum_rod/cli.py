@@ -24,7 +24,10 @@ one `warning: <message>` line on stderr.
 The modules a subcommand needs beyond `spectrum` and `slanted` are
 imported by its handler, so that, for example, `spectrum` never loads
 `scipy.special`.  `spectrum`, `evolve` and `slant` load no `scipy.linalg`
-package either: their LAPACK routines come from `_lapack`.
+package either: their LAPACK routines come from `_scipy_ext`.  `airy`,
+`fall-time`, `summit` and `wkb-compare` load `scipy.special`, and no
+subcommand loads `scipy.optimize`: the root finder of `summit` and
+`wkb-compare` is `_scipy_ext.brentq`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -342,6 +345,8 @@ def run_airy(cfg: dict[str, Any]) -> Payload:
     count = cfg["count"]
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
+    if count > airy.MAX_N:  # refused before the first row
+        raise DomainError(f"--count {count} exceeds the {airy.MAX_N} Airy zeros available")
     B = cfg.get("B")
     header = ["n", "lambda_wkb", "lambda"]
     if B is not None:

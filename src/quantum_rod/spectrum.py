@@ -8,7 +8,7 @@ with hard walls (Dirichlet conditions) at theta = +/- pi/2 where the rod
 hits the table.  The solver uses second-order central finite differences
 on a uniform grid from wall to wall; the symmetric tridiagonal matrix
 `grid_hamiltonian`, which `dynamics` steps too, is diagonalized with
-LAPACK (`stebz`, `stein` and `gtsv`, loaded by `_lapack`).  Eigenvalues
+LAPACK (`stebz`, `stein` and `gtsv`, loaded by `_scipy_ext`).  Eigenvalues
 are Romberg-extrapolated from the finest three grids of the solve (see
 `solve_spectrum`), which removes the O(h^2) and O(h^4) discretization
 errors: at B = 1e4 the 72 lowest levels from the default 4001 points are
@@ -63,7 +63,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._lapack import dgtsv, dstebz, dstein
+from ._scipy_ext import dgtsv, dstebz, dstein
 from .errors import DomainError, InvalidParameterError, ResolutionError
 
 HALF_PI = 0.5 * math.pi

@@ -35,6 +35,7 @@ import warnings
 import numpy as np
 from scipy.special import loggamma
 
+from ._scipy_ext import brentq
 from .errors import DomainError, InvalidParameterError, RegimeError
 from .spectrum import EVEN, HALF_PI, ODD
 from .wkb import phase_integral
@@ -221,8 +222,6 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
     s = summit_scale(B)  # validates B
-    from scipy.optimize import brentq
-
     hw = math.sqrt(2.0 * B)
     target = (n + 0.75) * math.pi
 

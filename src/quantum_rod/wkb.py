@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from scipy.special import ellipeinc, elliprd, elliprf
 
+from ._scipy_ext import brentq
 from .errors import DomainError, InvalidParameterError, RegimeError
 from .spectrum import HALF_PI, PotentialSpec
 
@@ -265,8 +266,6 @@ def single_well_quantize(n: int, B: float) -> float:
             f"level n={n} lies at or above the summit for B={B}; "
             "use the summit or high-energy quantization"
         )
-    from scipy.optimize import brentq
-
     # well_action(0) is exactly 0, so the bracket reaches the deepest level
     # at any B (the 1 g rod's E_0 ~ 1e40 sits 20 decades below B ~ 3e59);
     # bisecting down that far takes up to 372 steps at B = 1e230
@@ -298,8 +297,6 @@ def high_energy_quantize(n: int, B: float) -> float:
             f"level n={n} sits below the barrier summit for B={B}; "
             "use the single-well quantization"
         )
-    from scipy.optimize import brentq
-
     hi = (n + 1.0) ** 2 + 2.0 * B
     energy = brentq(lambda e: full_action(e, B) - target, B, hi)
     if B > 0.0 and energy < 5.0 * B:

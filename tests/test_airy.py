@@ -2,7 +2,7 @@
 import pytest
 import scipy.special as sp
 
-from quantum_rod.airy import airy_zero, linear_well_energy, wkb_lambda
+from quantum_rod.airy import MAX_N, airy_zero, linear_well_energy, wkb_lambda
 from quantum_rod.errors import DomainError, InvalidParameterError
 from quantum_rod.spectrum import solve_spectrum
 
@@ -21,12 +21,24 @@ def test_airy_zeros_against_scipy():
 
 
 def test_airy_zero_guards():
+    # Index 12, once refused, is an ordinary zero; the bound only caps the
+    # tables ai_zeros(n + 1) allocates.
     with pytest.raises(InvalidParameterError):
         airy_zero(-1)
-    with pytest.raises(DomainError):
-        airy_zero(12)
+    assert airy_zero(12) > airy_zero(11)
+    with pytest.raises(DomainError, match=f"n < {MAX_N}"):
+        airy_zero(MAX_N)
+    assert airy_zero(MAX_N - 1) > airy_zero(12)
     with pytest.raises(InvalidParameterError):
         wkb_lambda(-1)
+
+
+@pytest.mark.parametrize("n", [12, 50, 200])
+def test_airy_zero_against_mpmath(n):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = -mp.airyaizero(n + 1)
+        assert abs(airy_zero(n) - ref) / ref < 1e-14
 
 
 def test_zero_tables():

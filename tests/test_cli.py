@@ -1,5 +1,8 @@
 """Command-line interface: schemas, precedence, formats, exit codes."""
 import csv
+import importlib.abc
+import importlib.machinery
+import importlib.util
 import io
 import json
 import math
@@ -189,6 +192,7 @@ def test_config_error_exits(tmp_path, capsys):
         ["spectrum", "--n-levels", "4"],        # no barrier source at all
         ["fall-time", "--mass", "1e-3"],        # length missing
         ["airy", "--count", "0"],
+        ["airy", "--count", "10001"],           # past airy.MAX_N, refused before any row
         ["evolve", "--B", "100", "--t-max", "0"],
         ["evolve", "--B", "100", "--n-times", "1"],
     ]
@@ -496,60 +500,102 @@ def _run_fresh(code):
 
 def test_import_footprint():
     # One fresh process: spectrum, evolve and slant load neither the
-    # scipy.linalg package nor scipy.special, no subcommand loads
-    # scipy.integrate, and only the root-finding summit and wkb-compare load
-    # scipy.optimize.  Whether scipy.special loads scipy.linalg depends on
-    # the scipy version (recent ones import it lazily, older ones on import),
-    # so the lean group is not checked for it.
+    # scipy.linalg package nor scipy.special, and no subcommand loads
+    # scipy.integrate or scipy.optimize: summit and wkb-compare find their
+    # roots with _scipy_ext.brentq, on the _zeros core alone.  Whether
+    # scipy.special loads scipy.linalg depends on the scipy version (recent
+    # ones import it lazily, older ones on import), so the groups after
+    # no-special are not checked for it.
     loaded = json.loads(_run_fresh(_FOOTPRINT))
     assert loaded["import"] == [] and loaded["no-special"] == []
     assert [m for m in loaded["lean"] if m != "scipy.linalg"] == ["scipy.special"]
-    assert "scipy.integrate" not in loaded["root-finding"]
+    assert [m for m in loaded["root-finding"] if m != "scipy.linalg"] == ["scipy.special"]
 
 
 _IDENTITY = """
 import json, sys
 {first}
 {second}
-print(json.dumps([all(getattr(_lapack, name) is getattr(lapack, name) for name in _lapack.ROUTINES),
-                  sys.modules[_lapack.FLAPACK] is lapack._flapack]))
+print(json.dumps([all(getattr(_scipy_ext, name) is getattr(lapack, name) for name in _scipy_ext.ROUTINES),
+                  sys.modules[_scipy_ext.FLAPACK] is lapack._flapack,
+                  scipy.optimize._zeros_py._zeros is sys.modules[_scipy_ext.ZEROS]]))
 """
 
 
 @pytest.mark.parametrize("first, second", [
-    ("from quantum_rod import _lapack", "from scipy.linalg import lapack"),
-    ("from scipy.linalg import lapack", "from quantum_rod import _lapack"),
+    pytest.param("from quantum_rod import _scipy_ext",
+                 "import scipy.optimize; from scipy.linalg import lapack", id="loader first"),
+    pytest.param("import scipy.optimize; from scipy.linalg import lapack",
+                 "from quantum_rod import _scipy_ext", id="scipy first"),
 ])
 def test_loaded_routines_are_scipy_lapack_objects(first, second):
     # In either import order there is one _flapack module, so the loader's
-    # routines are scipy's own objects.
-    assert json.loads(_run_fresh(_IDENTITY.format(first=first, second=second))) == [True, True]
+    # routines are scipy's own objects, and one _zeros module, whose core
+    # scipy.optimize.brentq calls.
+    assert json.loads(_run_fresh(_IDENTITY.format(first=first, second=second))) == [True, True, True]
 
 
 def _raise_import_error(self, module):
     raise ImportError("refused")
 
 
-@pytest.mark.parametrize("break_load", ["missing file", "exec_module raises"])
-def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path, break_load):
-    import importlib.machinery
-    import importlib.util
+def _core_raising_type_error(*args):
+    raise TypeError("refused")
 
+
+def _core_with_another_argument_list(f, a, b, *rest):
+    from scipy.optimize._zeros_py import _zeros
+    return _zeros._brentq(f, a, b)  # the real core refuses it with RuntimeError
+
+
+class _CoreLoader(importlib.abc.Loader):
+    """Loads a stand-in `_zeros` module whose `_brentq` is `core`."""
+
+    def __init__(self, core):
+        self.core = core
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        module._brentq = self.core
+
+
+@pytest.mark.parametrize("extension, break_load", [
+    pytest.param("flapack", "missing file", id="missing file"),
+    pytest.param("flapack", "exec_module raises", id="exec_module raises"),
+    pytest.param("zeros", "missing file", id="zeros missing file"),
+    pytest.param("zeros", "exec_module raises", id="zeros exec_module raises"),
+    pytest.param("zeros", _core_raising_type_error, id="zeros core raises TypeError"),
+    pytest.param("zeros", _core_with_another_argument_list, id="zeros core with another signature"),
+])
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path, extension, break_load):
+    # Each way an extension can fail to serve leaves scipy's public routines:
+    # scipy.linalg.lapack's, or scipy.optimize.brentq itself.
+    import scipy.optimize
     from scipy.linalg import lapack
 
-    from quantum_rod import _lapack
+    from quantum_rod import _scipy_ext
 
-    spec = _lapack.flapack_spec()
+    name, take, fallback = {
+        "flapack": (_scipy_ext.FLAPACK, _scipy_ext.lapack_routines, _scipy_ext.scipy_lapack_routines),
+        "zeros": (_scipy_ext.ZEROS, _scipy_ext.zeros_brentq, _scipy_ext.scipy_optimize_brentq),
+    }[extension]
+    spec = _scipy_ext.find_spec(name)
     if break_load == "missing file":
-        spec = importlib.util.spec_from_file_location(
-            _lapack.FLAPACK, str(tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])))
-    else:
+        spec = importlib.util.spec_from_file_location(name, str(tmp_path / Path(spec.origin).name))
+    elif break_load == "exec_module raises":
         monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module",
                             _raise_import_error)
-    monkeypatch.delitem(sys.modules, _lapack.FLAPACK)
-    routines = _lapack.load(spec)
-    assert _lapack.FLAPACK not in sys.modules  # no half-loaded module left behind
-    assert all(r is getattr(lapack, name) for r, name in zip(routines, _lapack.ROUTINES))
+    else:
+        spec = importlib.util.spec_from_loader(name, _CoreLoader(break_load))
+    monkeypatch.delitem(sys.modules, name)
+    found = _scipy_ext.load(spec, take, fallback)
+    assert name not in sys.modules  # no half-loaded module left behind
+    if extension == "flapack":
+        assert all(r is getattr(lapack, routine) for r, routine in zip(found, _scipy_ext.ROUTINES))
+    else:
+        assert found is scipy.optimize.brentq
 
 
 def test_warning_is_one_line_and_zero_has_no_sign(capsys):
