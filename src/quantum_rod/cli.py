@@ -18,8 +18,13 @@ with underscores.  Output is a JSON envelope {config, results,
 provenance} or a CSV table with a header row, written to --output or
 stdout.  All numbers are rounded to --precision significant digits
 (round-half-even), and a given configuration always produces
-byte-identical output.  A Python warning raised on the way is shown as
-one `warning: <message>` line on stderr.
+byte-identical output.  Each Python warning raised on the way is shown
+as one `warning: <message>` line on stderr, once per occurrence, whatever
+PYTHONWARNINGS says; `main` is the one place that sets the warning
+filters.  Two checks return their answer instead of warning:
+`slanted.regime_check` the flags that `slant` prints as regime_upper and
+regime_lower, and `wkb.tunneling_splitting` the barrier action W, which
+falls below 1 near the summit, as `SplittingResult.action`.
 
 The modules a subcommand needs beyond `spectrum` and `slanted` are
 imported by its handler, so that, for example, `spectrum` never loads
@@ -351,14 +356,16 @@ def run_airy(cfg: dict[str, Any]) -> Payload:
     header = ["n", "lambda_wkb", "lambda"]
     if B is not None:
         header += ["energy_wkb", "energy"]
+    # the exact columns from one ai_zeros call each; the WKB columns stay
+    # per row, as numpy's power need not round like Python's
+    ns = np.arange(count)
+    lams = airy.airy_zero(ns).tolist()
+    energies = airy.linear_well_energy(ns, B).tolist() if B is not None else None
     rows = []
     for n in range(count):
-        lam_wkb = airy.wkb_lambda(n)
-        lam = airy.airy_zero(n)
-        row = [n, lam_wkb, lam]
+        row = [n, airy.wkb_lambda(n), lams[n]]
         if B is not None:
-            row += [airy.linear_well_energy(n, B, exact=False),
-                    airy.linear_well_energy(n, B)]
+            row += [airy.linear_well_energy(n, B, exact=False), energies[n]]
         rows.append(row)
     return {"levels": [dict(zip(header, r)) for r in rows]}, header, rows
 
@@ -540,6 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
+            warnings.simplefilter("always")
             warnings.showwarning = _show_warning
             cfg = resolve_config(args)
             results, header, rows = _DISPATCH[args.subcommand](cfg)

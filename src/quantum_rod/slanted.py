@@ -100,23 +100,21 @@ def solve_two_level(problem: TwoLevelProblem) -> TwoLevelSolution:
 
 
 def regime_check(problem: TwoLevelProblem, gap_to_next: float) -> dict[str, bool]:
-    """Validity window of the two-level truncation.
+    """Validity window of the two-level truncation, as flags.
 
     upper: |V| * REGIME_FACTOR <= gap to the neighbouring doublet
-    lower: |V| >= REGIME_FACTOR * bare splitting (tilt dominates tunneling)
+    (False: the 2x2 truncation is unreliable)
+    lower: |V| >= REGIME_FACTOR * bare splitting (False: tunneling
+    dominates the tilt and the states stay delocalized)
+
+    It does not warn: `slant` prints the flags as regime_upper and
+    regime_lower.
     """
     v = abs(problem.coupling)
-    checks = {
+    return {
         "upper": v * REGIME_FACTOR <= gap_to_next,
         "lower": v >= REGIME_FACTOR * problem.splitting,
     }
-    if not checks["upper"]:
-        warnings.warn("tilt coupling reaches the neighbouring doublet; "
-                      "2x2 truncation unreliable", stacklevel=2)
-    if not checks["lower"]:
-        warnings.warn("tilt coupling does not dominate the bare splitting; "
-                      "states stay delocalized", stacklevel=2)
-    return checks
 
 
 def localization_measure(amplitudes: tuple[float, float],
@@ -171,9 +169,6 @@ def tilt_sweep(basis: SpectrumResult, n: int,
         problem = TwoLevelProblem(n=n, delta_theta=float(delta),
                                   e_plus=d.e_plus, e_minus=d.e_minus,
                                   coupling=coupling_element(basis, n, float(delta)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            checks = regime_check(problem, gap_next)
         sol = solve_two_level(problem)
         p_left = localization_measure(sol.amplitudes[0],
                                       basis.wavefunction(EVEN, n),
@@ -182,5 +177,5 @@ def tilt_sweep(basis: SpectrumResult, n: int,
                                 coupling=problem.coupling,
                                 effective_splitting=sol.effective_splitting,
                                 p_left_lower=p_left,
-                                regime=checks))
+                                regime=regime_check(problem, gap_next)))
     return out

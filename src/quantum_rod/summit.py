@@ -189,8 +189,8 @@ def summit_phase(energy: float, B: float, parity: str) -> float:
     tends to xi^2/2 + eps*ln(xi*sqrt(2)) plus the parity offset, and a
     node at the wall lands exactly on the (n + 3/4)*pi ladder.  The
     matching angle grows automatically when the parabolic turning point
-    approaches it; a warning flags matching angles so large that the
-    quadratic approximation of the potential is strained.
+    approaches it; past about 0.6 rad the quadratic approximation of the
+    potential is strained, which `summit_quantize` warns of for its root.
     """
     if parity not in (EVEN, ODD):
         raise InvalidParameterError(f"parity must be even or odd, got {parity!r}")
@@ -198,11 +198,6 @@ def summit_phase(energy: float, B: float, parity: str) -> float:
     eps = (energy - B) / math.sqrt(2.0 * B)
     xi_eff = _matching_xi(eps)
     delta_theta = xi_eff * s
-    if delta_theta > 0.6:
-        warnings.warn(
-            f"matching angle {delta_theta:.3f} rad leaves the quadratic summit region",
-            stacklevel=2,
-        )
     inner = quadratic_action(eps, xi_eff)
     outer = phase_integral(energy, B, delta_theta, HALF_PI)
     delta_plus, delta_minus = phase_delta(eps)
@@ -217,7 +212,9 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     when the requested level does not fall in that window, or when the
     matching angle of the root reaches the wall at pi/2, where the summit
     model has no outer region left (the scan of the window may cross the
-    wall; only the root is held to it).
+    wall; only the root is held to it).  A root whose matching angle
+    exceeds 0.6 rad is returned with a UserWarning that the quadratic
+    summit region is left.
     """
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
@@ -230,19 +227,15 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
 
     eps_grid = np.linspace(-EPS_WINDOW, EPS_WINDOW, 81)
     energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
-    # scan silently: the window edges trip the matching-angle warning
-    # even when the root itself is fine
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = [residual(e) for e in energies]
-        root = None
-        for k in range(len(values) - 1):
-            if values[k] == 0.0:
-                root = energies[k]
-                break
-            if values[k] * values[k + 1] < 0.0:
-                root = brentq(residual, energies[k], energies[k + 1])
-                break
+    values = [residual(e) for e in energies]
+    root = None
+    for k in range(len(values) - 1):
+        if values[k] == 0.0:
+            root = energies[k]
+            break
+        if values[k] * values[k + 1] < 0.0:
+            root = brentq(residual, energies[k], energies[k + 1])
+            break
     if root is None:
         raise RegimeError(
             f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"
@@ -253,7 +246,11 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
             f"{parity} level n={n} at B={B:g}: matching angle {delta_theta:.3f} rad "
             "reaches the wall at pi/2, so the summit model does not apply"
         )
-    residual(root)  # replay once so a strained matching angle still warns
+    if delta_theta > 0.6:
+        warnings.warn(
+            f"matching angle {delta_theta:.3f} rad leaves the quadratic summit region",
+            stacklevel=2,
+        )
     return root
 
 

@@ -222,19 +222,14 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
     """Splitting (hbar*omega/pi) * exp(-W) of the doublet centered at E.
 
     In internal units hbar*omega = 2*pi / period_integral, so the
-    splitting reduces to (2/I) exp(-W).  Valid for W somewhat above 1;
-    a warning is emitted near the summit where the exponent is small.
+    splitting reduces to (2/I) exp(-W).  Valid for W somewhat above 1:
+    near the summit the exponent is small, which `action` < 1 shows.
     Needs 0 < E < B, the range of `classical_frequency`.
     """
     if not 0.0 < energy < B < math.inf:
         raise DomainError(f"tunneling needs 0 < E < B < inf, got E={energy}, B={B}")
     w = barrier_action(energy, B)
     regime = regime_of(energy, B)
-    if w < 1.0:
-        warnings.warn(
-            f"barrier action W={w:.3f} < 1: splitting formula unreliable near the summit",
-            stacklevel=2,
-        )
     splitting = (2.0 / period_integral(energy, B)) * math.exp(-w)
     return SplittingResult(splitting=splitting, action=w, regime=regime)
 
@@ -318,14 +313,6 @@ class WkbDoublet:
     action: float
     regime: str
 
-    @property
-    def e_plus(self) -> float:
-        return self.center - 0.5 * self.splitting
-
-    @property
-    def e_minus(self) -> float:
-        return self.center + 0.5 * self.splitting
-
 
 def doublet_prediction(n: int, B: float) -> WkbDoublet:
     """Center from the single-well condition, splitting from tunneling.
@@ -336,8 +323,6 @@ def doublet_prediction(n: int, B: float) -> WkbDoublet:
     0.0, and `action` carries W ~ 1.3e30 instead.
     """
     center = single_well_quantize(n, B)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sp = tunneling_splitting(center, B)
+    sp = tunneling_splitting(center, B)
     return WkbDoublet(n=n, center=center, splitting=sp.splitting,
                       action=sp.action, regime=sp.regime)

@@ -1,4 +1,5 @@
 """Airy zeros, their WKB stand-ins, and the linear-well level model."""
+import numpy as np
 import pytest
 import scipy.special as sp
 
@@ -31,6 +32,20 @@ def test_airy_zero_guards():
     assert airy_zero(MAX_N - 1) > airy_zero(12)
     with pytest.raises(InvalidParameterError):
         wkb_lambda(-1)
+    with pytest.raises(InvalidParameterError):
+        airy_zero(np.array([3, -1]))
+    with pytest.raises(DomainError, match=f"got n={MAX_N}"):
+        airy_zero(np.array([0, MAX_N]))
+
+
+def test_airy_zero_array_is_bit_for_bit_the_scalar():
+    # `airy --count` takes its exact columns from the array form.
+    ns = np.array(list(range(60)) + [777, 4242, MAX_N - 1])
+    lams = airy_zero(ns)
+    energies = linear_well_energy(ns, 1e4)
+    for k, n in enumerate(ns.tolist()):
+        assert lams[k] == airy_zero(n)
+        assert energies[k] == linear_well_energy(n, 1e4)
 
 
 @pytest.mark.parametrize("n", [12, 50, 200])

@@ -1,4 +1,5 @@
 """Command-line interface: schemas, precedence, formats, exit codes."""
+import ast
 import csv
 import importlib.abc
 import importlib.machinery
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -612,6 +614,39 @@ def test_warning_is_one_line_and_zero_has_no_sign(capsys):
     captured = capsys.readouterr()
     assert captured.err == warning
     assert captured.out.splitlines()[1] == "0,0,0,0.5,true,true"
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["summit", "--B", "300"], 10),
+    (["slant", "--B", "1e4", "--n", "0", "--tilts", "0", "0", "--grid-n", "2001"], 2),
+])
+def test_every_warning_is_shown_whatever_the_filters(capsys, argv, count):
+    # As under PYTHONWARNINGS=error: a warning is a stderr line, never an
+    # exception, and each occurrence has its own line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == count
+    assert all(line.startswith("warning: ") for line in err)
+
+
+def test_only_cli_main_sets_the_warning_filters():
+    # Library code warns, or returns a flag that is printed; only `main`
+    # decides how a warning is shown.
+    filter_names = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"}
+    owners = set()
+    for path in Path(quantum_rod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in filter_names:
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                inner = max(enclosing, key=lambda f: f.lineno, default=None)
+                owners.add((path.stem, inner.name if inner else None))
+    assert owners == {("cli", "main")}
 
 
 def test_evolve_phase_bound_names_t_max(capsys):

@@ -100,19 +100,18 @@ def test_localization_measure_identities(spectrum_b1e4):
 
 
 def test_regime_check_flags():
-    ok = _generic_problem(e_minus=1.0 + 1e-3, coupling=1.0)
+    # The window is reported by the flags alone, never by a warning.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        flags = regime_check(ok, gap_to_next=1e4)
-    assert flags == {"upper": True, "lower": True}
+        ok = regime_check(_generic_problem(e_minus=1.0 + 1e-3, coupling=1.0),
+                          gap_to_next=1e4)
+        crowded = regime_check(_generic_problem(coupling=50.0), gap_to_next=100.0)
+        weak = regime_check(_generic_problem(e_minus=1.0 + 1e-3, coupling=1e-6),
+                            gap_to_next=1e4)
+    assert ok == {"upper": True, "lower": True}
+    assert crowded == {"upper": False, "lower": True}
+    assert weak == {"upper": True, "lower": False}
     assert not caught
-    with pytest.warns(UserWarning, match="neighbouring"):
-        flags = regime_check(_generic_problem(coupling=50.0), gap_to_next=100.0)
-    assert not flags["upper"]
-    with pytest.warns(UserWarning, match="delocalized"):
-        flags = regime_check(_generic_problem(e_minus=1.0 + 1e-3,
-                                              coupling=1e-6), gap_to_next=1e4)
-    assert not flags["lower"]
 
 
 def test_two_level_matches_full_tilted_solve(spectrum_b1e4):

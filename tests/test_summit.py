@@ -123,9 +123,11 @@ def test_summit_phase_parity_offset():
     assert diff == pytest.approx(QUARTER_PI, abs=1e-12)
 
 
-def test_summit_phase_warns_on_wide_matching():
-    with pytest.warns(UserWarning):
-        summit_phase(100.0, 100.0, "even")
+def test_summit_quantize_warns_on_wide_matching():
+    # The root's own matching angle, once; the scan of the window is silent.
+    with pytest.warns(UserWarning, match="matching angle 0.857 rad") as caught:
+        summit_quantize(4, 300.0, "even")
+    assert len(caught) == 1
 
 
 def test_summit_quantize_against_spectrum(spectrum_b1e4):
