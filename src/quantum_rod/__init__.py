@@ -26,7 +26,6 @@ from .spectrum import (
     SpectrumResult,
     Wavefunction,
     make_grid,
-    mathieu_residual,
     pairing_table,
     potential,
     solve_spectrum,
@@ -35,9 +34,6 @@ from .units import (
     DerivedScales,
     RodParams,
     derive_scales,
-    energy_from_dimensionless,
-    energy_to_dimensionless,
-    time_from_seconds,
     time_to_seconds,
 )
 
@@ -58,16 +54,12 @@ __all__ = [
     "SpectrumResult",
     "Wavefunction",
     "make_grid",
-    "mathieu_residual",
     "pairing_table",
     "potential",
     "solve_spectrum",
     "DerivedScales",
     "RodParams",
     "derive_scales",
-    "energy_from_dimensionless",
-    "energy_to_dimensionless",
-    "time_from_seconds",
     "time_to_seconds",
     "__version__",
 ]

@@ -90,21 +90,16 @@ def zeros_brentq(module) -> Callable:
     """`brentq` on the `_brentq` core of `_zeros`, probed with one root of x - 1."""
     core = module._brentq
 
-    def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = XTOL,
-               rtol: float = RTOL, maxiter: int = MAXITER) -> float:
-        """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter).
+    def brentq(f: Callable[[float], float], a: float, b: float, maxiter: int = MAXITER) -> float:
+        """scipy.optimize.brentq(f, a, b, maxiter=maxiter), at scipy's default XTOL and RTOL.
 
-        It keeps every check of scipy's public wrapper: ValueError for
-        xtol <= 0, for rtol < 4 eps and for a NaN value of `f`; and, as
+        It keeps every check of scipy's public wrapper that these
+        arguments can reach: ValueError for a NaN value of `f`; and, as
         with disp=True there, the core raises ValueError for a bracket
         whose ends have one sign and RuntimeError when `maxiter` steps do
         not converge.
         """
         maxiter = operator.index(maxiter)
-        if xtol <= 0:
-            raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-        if rtol < RTOL:
-            raise ValueError(f"rtol too small ({rtol:g} < {RTOL:g})")
 
         def f_raise(x: float) -> float:
             fx = f(x)
@@ -112,7 +107,7 @@ def zeros_brentq(module) -> Callable:
                 raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
             return fx
 
-        return core(f_raise, a, b, xtol, rtol, maxiter, (), False, True)
+        return core(f_raise, a, b, XTOL, RTOL, maxiter, (), False, True)
 
     brentq(lambda x: x - 1.0, 0.0, 2.0)  # the probe: another core raises here
     return brentq

@@ -106,34 +106,6 @@ def prepare_gaussian(sigma: float, grid: np.ndarray) -> InitialState:
                         renormalized=abs(raw_norm - 1.0) > 1e-12)
 
 
-def uncertainty_product(state: InitialState) -> tuple[float, float, float]:
-    """(delta_theta, delta_L, product) for a Gaussian state, hbar = 1.
-
-    delta_L uses the analytic derivative -theta/sigma^2 * psi, so both
-    factors reduce to quadratures of explicit smooth functions; the
-    product is hbar/2 up to truncation, which is negligible for
-    sigma <= 0.1.
-    """
-    theta, psi = state.grid, state.values
-    dens = psi**2
-    mean = float(simpson(theta * dens, x=theta))
-    var = float(simpson((theta - mean) ** 2 * dens, x=theta))
-    dpsi = -(theta / state.sigma**2) * psi
-    l2 = float(simpson(dpsi**2, x=theta))
-    d_theta, d_l = math.sqrt(var), math.sqrt(l2)
-    return d_theta, d_l, d_theta * d_l
-
-
-def closed_form_energy(sigma: float, B: float) -> float:
-    """Gaussian energy expectation 1/(2 sigma^2) + B exp(-sigma^2/4)."""
-    if not math.sqrt(sys.float_info.min) < sigma < math.sqrt(sys.float_info.max):  # sigma^2 normal
-        raise InvalidParameterError(f"need 1.5e-154 < sigma < 1.3e154, got {sigma}")
-    energy = 1.0 / (2.0 * sigma**2) + B * math.exp(-(sigma**2) / 4.0)
-    if not math.isfinite(energy):
-        raise InvalidParameterError(f"the energy at sigma={sigma}, B={B} is not finite")
-    return energy
-
-
 def _hamiltonian_apply(psi: np.ndarray, grid: np.ndarray, B: float) -> np.ndarray:
     h = grid[1] - grid[0]
     v = potential(grid, B)

@@ -51,8 +51,12 @@ symmetric by `fold_parity`'s scaling.  Even level j is global level 2j
 and odd level j is 2j+1, so parity labels follow the level order, and
 the eigenvectors unfold onto the full grid with exact parity; no
 rotation of near-degenerate doublets is needed.  A doublet split by less
-than bisection's own tolerance, eps*(max|diag| + 2|off|), is tied: its
-splitting reads 0, as bisection of the full matrix would return it.
+than bisection's own tolerance, eps*(max|diag| + 2|off|), is tied on that
+grid: its splitting reads 0, as bisection of the full matrix would return
+it.  The tolerance grows like 1/h^2, so the finest grid ties a doublet
+first, and `solve_spectrum` then ties the extrapolated pair as well:
+Romberg's combination of that 0 with the coarser grids' splittings is
+noise, and can be negative.
 """
 from __future__ import annotations
 
@@ -114,8 +118,8 @@ def potential(theta, B: float, tilt: float = 0.0):
 def simpson(y, x: np.ndarray):
     """Simpson's rule along the last axis of y, sampled at the points x.
 
-    The arithmetic of `scipy.integrate.simpson(y, x=x)`, so the two agree
-    to the bit, without loading scipy.integrate: per-interval h0/h1
+    The arithmetic of scipy's `simpson(y, x=x)`, so the two agree to the
+    bit, without loading scipy's integrate package: per-interval h0/h1
     weights rather than fixed h/3 ones (`make_grid`'s mirrored spacings
     are not exactly uniform, and fixed weights move printed digits), and
     for an even number of points the rule on all but the last interval
@@ -175,9 +179,6 @@ class Wavefunction:
 
     grid: np.ndarray
     values: np.ndarray
-
-    def norm(self) -> float:
-        return float(simpson(self.values**2, x=self.grid))
 
 
 @dataclass(frozen=True)
@@ -706,6 +707,9 @@ def solve_spectrum(
     if refine:
         drift = np.abs(solved[0] - solved[1])
         refined = _richardson_table(solved[:ROMBERG_GRIDS])
+        if tilt == 0.0:  # a doublet tied on the finest grid stays tied
+            tied = solved[0][1::2] == solved[0][0:n_levels - 1:2]
+            refined[1::2][tied] = refined[0:n_levels - 1:2][tied]
         rel_drift = drift / np.maximum(np.abs(refined), 1.0)
         if np.max(rel_drift) > RESOLUTION_RTOL:
             raise ResolutionError(
@@ -747,28 +751,4 @@ def pairing_table(result: SpectrumResult) -> list[Doublet]:
         table.append(Doublet(n=n, e_plus=evens[n].energy, e_minus=odds[n].energy,
                              gap=gap, pairing_ratio=split / gap))
     return table
-
-
-def mathieu_residual(result: SpectrumResult, k: int) -> float:
-    """Pointwise residual of level k in the angular Mathieu form.
-
-    With eta = theta/2 the stationary equation is the Mathieu equation
-    with characteristic value a = 4E and parameter q = 2B; evaluated in
-    theta this is psi'' + (E - B cos theta) psi = 0.  The second
-    derivative is taken with a fourth-order stencil and the maximum
-    interior residual is normalized by E * max|psi|.  The residual
-    scales as O(h^2), so fine grids are needed to push it below 1e-4.
-    Raises InvalidParameterError unless 0 <= k < len(result.levels).
-    """
-    if not 0 <= k < len(result.levels):
-        raise InvalidParameterError(f"level k={k} not in 0..{len(result.levels) - 1}")
-    lv, wf = result.levels[k], result.wavefunctions[k]
-    h = wf.grid[1] - wf.grid[0]
-    psi = wf.values
-    d2 = (-psi[:-4] + 16 * psi[1:-3] - 30 * psi[2:-2] + 16 * psi[3:-1] - psi[4:]) / (
-        12 * h**2
-    )
-    v = potential(wf.grid[2:-2], result.B, result.tilt)
-    residual = d2 + (lv.energy - v) * psi[2:-2]
-    return float(np.max(np.abs(residual)) / (max(abs(lv.energy), 1.0) * np.max(np.abs(psi))))
 

@@ -20,8 +20,9 @@ few hundredths of a radian out to |eps| ~ 5; its error is the
 difference of the two functions.
 
 Each formula is one function returning plain floats: `phase_delta`
-gives the even/odd pair of phase corrections, `quadratic_action` the
-exact inner action and `asymptotic_action` its large-xi form.
+gives the even/odd pair of phase corrections and `quadratic_action` the
+exact inner action.  The tests check the parity offset pi/4 that these
+build against the exact summit solutions, by ODE and by Bessel functions.
 
 The inner and outer regions are matched at xi = XI_MATCH, moved further
 out when the parabolic turning point approaches it.  The matching point
@@ -101,17 +102,14 @@ def phase_delta(epsilon: float) -> tuple[float, float]:
     return core + wave, core - wave
 
 
-def wavepacket_phase(epsilon: float) -> float:
-    """Even-wave phase piece entering the stationary-phase fall time.
-
-    This is delta_plus with the (eps/2) ln(|eps|/e) term absorbed into
-    the action, i.e. -(eps/2) ln sqrt((eps/e)^2+(1/4g)^2) + arctan/2.
-    """
-    return -half_arg_gamma_fit(epsilon) + 0.5 * _arctan_exp(math.pi * epsilon)
-
-
 def wavepacket_phase_derivative(epsilon: float) -> float:
-    """d/d(eps) of `wavepacket_phase`; equals ln sqrt(4g) + pi/4 at 0."""
+    """d/d(eps) of the even-wave phase that enters the stationary-phase fall time.
+
+    That phase is delta_plus of `phase_delta` with its (eps/2) ln(|eps|/e)
+    term absorbed into the action:
+    -(eps/2) ln sqrt((eps/e)^2 + (1/4g)^2) + (1/2) arctan(e^(pi*eps)).
+    The derivative equals ln sqrt(4g) + pi/4 at eps = 0.
+    """
     c2 = FIT_C**2
     e2 = (epsilon / math.e) ** 2
     dlog = -0.25 * math.log(e2 + c2) - 0.5 * epsilon**2 / (math.e**2 * (e2 + c2))
@@ -145,22 +143,6 @@ def quadratic_action(epsilon: float, xi: float) -> float:
     action = 0.5 * (xi * r + sign * m * math.log((xi + r) / math.sqrt(m)))
     if not math.isfinite(action):
         raise DomainError(f"quadratic action overflows at epsilon={epsilon}, xi={xi}")
-    return action
-
-
-def asymptotic_action(epsilon: float, xi: float) -> float:
-    """Large-xi form of `quadratic_action`:
-
-    xi^2/2 + (eps/2) ln(2 xi^2) - (eps/2) ln(|eps|/e),
-
-    which differs from it by O(eps^2/xi^2).  Raises DomainError unless
-    xi^2 > 0 and the result is finite (NaN in either argument fails).
-    """
-    if not xi * xi > 0.0:
-        raise DomainError(f"asymptotic form needs xi^2 > 0, got xi={xi}")
-    action = 0.5 * xi * xi + 0.5 * epsilon * math.log(2.0 * xi * xi) - _eps_log(epsilon)
-    if not math.isfinite(action):
-        raise DomainError(f"asymptotic action overflows at epsilon={epsilon}, xi={xi}")
     return action
 
 
@@ -253,36 +235,3 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
         )
     return root
 
-
-def summit_phase_difference() -> float:
-    """Even/odd asymptotic phase difference at the summit, by direct ODE.
-
-    Integrates psi'' + xi^2 psi = 0 (epsilon = 0) with even and odd
-    initial data out to xi = 60 and measures the difference of the
-    instantaneous WKB phases over the last 30% of that range.  Exact
-    value: pi/4.  Serves as an independent check on the matching
-    formulas; the error falls like 1/xi^2.
-    """
-    from scipy.integrate import solve_ivp
-
-    xi_max = 60.0
-
-    def rhs(xi, y):
-        return [y[1], -(xi * xi) * y[0]]
-
-    window = np.linspace(0.7 * xi_max, xi_max, 201)
-    sols = []
-    for y0 in ([1.0, 0.0], [0.0, 1.0]):
-        sol = solve_ivp(rhs, (0.0, xi_max), y0, t_eval=window,
-                        rtol=1e-10, atol=1e-13, method="DOP853")
-        if not sol.success:
-            raise RegimeError(f"summit ODE integration failed: {sol.message}")
-        sols.append(sol)
-    # At epsilon = 0 the local wavenumber is k = xi: writing
-    # psi = (A/sqrt(k)) cos(Phi) gives Phi = atan2(-psi'/sqrt(k), psi*sqrt(k)).
-    sqrt_k = np.sqrt(window)
-    phases = [
-        np.unwrap(np.arctan2(-sol.y[1] / sqrt_k, sol.y[0] * sqrt_k)) for sol in sols
-    ]
-    diff = np.mod(phases[0] - phases[1], 2.0 * math.pi)
-    return float(np.median(diff))

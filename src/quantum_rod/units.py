@@ -59,11 +59,6 @@ class DerivedScales:
     B: float
     s: float
 
-    @property
-    def energy_unit(self) -> float:
-        """hbar^2/2J in joules."""
-        return HBAR_SI**2 / (2.0 * self.J)
-
 
 def derive_scales(params: RodParams) -> DerivedScales:
     """Compute the mechanical and dimensionless scales for a rod.
@@ -88,23 +83,8 @@ def derive_scales(params: RodParams) -> DerivedScales:
     return DerivedScales(J=J, V0=V0, omega_c=omega_c, B=B, s=s)
 
 
-def energy_to_dimensionless(energy_si: float, scales: DerivedScales) -> float:
-    """Convert an energy in joules to units of hbar^2/2J."""
-    return energy_si / scales.energy_unit
-
-
-def energy_from_dimensionless(energy: float, scales: DerivedScales) -> float:
-    """Convert an energy in units of hbar^2/2J back to joules."""
-    return energy * scales.energy_unit
-
-
 def time_to_seconds(time_omega_c: float, scales: DerivedScales) -> float:
     """Convert a time in units of 1/omega_c to seconds."""
     if scales.omega_c == 0.0:
         return math.inf
     return time_omega_c / scales.omega_c
-
-
-def time_from_seconds(time_si: float, scales: DerivedScales) -> float:
-    """Convert a time in seconds to units of 1/omega_c."""
-    return time_si * scales.omega_c

@@ -30,9 +30,8 @@ positive arguments, so nothing cancels as E/B -> 0:
     barrier_action  (4/3) (B - E) R_D(0, 2B/(B+E), 1) / sqrt(B + E)
 
 Above the barrier theta = pi - 2 phi turns `phase_integral` and
-`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1.  Only
-barrier_action(method="adaptive") stays on `scipy.integrate.quad`, as
-the quadrature cross-check of the closed forms.
+`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1.  No
+phase integral here is a quadrature.
 """
 from __future__ import annotations
 
@@ -143,13 +142,12 @@ def well_action(energy: float, B: float) -> float:
     return action
 
 
-def barrier_action(energy: float, B: float, method: str = "substitution") -> float:
+def barrier_action(energy: float, B: float) -> float:
     """Barrier penetration integral W = int sqrt(B cos theta - E) dtheta.
 
-    Taken across the classically forbidden region [-theta0, theta0].
-    `method` selects the closed form (default), (4/3) (B - E)
-    R_D(0, 2B/(B+E), 1) / sqrt(B + E), or adaptive quadrature, which
-    exists as an independent cross-check.
+    Taken across the classically forbidden region [-theta0, theta0], in
+    the closed form (4/3) (B - E) R_D(0, 2B/(B+E), 1) / sqrt(B + E).
+    Raises DomainError unless 0 < 2B < inf and 0 <= E <= B.
     """
     if not 0.0 < 2.0 * B < math.inf:  # so E + B cannot overflow either
         raise DomainError(f"barrier action needs 0 < 2B < inf, got B={B}")
@@ -157,15 +155,6 @@ def barrier_action(energy: float, B: float, method: str = "substitution") -> flo
         raise DomainError(f"no barrier above the summit: E={energy} > B={B}")
     if not energy >= 0.0:
         raise DomainError(f"energy must be >= 0 (the wells sit at E = 0), got {energy}")
-    if method == "adaptive":
-        from scipy.integrate import quad
-
-        theta0 = turning_point(energy, B)
-        val, _ = quad(lambda t: math.sqrt(max(B * math.cos(t) - energy, 0.0)),
-                      -theta0, theta0, limit=200)
-        return val
-    if method != "substitution":
-        raise InvalidParameterError(f"unknown method {method!r}")
     w = 4.0 / 3.0 * (B - energy) * elliprd(0.0, 2.0 * B / (B + energy), 1.0)
     return w / math.sqrt(B + energy)
 
@@ -187,31 +176,9 @@ def period_integral(energy: float, B: float) -> float:
     return 2.0 * scale * elliprf(B / (B + energy), B / (B - energy), 1.0)
 
 
-def classical_frequency(energy: float, B: float) -> float:
-    """Oscillation frequency in one well, in units of omega_c.
-
-    The classical bounce runs from the turning point to the wall and
-    back, so the period is twice the traversal time; it diverges
-    logarithmically as E approaches the summit from below.  Raises
-    DomainError when the period, sqrt(2B) times `period_integral`, leaves
-    the float range.
-    """
-    if B <= 0.0:
-        raise InvalidParameterError("omega_c units need B > 0")
-    if not 0.0 < energy < B:
-        raise DomainError(f"well motion needs 0 < E < B, got E={energy}")
-    period = math.sqrt(2.0 * B) * period_integral(energy, B)
-    if not period < math.inf:
-        raise DomainError(f"the period at E={energy}, B={B} leaves the float range")
-    return 2.0 * math.pi / period
-
-
 @dataclass(frozen=True)
 class SplittingResult:
-    """Tunneling splitting of a doublet, with its barrier action W.
-
-    The well frequency is `classical_frequency(energy, B)`.
-    """
+    """Tunneling splitting of a doublet, with its barrier action W."""
 
     splitting: float      # E_minus - E_plus, units hbar^2/2J
     action: float         # barrier action W
@@ -222,9 +189,10 @@ def tunneling_splitting(energy: float, B: float) -> SplittingResult:
     """Splitting (hbar*omega/pi) * exp(-W) of the doublet centered at E.
 
     In internal units hbar*omega = 2*pi / period_integral, so the
-    splitting reduces to (2/I) exp(-W).  Valid for W somewhat above 1:
-    near the summit the exponent is small, which `action` < 1 shows.
-    Needs 0 < E < B, the range of `classical_frequency`.
+    splitting reduces to (2/I) exp(-W), with I the `period_integral`.
+    Valid for W somewhat above 1: near the summit the exponent is small,
+    which `action` < 1 shows.  Needs 0 < E < B, where I is positive and
+    finite.
     """
     if not 0.0 < energy < B < math.inf:
         raise DomainError(f"tunneling needs 0 < E < B < inf, got E={energy}, B={B}")

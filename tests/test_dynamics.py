@@ -18,6 +18,7 @@ from quantum_rod.errors import (
 from quantum_rod.spectrum import grid_hamiltonian, make_grid, potential, solve_spectrum
 from quantum_rod.summit import FIT_GAMMA, summit_scale
 from quantum_rod.units import RodParams, derive_scales
+from reference_routes import closed_form_energy, uncertainty_product
 
 LN2 = math.log(2.0)
 
@@ -59,7 +60,7 @@ def test_prepare_gaussian_guards():
 def test_uncertainty_product_is_minimal():
     grid = make_grid(4001)
     for sigma in (0.01, 0.03, 0.1):
-        d_theta, d_l, product = dynamics.uncertainty_product(
+        d_theta, d_l, product = uncertainty_product(
             dynamics.prepare_gaussian(sigma, grid))
         assert d_theta == pytest.approx(sigma / math.sqrt(2.0), rel=1e-6)
         assert d_l == pytest.approx(1.0 / (sigma * math.sqrt(2.0)), rel=1e-6)
@@ -71,14 +72,14 @@ def test_energy_against_closed_form():
     state = dynamics.prepare_gaussian(0.05, grid)
     grid_energy = dynamics.energy_expectation(state, 1e4)
     assert grid_energy == pytest.approx(
-        dynamics.closed_form_energy(0.05, 1e4), rel=1e-4)
+        closed_form_energy(0.05, 1e4), rel=1e-4)
 
 
 def test_summit_width_packet_sits_at_barrier_top():
     # A Gaussian of width s has energy B + 1/16 + O(1/B): the kinetic
     # cost of the confinement exactly pays for the potential drop.
     b = 1e8
-    assert dynamics.closed_form_energy(summit_scale(b), b) == pytest.approx(
+    assert closed_form_energy(summit_scale(b), b) == pytest.approx(
         b, rel=1e-6)
 
 

@@ -1,0 +1,51 @@
+"""Static checks of the package source: what it imports and what it exposes."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import quantum_rod
+
+SRC = Path(quantum_rod.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# Public, with no caller in the package: the exact arg Gamma(1/2 + i eps),
+# which the planned uniform quantization through the summit needs.
+KEPT = {("summit", "half_arg_gamma_exact")}
+
+
+def _trees(folder):
+    return {path: ast.parse(path.read_text()) for path in sorted(folder.glob("*.py"))}
+
+
+def test_no_module_imports_scipy_integrate():
+    # The package's one quadrature is `spectrum.simpson`; the quadrature
+    # and ODE cross-checks live in the tests' `reference_routes`.
+    found = []
+    for path, tree in _trees(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]  # importlib.import_module("scipy.integrate")
+            else:
+                continue
+            found += [(path.stem, name) for name in names
+                      if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+    assert found == []
+
+
+def test_every_public_definition_has_a_caller():
+    # A public module-level function or class of `src/` is used by the
+    # package itself or by perfbench; what only tests use lives in tests/.
+    # A re-export from __init__ is not a use.
+    package = {path: tree for path, tree in _trees(SRC).items() if path.name != "__init__.py"}
+    used = Counter()
+    for tree in [*package.values(), *_trees(PERFBENCH).values()]:
+        for node in ast.walk(tree):
+            used[getattr(node, "id", None) or getattr(node, "attr", None)
+                 or (node.name if isinstance(node, ast.alias) else None)] += 1
+    uncalled = {(path.stem, node.name) for path, tree in package.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and not used[node.name]}
+    assert uncalled == KEPT

@@ -9,18 +9,16 @@ from scipy.special import jv, jvp
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.summit import (
     FIT_GAMMA,
-    asymptotic_action,
     half_arg_gamma_exact,
     half_arg_gamma_fit,
     phase_delta,
     quadratic_action,
     summit_phase,
-    summit_phase_difference,
     summit_quantize,
     summit_scale,
-    wavepacket_phase,
     wavepacket_phase_derivative,
 )
+from reference_routes import asymptotic_action, summit_phase_difference, wavepacket_phase
 
 B = 1.0e4
 QUARTER_PI = 0.25 * math.pi

@@ -9,9 +9,6 @@ from quantum_rod.units import (
     HBAR_SI,
     RodParams,
     derive_scales,
-    energy_from_dimensionless,
-    energy_to_dimensionless,
-    time_from_seconds,
     time_to_seconds,
 )
 
@@ -43,7 +40,7 @@ def test_scale_identities(scales_ref):
     assert scales_ref.s**2 * scales_ref.J * scales_ref.omega_c == (
         pytest.approx(HBAR_SI, rel=1e-12))
     # B is the barrier height V0 measured in energy units.
-    assert scales_ref.B * scales_ref.energy_unit == pytest.approx(
+    assert scales_ref.B * HBAR_SI**2 / (2.0 * scales_ref.J) == pytest.approx(
         scales_ref.V0, rel=1e-12)
 
 
@@ -76,26 +73,11 @@ def test_invalid_parameters():
                 RodParams(**{"mass": 1e-3, "length": 0.1, field: bad})
 
 
-def test_energy_round_trip(scales_ref):
-    e_dimless = 9420.43
-    e_si = energy_from_dimensionless(e_dimless, scales_ref)
-    assert energy_to_dimensionless(e_si, scales_ref) == pytest.approx(
-        e_dimless, rel=1e-12)
-    # One energy unit is hbar^2 / 2J by construction.
-    unit = HBAR_SI**2 / (2.0 * scales_ref.J)
-    assert energy_to_dimensionless(unit, scales_ref) == pytest.approx(
-        1.0, rel=1e-12)
-    # The barrier top V0 maps to B in dimensionless form.
-    assert energy_to_dimensionless(scales_ref.V0, scales_ref) == (
-        pytest.approx(scales_ref.B, rel=1e-12))
-
-
 def test_time_round_trip(scales_ref):
     t_wc = 36.678
     seconds = time_to_seconds(t_wc, scales_ref)
     assert seconds == pytest.approx(t_wc / scales_ref.omega_c, rel=1e-14)
-    assert time_from_seconds(seconds, scales_ref) == pytest.approx(
-        t_wc, rel=1e-12)
+    assert seconds * scales_ref.omega_c == pytest.approx(t_wc, rel=1e-12)
 
 
 def test_custom_hbar():
