@@ -22,9 +22,10 @@ byte-identical output.  Each Python warning raised on the way is shown
 as one `warning: <message>` line on stderr, once per occurrence, whatever
 PYTHONWARNINGS says; `main` is the one place that sets the warning
 filters.  Two checks return their answer instead of warning:
-`slanted.regime_check` the flags that `slant` prints as regime_upper and
-regime_lower, and `wkb.tunneling_splitting` the barrier action W, which
-falls below 1 near the summit, as `SplittingResult.action`.
+`slanted.TiltResponse.regime` the flags that `slant` prints as
+regime_upper and regime_lower, and `wkb.tunneling_splitting` the barrier
+action W, which falls below 1 near the summit, as `SplittingResult.action`.
+A negative value may be written -1e-3 as well as -0.001.
 
 The modules a subcommand needs beyond `spectrum` and `slanted` are
 imported by its handler, so that, for example, `spectrum` never loads
@@ -43,6 +44,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from typing import Any
@@ -139,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, schema in _SCHEMAS.items():
         sp = subs.add_parser(name, help=f"run the {name} computation")
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")  # -1e-3 is a value, not a flag
         for flag, typ, default, text in schema:
             kwargs: dict[str, Any] = {"type": typ, "default": None, "help": text,
                                       "choices": _CHOICES.get(flag)}

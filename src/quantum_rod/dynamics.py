@@ -421,7 +421,7 @@ def quantum_fall_time_wkb(scales: DerivedScales) -> FallTime:
     return FallTime(omega_c_units=value, seconds=time_to_seconds(value, scales), terms=terms)
 
 
-def fall_time_assembly(scales_or_b, delta_theta: float) -> float:
+def fall_time_assembly(scales: DerivedScales, delta_theta: float) -> float:
     """The stationary-phase fall time assembled at a finite matching angle.
 
     t(delta_theta) = [summit transit from delta_theta to the wall]
@@ -431,15 +431,13 @@ def fall_time_assembly(scales_or_b, delta_theta: float) -> float:
     in units of 1/omega_c.  Mathematically independent of delta_theta;
     evaluating at two matching angles checks the cancellation.
     """
-    summit = _lazy(".summit")
-    s = _summit_scale_of(scales_or_b) if isinstance(scales_or_b, DerivedScales) \
-        else summit.summit_scale(float(scales_or_b))
+    s = _summit_scale_of(scales)
     transit = summit_transit_time(delta_theta)
     ratio = 2.0 * delta_theta**2 / s**2
     if not ratio > 0.0:
         raise DomainError(f"2 delta_theta^2 / s^2 underflows at delta_theta={delta_theta}, s={s}")
     spread = 0.5 * math.log(ratio)
-    return transit + spread + summit.wavepacket_phase_derivative(0.0)
+    return transit + spread + _lazy(".summit").wavepacket_phase_derivative(0.0)
 
 
 def _summit_scale_of(scales: DerivedScales) -> float:

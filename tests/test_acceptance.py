@@ -13,12 +13,7 @@ from scipy.integrate import simpson
 
 from quantum_rod import dynamics
 from quantum_rod.airy import airy_zero, wkb_lambda
-from quantum_rod.slanted import (
-    TwoLevelProblem,
-    coupling_element,
-    solve_two_level,
-    tilt_sweep,
-)
+from quantum_rod.slanted import tilt_sweep
 from quantum_rod.spectrum import make_grid, pairing_table, solve_spectrum
 from quantum_rod.summit import half_arg_gamma_exact, half_arg_gamma_fit, phase_delta
 from quantum_rod.wkb import doublet_prediction
@@ -112,15 +107,10 @@ def test_criterion_07_tilt_response_matches_full_solve(spectrum_b1e4):
     response = tilt_sweep(spectrum_b1e4, n, np.array([delta]))[0]
     assert response.regime == {"upper": True, "lower": True}
     assert response.p_left_lower > 0.99
-    problem = TwoLevelProblem(
-        n=n, delta_theta=delta,
-        e_plus=doublet.e_plus, e_minus=doublet.e_minus,
-        coupling=coupling_element(spectrum_b1e4, n, delta))
-    sol = solve_two_level(problem)
     full = solve_spectrum(1.0e4, 2 * n + 2, grid_n=4001, tilt=delta)
     ref = full.energies[2 * n: 2 * n + 2]
-    assert abs(sol.energies[0] - ref[0]) < 0.01 * gap
-    assert abs(sol.energies[1] - ref[1]) < 0.01 * gap
+    assert abs(doublet.center - 0.5 * response.effective_splitting - ref[0]) < 0.01 * gap
+    assert abs(doublet.center + 0.5 * response.effective_splitting - ref[1]) < 0.01 * gap
 
 
 def test_criterion_08_semiclassical_doublets_near_crossover(spectrum_b1e4):

@@ -288,6 +288,7 @@ def test_evolve_nonfinite_input_exits(capsys, bad):
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "0"],
     ["evolve", "--B", "100", "--method", "direct", "--grid-n", "-5"],
     *OVERSIZED,
+    ["spectrum", "--B", "-1e4"],  # a value, not a flag: refused by the solver
 ])
 def test_nonfinite_and_out_of_range_input_exits(capsys, argv):
     assert main(argv) == 2
@@ -412,6 +413,21 @@ def test_slant_refuses_a_negative_doublet_index(capsys, n):
     # Refused before the solve, naming the flag the user passed.
     assert main(["slant", "--B", "1e4", "--n", n]) == 2
     assert capsys.readouterr().err == "error: n must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, same", [
+    ("spectrum --B 1e4 --n-levels 8 --grid-n 401 --tilt -1e-3",
+     "spectrum --B 1e4 --n-levels 8 --grid-n 401 --tilt=-1e-3"),
+    ("slant --B 1e4 --n 18 --grid-n 2001 --tilts 1e-4 -1e-3",
+     "slant --B 1e4 --n 18 --grid-n 2001 --tilts 1e-4 -0.001"),
+], ids=["spectrum", "slant"])
+def test_negative_value_in_exponent_form_parses(capsys, argv, same):
+    # argparse of Python 3.10 and 3.11 reads only -1 and -0.5 as numbers,
+    # and -1e-3 as an unknown flag.
+    assert main(same.split()) == 0
+    expected = capsys.readouterr()
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_summit_table(capsys):

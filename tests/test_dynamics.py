@@ -540,7 +540,7 @@ def surrogate_fall():
     return b, times, res
 
 
-def test_surrogate_fall_crosses_half(surrogate_fall):
+def test_surrogate_fall_crosses_half(surrogate_fall, scales_ref):
     b, times, res = surrogate_fall
     f = res.fall_prob
     assert f[0] < 1e-6
@@ -549,7 +549,7 @@ def test_surrogate_fall_crosses_half(surrogate_fall):
     t50 = times[i - 1] + (0.5 - f[i - 1]) * (times[i] - times[i - 1]) / (f[i] - f[i - 1])
     assert 4.1 < t50 < 4.25
 
-    predicted = dynamics.fall_time_assembly(b, 1e-4)
+    predicted = dynamics.fall_time_assembly(dataclasses.replace(scales_ref, B=b), 1e-4)
     # Stationary-phase prediction for the full quarter turn: the
     # measured half-crossing at theta = 0.8 sits within 30%.
     assert abs(t50 / predicted - 1.0) < 0.3

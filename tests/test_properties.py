@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from quantum_rod import dynamics, errors, spectrum, summit, wkb
 from quantum_rod.cli import main
+from quantum_rod.units import RodParams, derive_scales
 from reference_routes import asymptotic_action, classical_frequency, closed_form_energy
 
 TYPED = (errors.InvalidParameterError, errors.DomainError, errors.ResolutionError,
@@ -31,6 +32,12 @@ EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-150, 1e-12
 reals = st.one_of(st.sampled_from(EDGES), st.floats())
 indices = st.integers(min_value=-2, max_value=10**9)
 parities = st.sampled_from(["even", "odd"])
+
+
+def rod(B):
+    """The 1 g, 10 cm rod's scales with the barrier B."""
+    return dataclasses.replace(derive_scales(RodParams(mass=1e-3, length=0.1, gravity=9.81)), B=B)
+
 
 LIBRARY = {
     "summit_scale": (summit.summit_scale, (reals,)),
@@ -49,7 +56,7 @@ LIBRARY = {
     "summit_phase": (summit.summit_phase, (reals, reals, parities)),
     "summit_quantize": (summit.summit_quantize, (indices, reals, parities)),
     "closed_form_energy": (closed_form_energy, (reals, reals)),
-    "fall_time_assembly": (dynamics.fall_time_assembly, (reals, reals)),
+    "fall_time_assembly": (dynamics.fall_time_assembly, (reals.map(rod), reals)),
     "potential": (spectrum.potential, (reals, reals)),
     "single_well_quantize": (wkb.single_well_quantize, (indices, reals)),
     "high_energy_quantize": (wkb.high_energy_quantize, (indices, reals)),
@@ -65,8 +72,9 @@ REFUSED = [
     (wkb.barrier_action, (50.0, math.inf)), (wkb.tunneling_splitting, (50.0, math.inf)),
     (wkb.full_action, (math.inf, 100.0)), (wkb.phase_integral, (math.nan, 100.0, 0.0, 1.0)),
     (summit.quadratic_action, (1.0, math.nan)), (closed_form_energy, (math.nan, 1.0)),
-    (closed_form_energy, (0.0, 1.0)), (dynamics.fall_time_assembly, (math.nan, 0.1)),
-    (dynamics.fall_time_assembly, (math.inf, 0.1)), (dynamics.fall_time_assembly, (100.0, 1e-300)),
+    (closed_form_energy, (0.0, 1.0)), (dynamics.fall_time_assembly, (rod(math.nan), 0.1)),
+    (dynamics.fall_time_assembly, (rod(math.inf), 0.1)),
+    (dynamics.fall_time_assembly, (rod(100.0), 1e-300)),
     (spectrum.potential, (math.nan, 100.0)), (spectrum.potential, (0.1, math.nan)),
     (summit.summit_quantize, (0, -1.0, "even")), (wkb.single_well_quantize, (0, math.inf)),
     (wkb.high_energy_quantize, (1, math.inf)), (summit.phase_delta, (1e300,)),

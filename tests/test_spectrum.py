@@ -230,7 +230,7 @@ def test_make_grid_symmetry():
 @pytest.mark.parametrize("grid_n", [3, 5, 7, 9, 401, 2001, 4001, 4003, 20001])
 def test_simpson_is_scipy_simpson_bit_for_bit(grid_n):
     # The helper copies scipy's arithmetic, so it must agree to the bit on
-    # full grids, on the left halves slanted.localization_measure takes
+    # full grids, on the left halves slanted.tilt_sweep takes for p_left_lower
     # ((grid_n + 1) / 2 points: odd for grid_n = 1 mod 4, even and
     # Cartwright-corrected for grid_n = 3 mod 4, the trapezoid for
     # grid_n = 3) and row-wise on 2-D input.
