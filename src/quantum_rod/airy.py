@@ -8,10 +8,11 @@ potential is effectively linear, so the exact deep levels are
 while the corresponding WKB condition gives the slightly smaller
 lambda_n(WKB) = [3*pi/2*(n + 3/4)]^(2/3).
 
-The zeros lambda_n come from `scipy.special.ai_zeros`, polished by one
-Newton step with `scipy.special.airy`: the fifth zero from `ai_zeros`
-alone is off by about 1e-12 relative, the polished ones by < 1e-16
-against `mpmath.airyaizero` (sampled from n = 11 to 100000).  Nothing
+The zeros lambda_n come from scipy.special's `ai_zeros`, polished by one
+Newton step with its `airy` (both loaded by `_scipy_ext` without the
+scipy.special package): the fifth zero from `ai_zeros` alone is off by
+about 1e-12 relative, the polished ones by < 1e-16 against
+`mpmath.airyaizero` (sampled from n = 11 to 100000).  Nothing
 numerical bounds n: `airy_zero` takes n < MAX_N only because
 `ai_zeros(n + 1)` fills four arrays of n + 1 values on every call, so
 that one call stays under 2 ms.  An array of n is answered from one
@@ -23,8 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ai_zeros, airy
 
+from ._scipy_ext import ai_zeros, airy
 from .errors import DomainError, InvalidParameterError
 from .spectrum import PotentialSpec
 

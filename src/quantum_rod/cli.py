@@ -29,11 +29,13 @@ A negative value may be written -1e-3 as well as -0.001.
 
 The modules a subcommand needs beyond `spectrum` and `slanted` are
 imported by its handler, so that, for example, `spectrum` never loads
-`scipy.special`.  `spectrum`, `evolve` and `slant` load no `scipy.linalg`
-package either: their LAPACK routines come from `_scipy_ext`.  `airy`,
-`fall-time`, `summit` and `wkb-compare` load `scipy.special`, and no
-subcommand loads `scipy.optimize`: the root finder of `summit` and
-`wkb-compare` is `_scipy_ext.brentq`.
+scipy.special's extensions.  No subcommand loads the `scipy.linalg`,
+`scipy.special` or `scipy.optimize` package: `_scipy_ext` loads the
+extensions that hold what the package calls.  `spectrum`, `evolve` and
+`slant` take LAPACK routines from it; `airy`, `fall-time`, `summit` and
+`wkb-compare` take scipy.special's ufuncs and `ai_zeros`, which it loads
+on first use; and the root finder of `summit` and `wkb-compare` is
+`_scipy_ext.brentq`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

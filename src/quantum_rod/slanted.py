@@ -98,7 +98,7 @@ def tilt_sweep(basis: SpectrumResult, n: int,
         total = float(simpson(dens, x=grid))
         out.append(TiltResponse(
             delta_theta=float(delta), coupling=v,
-            effective_splitting=(d.center + root) - (d.center - root),
+            effective_splitting=2.0 * root,
             p_left_lower=float(simpson(dens[left], x=grid[left])) / total,
             regime={"upper": abs(v) * REGIME_FACTOR <= gap_next,
                     "lower": abs(v) >= REGIME_FACTOR * d.splitting}))

@@ -8,9 +8,9 @@ even/odd solutions to WKB waves on both sides replaces the familiar
 turning-point pi/4 by an epsilon-dependent phase correction built from
 arg Gamma(1/2 + i*epsilon).
 
-The exact arg Gamma, `half_arg_gamma_exact`, comes from
-`scipy.special.loggamma`; the smooth fit `half_arg_gamma_fit` used
-throughout the quantization is
+The exact arg Gamma, `half_arg_gamma_exact`, comes from scipy.special's
+`loggamma` (loaded by `_scipy_ext`); the smooth fit `half_arg_gamma_fit`
+used throughout the quantization is
 
     (1/2) arg Gamma(1/2 + i*eps) ~ (eps/2) * ln sqrt((eps/e)^2 + (1/4g)^2)
 
@@ -34,9 +34,8 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import loggamma
 
-from ._scipy_ext import brentq
+from ._scipy_ext import brentq, loggamma
 from .errors import DomainError, InvalidParameterError, RegimeError
 from .spectrum import EVEN, HALF_PI, ODD
 from .wkb import phase_integral

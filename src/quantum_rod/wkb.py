@@ -39,9 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import ellipeinc, elliprd, elliprf
-
-from ._scipy_ext import brentq
+from ._scipy_ext import brentq, ellipeinc, elliprd, elliprf
 from .errors import DomainError, InvalidParameterError, RegimeError
 from .spectrum import HALF_PI, PotentialSpec
 

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.special import _specfun
 
+from quantum_rod import _scipy_ext
 from quantum_rod.airy import MAX_N, airy_zero, linear_well_energy, wkb_lambda
 from quantum_rod.errors import DomainError, InvalidParameterError
 from quantum_rod.spectrum import solve_spectrum
@@ -19,6 +21,22 @@ def test_airy_zeros_against_scipy():
         lam = airy_zero(n)
         assert lam == pytest.approx(-ref[n], abs=1e-8)
         assert abs(sp.airy(-lam)[0]) < 1e-10
+
+
+def test_loader_ai_zeros_is_scipys():
+    # The loader's copy of scipy's one check in front of _specfun.airyzo:
+    # the same zeros, and the same refusal of what is not a positive
+    # integer scalar.
+    ai_zeros = _scipy_ext.specfun_ai_zeros(_specfun)
+    assert ai_zeros is not sp.ai_zeros
+    for ours, ref in zip(ai_zeros(40), sp.ai_zeros(40)):
+        assert np.array_equal(ours, ref)
+    for nt in (0, -1, 2.5, np.array([3])):
+        with pytest.raises(ValueError) as ref:
+            sp.ai_zeros(nt)
+        with pytest.raises(ValueError) as ours:
+            ai_zeros(nt)
+        assert str(ours.value) == str(ref.value)
 
 
 def test_airy_zero_guards():

@@ -488,8 +488,11 @@ def test_summit_refuses_a_row_past_the_wall(capsys):
 _FOOTPRINT = """
 import contextlib, io, json, sys
 from quantum_rod.cli import main
-unused = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants")
-loaded = {"import": [m for m in unused if m in sys.modules]}
+unused = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants",
+          "scipy._lib._array_api")
+def watched():
+    return [m for m in sys.modules if m in unused or m.startswith("scipy.special.")]
+loaded = {"import": watched()}
 for group, runs in (("no-special", [
         "spectrum --B 1e4 --n-levels 72",
         "evolve --B 100 --sigma 0.1 --method both --t-max 0.5",
@@ -503,7 +506,7 @@ for group, runs in (("no-special", [
     for run in runs:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(run.split()) == 0, run
-    loaded[group] = [m for m in unused if m in sys.modules]
+    loaded[group] = watched()
 print(json.dumps(loaded))
 """
 
@@ -518,16 +521,20 @@ def _run_fresh(code):
 
 def test_import_footprint():
     # One fresh process: spectrum, evolve and slant load neither the
-    # scipy.linalg package nor scipy.special, and no subcommand loads
-    # scipy.integrate or scipy.optimize: summit and wkb-compare find their
-    # roots with _scipy_ext.brentq, on the _zeros core alone.  Whether
-    # scipy.special loads scipy.linalg depends on the scipy version (recent
-    # ones import it lazily, older ones on import), so the groups after
-    # no-special are not checked for it.
+    # scipy.linalg package nor any module of scipy.special, and no
+    # subcommand loads the scipy.special package, scipy's array-API layer,
+    # scipy.integrate or scipy.optimize: the other four take scipy.special's
+    # extensions from _scipy_ext, and summit and wkb-compare find their
+    # roots with _scipy_ext.brentq, on the _zeros core alone.  Which
+    # extensions _ufuncs pulls in, and whether it loads scipy.linalg,
+    # depends on the scipy version, so the groups after no-special are not
+    # checked for those.
     loaded = json.loads(_run_fresh(_FOOTPRINT))
     assert loaded["import"] == [] and loaded["no-special"] == []
-    assert [m for m in loaded["lean"] if m != "scipy.linalg"] == ["scipy.special"]
-    assert [m for m in loaded["root-finding"] if m != "scipy.linalg"] == ["scipy.special"]
+    for group in ("lean", "root-finding"):
+        assert "scipy.special._ufuncs" in loaded[group]
+        assert [m for m in loaded[group]
+                if m != "scipy.linalg" and not m.startswith("scipy.special.")] == []
 
 
 _IDENTITY = """
@@ -614,6 +621,86 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path, extensi
         assert all(r is getattr(lapack, routine) for r, routine in zip(found, _scipy_ext.ROUTINES))
     else:
         assert found is scipy.optimize.brentq
+
+
+_SPECIAL_ORDER = """
+import json, sys
+import numpy as np
+{first}
+{second}
+ours = [getattr(_scipy_ext, name) for name in _scipy_ext.SPECIAL_FUNCTIONS]
+theirs = [getattr(scipy.special, name) for name in _scipy_ext.SPECIAL_FUNCTIONS]
+zeros = zip(ours[-1](50), theirs[-1](50))
+print(json.dumps({{"stand-in gone": gone,
+                  "identical": [a is b for a, b in zip(ours, theirs)],
+                  "same zeros": all(np.array_equal(a, b) for a, b in zeros),
+                  "real package": hasattr(sys.modules["scipy.special"], "logsumexp")}}))
+"""
+_LOADER_FIRST = """
+from quantum_rod import _scipy_ext
+_scipy_ext.airy
+import scipy
+gone = "scipy.special" not in sys.modules and "special" not in vars(scipy)
+"""
+
+
+@pytest.mark.parametrize("first, second, identical", [
+    pytest.param(_LOADER_FIRST, "import scipy.special", [True] * 5 + [False], id="loader first"),
+    pytest.param("import scipy.special; gone = True", "from quantum_rod import _scipy_ext",
+                 [True] * 6, id="scipy first"),
+])
+def test_special_functions_are_scipys_in_either_import_order(first, second, identical):
+    # The loader leaves no stand-in behind, and a later real import of
+    # scipy.special runs its __init__ and reuses the loaded _ufuncs, so the
+    # five ufuncs are scipy's own objects.  ai_zeros is the loader's copy of
+    # scipy's check in front of the same _specfun.airyzo, or, with
+    # scipy.special imported first, scipy's own function.
+    found = json.loads(_run_fresh(_SPECIAL_ORDER.format(first=first, second=second)))
+    assert found == {"stand-in gone": True, "identical": identical, "same zeros": True,
+                     "real package": True}
+
+
+_SPECIAL_FALLBACK = """
+import importlib.machinery, json, sys
+from quantum_rod import _scipy_ext
+spec = _scipy_ext.find_spec(_scipy_ext.SPECIAL)
+take = _scipy_ext.special_functions
+exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+{break_load}
+found = _scipy_ext.load(spec, take, lambda: "fallback")
+importlib.machinery.ExtensionFileLoader.exec_module = exec_module
+bound = "scipy" in sys.modules and "special" in vars(sys.modules["scipy"])
+print(json.dumps([found, "scipy.special" in sys.modules, bound]))
+"""
+
+
+_REFUSE_EXTENSIONS = """
+def refuse(self, module):
+    raise ImportError("refused")
+importlib.machinery.ExtensionFileLoader.exec_module = refuse
+"""
+_BIND_STAND_IN_AND_REFUSE = """
+def take(package):
+    import scipy
+    scipy.special = package
+    raise ImportError("refused")
+"""
+
+
+@pytest.mark.parametrize("break_load", [
+    pytest.param("spec.submodule_search_locations[:] = [{tmp!r}]", id="missing file"),
+    pytest.param(_REFUSE_EXTENSIONS, id="exec_module raises"),
+    pytest.param("spec.submodule_search_locations.insert(0, {tmp!r})", id="ai_zeros probe fails"),
+    pytest.param(_BIND_STAND_IN_AND_REFUSE, id="stand-in bound on scipy"),
+])
+def test_special_loader_falls_back_and_leaves_no_stand_in(tmp_path, break_load):
+    # Each way the scipy.special extensions can fail to serve calls the
+    # fallback, and no scipy.special module or attribute is left behind
+    # (one there would stop the real package from ever loading).  tmp_path
+    # holds no _ufuncs, and a _specfun whose airyzo takes other arguments.
+    (tmp_path / "_specfun.py").write_text("def airyzo(nt):\n    return nt\n")
+    code = _SPECIAL_FALLBACK.format(break_load=break_load.format(tmp=str(tmp_path)))
+    assert json.loads(_run_fresh(code)) == ["fallback", False, False]
 
 
 def test_warning_is_one_line_and_zero_has_no_sign(capsys):

@@ -14,10 +14,9 @@ N_DEEP = 18
 N_CROSS = 22  # splitting 1.5e-4: the tilt and the tunneling compete
 
 
-def _rounding(doublet):
-    # effective_splitting is (center + r) - (center - r): two roundings at
-    # the scale of the centre, which dominate when r is small.
-    return 4.0 * np.finfo(float).eps * doublet.center
+# effective_splitting is 2 hypot(splitting/2, V): one rounding of hypot,
+# so it meets hypot(splitting, 2V) to a few ulps of the splitting itself.
+ULPS = 4.0 * np.finfo(float).eps
 
 
 def test_sin_matrix_element_value(spectrum_b1e4):
@@ -45,7 +44,7 @@ def test_solve_two_level_algebra(spectrum_b1e4):
         doublet = table[n]
         for r in tilt_sweep(spectrum_b1e4, n, deltas):
             assert r.effective_splitting == pytest.approx(
-                math.hypot(doublet.splitting, 2.0 * r.coupling), abs=_rounding(doublet))
+                math.hypot(doublet.splitting, 2.0 * r.coupling), rel=ULPS, abs=0.0)
 
 
 def test_solve_two_level_limits(spectrum_b1e4):
@@ -54,8 +53,7 @@ def test_solve_two_level_limits(spectrum_b1e4):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pure = tilt_sweep(spectrum_b1e4, N_CROSS, np.array([0.0]))[0]
-    assert pure.effective_splitting == pytest.approx(doublet.splitting,
-                                                     abs=_rounding(doublet))
+    assert pure.effective_splitting == doublet.splitting
     assert pure.p_left_lower == pytest.approx(0.5, abs=1e-9)
     # A tied doublet at zero tilt has no preferred mixing: it warns and
     # keeps the even state.

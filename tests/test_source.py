@@ -35,6 +35,29 @@ def test_no_module_imports_scipy_integrate():
     assert found == []
 
 
+IMPORTERS = {"_lazy", "import_module"}
+
+
+def test_only_scipy_ext_imports_scipy():
+    # `_scipy_ext` owns every use of scipy's private file layout, so no
+    # other module imports from scipy, by statement, `importlib` or `_lazy`.
+    found = []
+    for path, tree in _trees(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                names = [arg.value for arg in node.args if called in IMPORTERS
+                         and isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            else:
+                continue
+            found += [(path.stem, name) for name in names if name.split(".")[0] == "scipy"]
+    assert [(stem, name) for stem, name in found if stem != "_scipy_ext"] == []
+
+
 def test_every_public_definition_has_a_caller():
     # A public module-level function or class of `src/` is used by the
     # package itself or by perfbench; what only tests use lives in tests/.
