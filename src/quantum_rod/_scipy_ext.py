@@ -14,30 +14,30 @@ more than the package calls:
 
 Each lives in extensions that import nothing from their package's
 `__init__`: `scipy/linalg/_flapack.*.so`, `scipy/optimize/_zeros.*.so`
-and `scipy/special/_ufuncs.*.so` with `_specfun.*.so`.  `load` loads
-such an extension on its own and registers it in `sys.modules` under its
-own name, so that a later import of the package reuses it: the LAPACK
-routines are then `scipy.linalg.lapack`'s by identity, `brentq` here
-runs the C core that `scipy.optimize.brentq` runs, and the ufuncs are
-`scipy.special`'s by identity.  (That later import leaves the package
-without the extension as an attribute; scipy itself reaches it only by
-import.)  `_ufuncs` imports sibling extensions (`_ufuncs_cxx` and others
-under scipy 1.17) relative to its package, so for scipy.special `load`
-registers a bare stand-in module with the package's `__path__` while the
-two extensions are imported, and removes it again whatever happens.
+and `scipy/special/_ufuncs.*.so` with `_specfun.*.so`.  One rule loads
+all three groups (`GROUPS`).  `load` registers a bare stand-in for the
+package, a module with the package's `__path__` whose `__init__` never
+runs, and `take` imports the group's extensions through it (`_ufuncs`
+also imports its sibling extensions, `_ufuncs_cxx` and others under
+scipy 1.17); the stand-in is removed again whatever happens.  The
+extensions stay registered under their own names, so that a later
+import of the package reuses them: the LAPACK routines are then
+`scipy.linalg.lapack`'s by identity, `brentq` here runs the C core that
+`scipy.optimize.brentq` runs, and the ufuncs are `scipy.special`'s by
+identity.  (That later import leaves the package without the extension
+as an attribute; scipy itself reaches it only by import.)
 
-So no subcommand loads any of the three packages.  The scipy.special
-functions (`SPECIAL_FUNCTIONS`) are loaded on first use, by the module
-`__getattr__`, so `spectrum`, `evolve` and `slant`, which import this
-module for LAPACK, do not load them.
+So no subcommand loads any of the three packages.  A group loads on the
+first use of one of its names, by the module `__getattr__`, so importing
+this module loads no scipy module, and `spectrum`, `evolve` and `slant`
+load only the LAPACK group.
 
-This relies on scipy's private file layout.  If a file is missing or
-fails to load, or the `_zeros` core or `_specfun.airyzo` fails one probe
-call (one with another argument list raises TypeError or RuntimeError),
-or the package was imported first, the routines come from
-`scipy.linalg.lapack`, `scipy.optimize.brentq` and `scipy.special`
-instead, so another layout costs only the import time and behaves the
-same.
+This relies on scipy's private file layout.  If an extension is missing
+or fails to load, or the `_zeros` core or `_specfun.airyzo` fails one
+probe call (one with another argument list raises TypeError or
+RuntimeError), or the package was imported first, the group comes from
+`scipy.linalg.lapack`, `scipy.optimize` or `scipy.special` instead, so
+another layout costs only the import time and behaves the same.
 """
 from __future__ import annotations
 
@@ -45,15 +45,11 @@ import importlib.machinery
 import importlib.util
 import math
 import operator
-import os
 import sys
 from typing import Callable
 
 import numpy as np
 
-FLAPACK = "scipy.linalg._flapack"
-ZEROS = "scipy.optimize._zeros"
-SPECIAL = "scipy.special"
 ROUTINES = ("dgtsv", "dstebz", "dstein", "zgttrf", "zgttrs")
 UFUNCS = ("ellipeinc", "elliprd", "elliprf", "loggamma", "airy")
 SPECIAL_FUNCTIONS = (*UFUNCS, "ai_zeros")
@@ -64,40 +60,33 @@ RTOL = 4 * sys.float_info.epsilon
 MAXITER = 100
 
 
-def find_spec(name: str) -> importlib.machinery.ModuleSpec | None:
-    """Spec of scipy's module `name`, such as FLAPACK or SPECIAL, found without importing scipy."""
+def find_spec(package: str) -> importlib.machinery.ModuleSpec | None:
+    """Spec of scipy's subpackage `package`, found without importing scipy."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None or scipy.submodule_search_locations is None:
         return None
-    within = name.split(".")[1:-1]
-    return importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(base, *within) for base in scipy.submodule_search_locations])
+    return importlib.machinery.PathFinder.find_spec(package, scipy.submodule_search_locations)
 
 
 def load(spec: importlib.machinery.ModuleSpec | None, take: Callable, fallback: Callable):
-    """`take(module)` of the module `spec` locates, else `fallback()`.
+    """`take(package)` through a stand-in for the package `spec` locates, else `fallback()`.
 
-    An extension is loaded and stays registered.  A package is not run:
-    its module is a bare stand-in with the package's `__path__`, through
-    which `take` imports the package's extensions, and it is registered
-    only while `take` runs.  The fallback runs when there is no spec,
-    when the module is already registered (its package was imported
-    first) and when loading it or `take` fails; then no half-loaded
-    module and no stand-in is left in `sys.modules`.
+    The stand-in is a bare module with the package's `__path__`, through
+    which `take` imports the package's extensions; it is registered only
+    while `take` runs.  The fallback runs when there is no spec, when the
+    package is already registered (it was imported first) and when `take`
+    fails; then neither the stand-in nor a module under it is left in
+    `sys.modules`.
     """
     if spec is not None and spec.name not in sys.modules:
-        forget = spec.submodule_search_locations is not None  # a stand-in
         try:
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[spec.name] = module
-            if not forget:
-                spec.loader.exec_module(module)
-            return take(module)
+            sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+            return take(sys.modules[spec.name])
         except (ImportError, AttributeError, TypeError, RuntimeError):
-            forget = True
+            for name in [name for name in sys.modules if name.startswith(spec.name + ".")]:
+                _forget(name)
         finally:
-            if forget:
-                _forget(spec.name)
+            _forget(spec.name)
     return fallback()
 
 
@@ -114,20 +103,15 @@ def _forget(name: str) -> None:
         del namespace[child]
 
 
-def lapack_routines(module) -> tuple:
-    """`ROUTINES` of `module`: `_flapack` or scipy.linalg.lapack."""
-    return tuple(getattr(module, name) for name in ROUTINES)
+def lapack_routines(package) -> tuple:
+    """`ROUTINES` of the `_flapack` extension of `package`."""
+    flapack = importlib.import_module("._flapack", package.__name__)
+    return tuple(getattr(flapack, name) for name in ROUTINES)
 
 
-def scipy_lapack_routines() -> tuple:
-    """`ROUTINES` by the public route, which imports the scipy.linalg package."""
-    from scipy.linalg import lapack
-    return lapack_routines(lapack)
-
-
-def zeros_brentq(module) -> Callable:
-    """`brentq` on the `_brentq` core of `_zeros`, probed with one root of x - 1."""
-    core = module._brentq
+def zeros_brentq(package) -> tuple[Callable]:
+    """(`brentq`,) on the `_brentq` core of `package`'s `_zeros`, probed with one root of x - 1."""
+    core = importlib.import_module("._zeros", package.__name__)._brentq
 
     def brentq(f: Callable[[float], float], a: float, b: float, maxiter: int = MAXITER) -> float:
         """scipy.optimize.brentq(f, a, b, maxiter=maxiter), at scipy's default XTOL and RTOL.
@@ -149,25 +133,13 @@ def zeros_brentq(module) -> Callable:
         return core(f_raise, a, b, XTOL, RTOL, maxiter, (), False, True)
 
     brentq(lambda x: x - 1.0, 0.0, 2.0)  # the probe: another core raises here
-    return brentq
-
-
-def scipy_optimize_brentq() -> Callable:
-    """scipy's public brentq, which imports the scipy.optimize package."""
-    from scipy.optimize import brentq
-    return brentq
+    return (brentq,)
 
 
 def special_functions(package) -> tuple:
     """`SPECIAL_FUNCTIONS` from the `_ufuncs` and `_specfun` extensions of `package`."""
     ufuncs = importlib.import_module("._ufuncs", package.__name__)
-    ai_zeros = specfun_ai_zeros(importlib.import_module("._specfun", package.__name__))
-    return (*(getattr(ufuncs, name) for name in UFUNCS), ai_zeros)
-
-
-def specfun_ai_zeros(module) -> Callable:
-    """`ai_zeros` on `airyzo` of `_specfun`, probed with one zero."""
-    airyzo = module.airyzo
+    airyzo = importlib.import_module("._specfun", package.__name__).airyzo
 
     def ai_zeros(nt: int) -> tuple:
         """scipy.special.ai_zeros(nt): the first nt zeros of Ai and Ai', Ai(a') and Ai'(a).
@@ -179,28 +151,31 @@ def specfun_ai_zeros(module) -> Callable:
         return airyzo(nt, 1)
 
     ai_zeros(1)  # the probe: another airyzo raises here
-    return ai_zeros
+    return (*(getattr(ufuncs, name) for name in UFUNCS), ai_zeros)
 
 
-def scipy_special_functions() -> tuple:
-    """`SPECIAL_FUNCTIONS` by the public route, which imports the scipy.special package."""
-    import scipy.special
-    return tuple(getattr(scipy.special, name) for name in SPECIAL_FUNCTIONS)
+def public(module: str, names: tuple[str, ...]) -> Callable[[], tuple]:
+    """The fallback that imports scipy's public `module` and returns its `names`."""
+    return lambda: tuple(getattr(importlib.import_module(module), name) for name in names)
+
+
+# (names, package, take, fallback) of each group
+GROUPS = (
+    (ROUTINES, "scipy.linalg", lapack_routines, public("scipy.linalg.lapack", ROUTINES)),
+    (("brentq",), "scipy.optimize", zeros_brentq, public("scipy.optimize", ("brentq",))),
+    (SPECIAL_FUNCTIONS, "scipy.special", special_functions,
+     public("scipy.special", SPECIAL_FUNCTIONS)),
+)
 
 
 def __getattr__(name: str):
-    """The scipy.special function `name`, all of which load on the first such call.
+    """The routine `name`, whose group loads on the first such call.
 
     Python calls this only for a name the module does not hold yet, so
-    it runs once: the loaded functions become module attributes.
+    it runs once per group: the loaded names become module attributes.
     """
-    if name not in SPECIAL_FUNCTIONS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals().update(zip(SPECIAL_FUNCTIONS, load(find_spec(SPECIAL), special_functions,
-                                                 scipy_special_functions)))
-    return globals()[name]
-
-
-dgtsv, dstebz, dstein, zgttrf, zgttrs = load(find_spec(FLAPACK), lapack_routines,
-                                             scipy_lapack_routines)
-brentq = load(find_spec(ZEROS), zeros_brentq, scipy_optimize_brentq)
+    for names, package, take, fallback in GROUPS:
+        if name in names:
+            globals().update(zip(names, load(find_spec(package), take, fallback)))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

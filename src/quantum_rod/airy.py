@@ -22,6 +22,7 @@ under a second (about 20 s with one call per row).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -35,9 +36,15 @@ MAX_N = 10_000
 def airy_zero(n: int | np.ndarray) -> float | np.ndarray:
     """Magnitude lambda_n of the (n+1)-th negative zero of Ai, n = 0, 1, ...
 
-    A numpy integer array n gives the array of its lambda_n.
+    A numpy integer array n gives the array of its lambda_n, empty for an
+    empty n.  An n of any other type, bool included, is refused.
     """
     many = isinstance(n, np.ndarray)
+    if not (np.issubdtype(n.dtype, np.integer) if many
+            else isinstance(n, numbers.Integral) and not isinstance(n, bool)):
+        raise InvalidParameterError("n must be an integer or an integer array")
+    if many and n.size == 0:
+        return np.empty(0)
     low, top = (n.min(), n.max()) if many else (n, n)
     if low < 0:
         raise InvalidParameterError("n must be >= 0")

@@ -31,11 +31,11 @@ The modules a subcommand needs beyond `spectrum` and `slanted` are
 imported by its handler, so that, for example, `spectrum` never loads
 scipy.special's extensions.  No subcommand loads the `scipy.linalg`,
 `scipy.special` or `scipy.optimize` package: `_scipy_ext` loads the
-extensions that hold what the package calls.  `spectrum`, `evolve` and
-`slant` take LAPACK routines from it; `airy`, `fall-time`, `summit` and
-`wkb-compare` take scipy.special's ufuncs and `ai_zeros`, which it loads
-on first use; and the root finder of `summit` and `wkb-compare` is
-`_scipy_ext.brentq`.
+extensions that hold what the package calls, one group on the first use
+of any of its names.  So `spectrum`, `evolve` and `slant` load only the
+LAPACK routines; `airy` adds scipy.special's ufuncs and `ai_zeros`; and
+`fall-time`, `summit` and `wkb-compare`, which import `summit` or `wkb`,
+add the root finder as well, `_scipy_ext.brentq`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

@@ -32,9 +32,10 @@ Times are quoted in units of 1/omega_c by default ('omega_c'), which
 requires B > 0; 'natural' selects the raw time unit 2J/hbar conjugate
 to the internal energy unit.
 
-The fall-time functions take `elliprf` from `_scipy_ext` and import
-`summit` when first called (`_lazy`), so a propagation run loads neither
-scipy.special's extensions nor `summit`.
+The fall-time functions import `summit` when first called (`_lazy`), and
+`classical_fall_time` takes `_scipy_ext.elliprf`, which loads
+scipy.special's extensions on its first use, so a propagation run loads
+neither.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _scipy_ext
 from ._scipy_ext import zgttrf, zgttrs
 from .errors import (
     DomainError,
@@ -364,8 +366,8 @@ def classical_fall_time(delta_theta: float) -> ClassicalFallTime:
     if not math.sqrt(sys.float_info.min) < delta_theta < HALF_PI:
         raise DomainError("need 1.5e-154 < delta_theta < pi/2")
     s, c = math.sin(0.5 * delta_theta), math.cos(0.5 * delta_theta)
-    elliprf = _lazy("._scipy_ext").elliprf
-    exact = math.sqrt(math.cos(delta_theta) / s) / c * float(elliprf(s / c**2, 2.0 * s, 1.0 / s))
+    exact = (math.sqrt(math.cos(delta_theta) / s) / c
+             * float(_scipy_ext.elliprf(s / c**2, 2.0 * s, 1.0 / s)))
     asym = math.log(8.0 * (math.sqrt(2.0) - 1.0)) - math.log(delta_theta)
     return ClassicalFallTime(delta_theta=delta_theta, exact=exact, asymptotic=asym)
 
@@ -451,10 +453,9 @@ def _summit_scale_of(scales: DerivedScales) -> float:
 def _lazy(name: str):
     """Module `name` (relative to this package), imported on first use.
 
-    Only the fall-time functions need `summit` and `_scipy_ext.elliprf`
-    (whose first use loads scipy.special's extensions), so a propagation
-    run never loads them.  An import statement in each call would add
-    0.4-1.7 us to functions that take 2-5 us.
+    It serves `summit`, which only the fall-time functions need, so a
+    propagation run never loads it.  An import statement in each call
+    would add 0.4-1.7 us to functions that take 2-5 us.
     """
     return importlib.import_module(name, __package__)
 

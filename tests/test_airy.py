@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 import scipy.special as sp
-from scipy.special import _specfun
 
 from quantum_rod import _scipy_ext
 from quantum_rod.airy import MAX_N, airy_zero, linear_well_energy, wkb_lambda
@@ -24,10 +23,10 @@ def test_airy_zeros_against_scipy():
 
 
 def test_loader_ai_zeros_is_scipys():
-    # The loader's copy of scipy's one check in front of _specfun.airyzo:
-    # the same zeros, and the same refusal of what is not a positive
-    # integer scalar.
-    ai_zeros = _scipy_ext.specfun_ai_zeros(_specfun)
+    # The loader's copy of scipy's one check in front of _specfun.airyzo,
+    # built by its take on the imported package: the same zeros, and the
+    # same refusal of what is not a positive integer scalar.
+    ai_zeros = _scipy_ext.special_functions(sp)[-1]
     assert ai_zeros is not sp.ai_zeros
     for ours, ref in zip(ai_zeros(40), sp.ai_zeros(40)):
         assert np.array_equal(ours, ref)
@@ -54,6 +53,25 @@ def test_airy_zero_guards():
         airy_zero(np.array([3, -1]))
     with pytest.raises(DomainError, match=f"got n={MAX_N}"):
         airy_zero(np.array([0, MAX_N]))
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(2.0, id="float"),
+    pytest.param(np.float64(2.0), id="numpy float"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.True_, id="numpy bool"),
+    pytest.param(np.array([1.5]), id="float array"),
+    pytest.param(np.array([True]), id="bool array"),
+    pytest.param(np.array([], dtype=float), id="empty float array"),
+])
+def test_airy_zero_refuses_what_is_not_an_integer(n):
+    with pytest.raises(InvalidParameterError, match="integer"):
+        airy_zero(n)
+
+
+def test_airy_zero_of_an_empty_array_is_empty():
+    lam = airy_zero(np.array([], dtype=int))
+    assert lam.shape == (0,) and lam.dtype == np.float64
 
 
 def test_airy_zero_array_is_bit_for_bit_the_scalar():

@@ -1,9 +1,6 @@
 """Command-line interface: schemas, precedence, formats, exit codes."""
 import ast
 import csv
-import importlib.abc
-import importlib.machinery
-import importlib.util
 import io
 import json
 import math
@@ -483,16 +480,19 @@ def test_summit_refuses_a_row_past_the_wall(capsys):
     assert err.startswith("numerical failure: even level n=0 at B=100: matching angle 2.102")
 
 
-# The README examples, and what each group may load of scipy.  The first
-# group runs first, so that nothing else has loaded scipy.special yet.
+# What importing the package and its loader loads of scipy, then the
+# README examples and what each group may load.  The first group runs
+# first, so that nothing else has loaded scipy.special yet.
 _FOOTPRINT = """
 import contextlib, io, json, sys
+import quantum_rod, quantum_rod._scipy_ext
+package = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 from quantum_rod.cli import main
-unused = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants",
-          "scipy._lib._array_api")
+watch = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants",
+         "scipy._lib._array_api", "scipy.optimize._zeros")
 def watched():
-    return [m for m in sys.modules if m in unused or m.startswith("scipy.special.")]
-loaded = {"import": watched()}
+    return [m for m in sys.modules if m in watch or m.startswith("scipy.special.")]
+loaded = {"package": package, "import": watched()}
 for group, runs in (("no-special", [
         "spectrum --B 1e4 --n-levels 72",
         "evolve --B 100 --sigma 0.1 --method both --t-max 0.5",
@@ -520,107 +520,55 @@ def _run_fresh(code):
 
 
 def test_import_footprint():
-    # One fresh process: spectrum, evolve and slant load neither the
-    # scipy.linalg package nor any module of scipy.special, and no
-    # subcommand loads the scipy.special package, scipy's array-API layer,
-    # scipy.integrate or scipy.optimize: the other four take scipy.special's
-    # extensions from _scipy_ext, and summit and wkb-compare find their
+    # One fresh process.  The package root holds only __version__, and
+    # _scipy_ext loads each group of routines on the first use of one of
+    # its names, so importing the two loads no scipy module.  spectrum,
+    # evolve and slant load neither the scipy.linalg package, nor any
+    # module of scipy.special, nor _zeros, and no subcommand loads the
+    # scipy.special package, scipy's array-API layer, scipy.integrate or
+    # scipy.optimize: airy and fall-time take scipy.special's extensions
+    # from _scipy_ext, and fall-time, summit and wkb-compare find their
     # roots with _scipy_ext.brentq, on the _zeros core alone.  Which
     # extensions _ufuncs pulls in, and whether it loads scipy.linalg,
-    # depends on the scipy version, so the groups after no-special are not
-    # checked for those.
+    # depends on the scipy version, so the groups after no-special are
+    # not checked for those.
     loaded = json.loads(_run_fresh(_FOOTPRINT))
-    assert loaded["import"] == [] and loaded["no-special"] == []
+    assert loaded["package"] == loaded["import"] == loaded["no-special"] == []
     for group in ("lean", "root-finding"):
         assert "scipy.special._ufuncs" in loaded[group]
-        assert [m for m in loaded[group]
-                if m != "scipy.linalg" and not m.startswith("scipy.special.")] == []
+        assert [m for m in loaded[group] if m not in ("scipy.linalg", "scipy.optimize._zeros")
+                and not m.startswith("scipy.special.")] == []
 
 
 _IDENTITY = """
 import json, sys
 {first}
 {second}
-print(json.dumps([all(getattr(_scipy_ext, name) is getattr(lapack, name) for name in _scipy_ext.ROUTINES),
-                  sys.modules[_scipy_ext.FLAPACK] is lapack._flapack,
-                  scipy.optimize._zeros_py._zeros is sys.modules[_scipy_ext.ZEROS]]))
+print(json.dumps([gone,
+                  all(getattr(_scipy_ext, name) is getattr(lapack, name) for name in _scipy_ext.ROUTINES),
+                  sys.modules["scipy.linalg._flapack"] is lapack._flapack,
+                  scipy.optimize._zeros_py._zeros is sys.modules["scipy.optimize._zeros"]]))
+"""
+_ROUTINES_FIRST = """
+from quantum_rod import _scipy_ext
+_scipy_ext.dgtsv, _scipy_ext.brentq
+gone = not any(m in sys.modules for m in ("scipy.linalg", "scipy.optimize"))
 """
 
 
 @pytest.mark.parametrize("first, second", [
-    pytest.param("from quantum_rod import _scipy_ext",
-                 "import scipy.optimize; from scipy.linalg import lapack", id="loader first"),
-    pytest.param("import scipy.optimize; from scipy.linalg import lapack",
+    pytest.param(_ROUTINES_FIRST, "import scipy.optimize; from scipy.linalg import lapack",
+                 id="loader first"),
+    pytest.param("import scipy.optimize; from scipy.linalg import lapack; gone = True",
                  "from quantum_rod import _scipy_ext", id="scipy first"),
 ])
 def test_loaded_routines_are_scipy_lapack_objects(first, second):
     # In either import order there is one _flapack module, so the loader's
     # routines are scipy's own objects, and one _zeros module, whose core
-    # scipy.optimize.brentq calls.
-    assert json.loads(_run_fresh(_IDENTITY.format(first=first, second=second))) == [True, True, True]
-
-
-def _raise_import_error(self, module):
-    raise ImportError("refused")
-
-
-def _core_raising_type_error(*args):
-    raise TypeError("refused")
-
-
-def _core_with_another_argument_list(f, a, b, *rest):
-    from scipy.optimize._zeros_py import _zeros
-    return _zeros._brentq(f, a, b)  # the real core refuses it with RuntimeError
-
-
-class _CoreLoader(importlib.abc.Loader):
-    """Loads a stand-in `_zeros` module whose `_brentq` is `core`."""
-
-    def __init__(self, core):
-        self.core = core
-
-    def create_module(self, spec):
-        return None
-
-    def exec_module(self, module):
-        module._brentq = self.core
-
-
-@pytest.mark.parametrize("extension, break_load", [
-    pytest.param("flapack", "missing file", id="missing file"),
-    pytest.param("flapack", "exec_module raises", id="exec_module raises"),
-    pytest.param("zeros", "missing file", id="zeros missing file"),
-    pytest.param("zeros", "exec_module raises", id="zeros exec_module raises"),
-    pytest.param("zeros", _core_raising_type_error, id="zeros core raises TypeError"),
-    pytest.param("zeros", _core_with_another_argument_list, id="zeros core with another signature"),
-])
-def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path, extension, break_load):
-    # Each way an extension can fail to serve leaves scipy's public routines:
-    # scipy.linalg.lapack's, or scipy.optimize.brentq itself.
-    import scipy.optimize
-    from scipy.linalg import lapack
-
-    from quantum_rod import _scipy_ext
-
-    name, take, fallback = {
-        "flapack": (_scipy_ext.FLAPACK, _scipy_ext.lapack_routines, _scipy_ext.scipy_lapack_routines),
-        "zeros": (_scipy_ext.ZEROS, _scipy_ext.zeros_brentq, _scipy_ext.scipy_optimize_brentq),
-    }[extension]
-    spec = _scipy_ext.find_spec(name)
-    if break_load == "missing file":
-        spec = importlib.util.spec_from_file_location(name, str(tmp_path / Path(spec.origin).name))
-    elif break_load == "exec_module raises":
-        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module",
-                            _raise_import_error)
-    else:
-        spec = importlib.util.spec_from_loader(name, _CoreLoader(break_load))
-    monkeypatch.delitem(sys.modules, name)
-    found = _scipy_ext.load(spec, take, fallback)
-    assert name not in sys.modules  # no half-loaded module left behind
-    if extension == "flapack":
-        assert all(r is getattr(lapack, routine) for r, routine in zip(found, _scipy_ext.ROUTINES))
-    else:
-        assert found is scipy.optimize.brentq
+    # scipy.optimize.brentq calls.  Loaded first, the routines leave no
+    # stand-in package behind.
+    found = json.loads(_run_fresh(_IDENTITY.format(first=first, second=second)))
+    assert found == [True, True, True, True]
 
 
 _SPECIAL_ORDER = """
@@ -660,47 +608,88 @@ def test_special_functions_are_scipys_in_either_import_order(first, second, iden
                      "real package": True}
 
 
-_SPECIAL_FALLBACK = """
-import importlib.machinery, json, sys
+# Each failure of one group's load, in turn, in one fresh process.  The
+# fallback records what is left of the package at the moment it runs.
+# The last load fails too but takes the real fallback.
+_FALLBACK = """
+import importlib, importlib.machinery, json, sys
 from quantum_rod import _scipy_ext
-spec = _scipy_ext.find_spec(_scipy_ext.SPECIAL)
-take = _scipy_ext.special_functions
-exec_module = importlib.machinery.ExtensionFileLoader.exec_module
-{break_load}
-found = _scipy_ext.load(spec, take, lambda: "fallback")
-importlib.machinery.ExtensionFileLoader.exec_module = exec_module
-bound = "scipy" in sys.modules and "special" in vars(sys.modules["scipy"])
-print(json.dumps([found, "scipy.special" in sys.modules, bound]))
-"""
+names, package, take, fallback = next(group for group in _scipy_ext.GROUPS if group[1] == {package!r})
+loader = importlib.machinery.ExtensionFileLoader
+exec_module = loader.exec_module
 
-
-_REFUSE_EXTENSIONS = """
 def refuse(self, module):
     raise ImportError("refused")
-importlib.machinery.ExtensionFileLoader.exec_module = refuse
-"""
-_BIND_STAND_IN_AND_REFUSE = """
-def take(package):
+
+def bind_stand_in(stand_in):
     import scipy
-    scipy.special = package
+    setattr(scipy, package.split(".")[1], stand_in)
     raise ImportError("refused")
+
+def left_behind():
+    # modules of the package in sys.modules, and the package bound on scipy
+    bound = ["scipy." + name for name in vars(sys.modules["scipy"])] if "scipy" in sys.modules else []
+    return [m for m in [*sys.modules, *bound] if m == package or m.startswith(package + ".")]
+
+found = {{}}
+for mode, folder in {modes!r}:
+    spec = _scipy_ext.find_spec(package)
+    if mode == "missing file":
+        spec.submodule_search_locations[:] = [folder]
+    elif folder:  # whose stand-in extension fails the probe
+        spec.submodule_search_locations.insert(0, folder)
+    loader.exec_module = refuse if mode == "exec_module raises" else exec_module
+    found[mode] = _scipy_ext.load(spec, bind_stand_in if mode == "stand-in bound on scipy" else take,
+                                  left_behind)
+    loader.exec_module = exec_module
+spec = _scipy_ext.find_spec(package)
+spec.submodule_search_locations[:] = [{modes[0][1]!r}]
+objects = _scipy_ext.load(spec, take, fallback)
+public = importlib.import_module({public!r})
+found["public objects"] = [ours is getattr(public, name) for ours, name in zip(objects, names)]
+print(json.dumps(found))
 """
+# A _zeros whose core raises TypeError, and one that calls scipy's own core
+# with another argument list, which it refuses with RuntimeError; a
+# _specfun whose airyzo takes other arguments.
+_RAISING_CORE = "def _brentq(*args):\n    raise TypeError('refused')\n"
+_ANOTHER_SIGNATURE = """
+import importlib.machinery, importlib.util, sys
+spec = importlib.machinery.PathFinder.find_spec(__name__, sys.modules["scipy.optimize"].__path__[1:])
+real = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(real)
+
+def _brentq(f, a, b, *rest):
+    return real._brentq(f, a, b)
+"""
+_OTHER_AIRYZO = "def airyzo(nt):\n    return nt\n"
 
 
-@pytest.mark.parametrize("break_load", [
-    pytest.param("spec.submodule_search_locations[:] = [{tmp!r}]", id="missing file"),
-    pytest.param(_REFUSE_EXTENSIONS, id="exec_module raises"),
-    pytest.param("spec.submodule_search_locations.insert(0, {tmp!r})", id="ai_zeros probe fails"),
-    pytest.param(_BIND_STAND_IN_AND_REFUSE, id="stand-in bound on scipy"),
+@pytest.mark.parametrize("package, public, probes", [
+    pytest.param("scipy.linalg", "scipy.linalg.lapack", {}, id="linalg"),
+    pytest.param("scipy.optimize", "scipy.optimize", {
+        "core raises TypeError": ("_zeros.py", _RAISING_CORE),
+        "core with another signature": ("_zeros.py", _ANOTHER_SIGNATURE)}, id="optimize"),
+    pytest.param("scipy.special", "scipy.special", {
+        "ai_zeros probe fails": ("_specfun.py", _OTHER_AIRYZO)}, id="special"),
 ])
-def test_special_loader_falls_back_and_leaves_no_stand_in(tmp_path, break_load):
-    # Each way the scipy.special extensions can fail to serve calls the
-    # fallback, and no scipy.special module or attribute is left behind
-    # (one there would stop the real package from ever loading).  tmp_path
-    # holds no _ufuncs, and a _specfun whose airyzo takes other arguments.
-    (tmp_path / "_specfun.py").write_text("def airyzo(nt):\n    return nt\n")
-    code = _SPECIAL_FALLBACK.format(break_load=break_load.format(tmp=str(tmp_path)))
-    assert json.loads(_run_fresh(code)) == ["fallback", False, False]
+def test_loader_falls_back_and_leaves_no_stand_in(tmp_path, package, public, probes):
+    # Each way a group's extensions can fail to serve (a missing file, an
+    # extension whose exec_module raises, a failed probe, a take that binds
+    # the stand-in on scipy) calls the fallback, and neither the stand-in
+    # nor an extension loaded under it is left in sys.modules or on scipy
+    # (one there would stop the real package from ever loading, or hand it
+    # a stand-in core).  The fallback then gives scipy's public objects.
+    modes = [("missing file", str(tmp_path)), ("exec_module raises", None)]
+    for mode, (name, text) in probes.items():
+        (tmp_path / mode).mkdir()
+        (tmp_path / mode / name).write_text(text)
+        modes.append((mode, str(tmp_path / mode)))
+    modes.append(("stand-in bound on scipy", None))
+    code = _FALLBACK.format(package=package, public=public, modes=modes)
+    found = json.loads(_run_fresh(code))
+    names = dict(linalg=5, optimize=1, special=6)[package.split(".")[1]]
+    assert found == {**{mode: [] for mode, _ in modes}, "public objects": [True] * names}
 
 
 def test_warning_is_one_line_and_zero_has_no_sign(capsys):

@@ -12,8 +12,9 @@ import scipy.optimize
 from quantum_rod import _scipy_ext, summit, wkb
 from quantum_rod.spectrum import EVEN, ODD
 
-# Built on the one _zeros core both share, whichever was imported first.
-brentq = _scipy_ext.zeros_brentq(scipy.optimize._zeros_py._zeros)
+# Built through the loader's take on the imported package, so on the one
+# _zeros core both share, whichever was imported first.
+brentq, = _scipy_ext.zeros_brentq(scipy.optimize)
 
 
 @pytest.fixture
