@@ -608,9 +608,10 @@ def test_special_functions_are_scipys_in_either_import_order(first, second, iden
                      "real package": True}
 
 
-# Each failure of one group's load, in turn, in one fresh process.  The
-# fallback records what is left of the package at the moment it runs.
-# The last load fails too but takes the real fallback.
+# One failure of one group's load, in a fresh process.  The fallback
+# records what is left of the package at the moment it runs.  A second
+# load, from a folder with no extensions, fails too but takes the real
+# fallback.
 _FALLBACK = """
 import importlib, importlib.machinery, json, sys
 from quantum_rod import _scipy_ext
@@ -631,19 +632,18 @@ def left_behind():
     bound = ["scipy." + name for name in vars(sys.modules["scipy"])] if "scipy" in sys.modules else []
     return [m for m in [*sys.modules, *bound] if m == package or m.startswith(package + ".")]
 
-found = {{}}
-for mode, folder in {modes!r}:
-    spec = _scipy_ext.find_spec(package)
-    if mode == "missing file":
-        spec.submodule_search_locations[:] = [folder]
-    elif folder:  # whose stand-in extension fails the probe
-        spec.submodule_search_locations.insert(0, folder)
-    loader.exec_module = refuse if mode == "exec_module raises" else exec_module
-    found[mode] = _scipy_ext.load(spec, bind_stand_in if mode == "stand-in bound on scipy" else take,
-                                  left_behind)
-    loader.exec_module = exec_module
+mode, folder = {mode!r}, {folder!r}
 spec = _scipy_ext.find_spec(package)
-spec.submodule_search_locations[:] = [{modes[0][1]!r}]
+if mode == "missing file":
+    spec.submodule_search_locations[:] = [folder]
+elif folder:  # whose stand-in extension fails the probe
+    spec.submodule_search_locations.insert(0, folder)
+loader.exec_module = refuse if mode == "exec_module raises" else exec_module
+found = {{mode: _scipy_ext.load(spec, bind_stand_in if mode == "stand-in bound on scipy" else take,
+                               left_behind)}}
+loader.exec_module = exec_module
+spec = _scipy_ext.find_spec(package)
+spec.submodule_search_locations[:] = [{empty!r}]
 objects = _scipy_ext.load(spec, take, fallback)
 public = importlib.import_module({public!r})
 found["public objects"] = [ours is getattr(public, name) for ours, name in zip(objects, names)]
@@ -651,13 +651,16 @@ print(json.dumps(found))
 """
 # A _zeros whose core raises TypeError, and one that calls scipy's own core
 # with another argument list, which it refuses with RuntimeError; a
-# _specfun whose airyzo takes other arguments.
+# _specfun whose airyzo takes other arguments.  Loading scipy's _zeros
+# registers it under the stand-in's name, so the stand-in puts itself back.
 _RAISING_CORE = "def _brentq(*args):\n    raise TypeError('refused')\n"
 _ANOTHER_SIGNATURE = """
 import importlib.machinery, importlib.util, sys
+stand_in = sys.modules[__name__]
 spec = importlib.machinery.PathFinder.find_spec(__name__, sys.modules["scipy.optimize"].__path__[1:])
 real = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(real)
+sys.modules[__name__] = stand_in
 
 def _brentq(f, a, b, *rest):
     return real._brentq(f, a, b)
@@ -665,31 +668,64 @@ def _brentq(f, a, b, *rest):
 _OTHER_AIRYZO = "def airyzo(nt):\n    return nt\n"
 
 
-@pytest.mark.parametrize("package, public, probes", [
-    pytest.param("scipy.linalg", "scipy.linalg.lapack", {}, id="linalg"),
-    pytest.param("scipy.optimize", "scipy.optimize", {
-        "core raises TypeError": ("_zeros.py", _RAISING_CORE),
-        "core with another signature": ("_zeros.py", _ANOTHER_SIGNATURE)}, id="optimize"),
-    pytest.param("scipy.special", "scipy.special", {
-        "ai_zeros probe fails": ("_specfun.py", _OTHER_AIRYZO)}, id="special"),
-])
-def test_loader_falls_back_and_leaves_no_stand_in(tmp_path, package, public, probes):
-    # Each way a group's extensions can fail to serve (a missing file, an
-    # extension whose exec_module raises, a failed probe, a take that binds
-    # the stand-in on scipy) calls the fallback, and neither the stand-in
-    # nor an extension loaded under it is left in sys.modules or on scipy
-    # (one there would stop the real package from ever loading, or hand it
-    # a stand-in core).  The fallback then gives scipy's public objects.
-    modes = [("missing file", str(tmp_path)), ("exec_module raises", None)]
-    for mode, (name, text) in probes.items():
-        (tmp_path / mode).mkdir()
-        (tmp_path / mode / name).write_text(text)
-        modes.append((mode, str(tmp_path / mode)))
-    modes.append(("stand-in bound on scipy", None))
-    code = _FALLBACK.format(package=package, public=public, modes=modes)
+def _check_fallback(tmp_path, package, public, mode, probe=None):
+    """Load `package`'s group once, broken by `mode`, in a fresh process.
+
+    The fallback must run with neither the stand-in nor an extension loaded
+    under it left in sys.modules or on scipy (one there would stop the real
+    package from ever loading, or hand it a stand-in core), and then give
+    scipy's public objects.  `probe` is the (file name, text) of a stand-in
+    extension that fails the group's probe.
+    """
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    folder = str(empty) if mode == "missing file" else None
+    if probe:
+        name, text = probe
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / name).write_text(text)
+        folder = str(tmp_path / "probe")
+    code = _FALLBACK.format(package=package, public=public, mode=mode, folder=folder,
+                            empty=str(empty))
     found = json.loads(_run_fresh(code))
     names = dict(linalg=5, optimize=1, special=6)[package.split(".")[1]]
-    assert found == {**{mode: [] for mode, _ in modes}, "public objects": [True] * names}
+    assert found == {mode: [], "public objects": [True] * names}
+
+
+@pytest.mark.parametrize("package, public, mode, probe", [
+    pytest.param("scipy.linalg", "scipy.linalg.lapack", "missing file", None, id="missing file"),
+    pytest.param("scipy.linalg", "scipy.linalg.lapack", "exec_module raises", None,
+                 id="exec_module raises"),
+    pytest.param("scipy.linalg", "scipy.linalg.lapack", "stand-in bound on scipy", None,
+                 id="stand-in bound on scipy"),
+    pytest.param("scipy.optimize", "scipy.optimize", "missing file", None, id="zeros missing file"),
+    pytest.param("scipy.optimize", "scipy.optimize", "exec_module raises", None,
+                 id="zeros exec_module raises"),
+    pytest.param("scipy.optimize", "scipy.optimize", "core raises TypeError",
+                 ("_zeros.py", _RAISING_CORE), id="zeros core raises TypeError"),
+    pytest.param("scipy.optimize", "scipy.optimize", "core with another signature",
+                 ("_zeros.py", _ANOTHER_SIGNATURE), id="zeros core with another signature"),
+    pytest.param("scipy.optimize", "scipy.optimize", "stand-in bound on scipy", None,
+                 id="zeros stand-in bound on scipy"),
+])
+def test_lapack_loader_falls_back_to_scipy_linalg(tmp_path, package, public, mode, probe):
+    # Each way the LAPACK or _zeros extension can fail to serve leaves
+    # scipy's public routines: scipy.linalg.lapack's, or
+    # scipy.optimize.brentq itself, and no stand-in behind.
+    _check_fallback(tmp_path, package, public, mode, probe)
+
+
+@pytest.mark.parametrize("mode, probe", [
+    pytest.param("missing file", None, id="missing file"),
+    pytest.param("exec_module raises", None, id="exec_module raises"),
+    pytest.param("ai_zeros probe fails", ("_specfun.py", _OTHER_AIRYZO), id="ai_zeros probe fails"),
+    pytest.param("stand-in bound on scipy", None, id="stand-in bound on scipy"),
+])
+def test_special_loader_falls_back_and_leaves_no_stand_in(tmp_path, mode, probe):
+    # Each way the scipy.special extensions can fail to serve calls the
+    # fallback, leaves no scipy.special module or attribute behind, and
+    # leaves scipy.special's public functions.
+    _check_fallback(tmp_path, "scipy.special", "scipy.special", mode, probe)
 
 
 def test_warning_is_one_line_and_zero_has_no_sign(capsys):
