@@ -22,12 +22,11 @@ under a second (about 20 s with one call per row).
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from ._scipy_ext import ai_zeros, airy
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, require_integer
 from .spectrum import PotentialSpec
 
 MAX_N = 10_000
@@ -39,15 +38,11 @@ def airy_zero(n: int | np.ndarray) -> float | np.ndarray:
     A numpy integer array n gives the array of its lambda_n, empty for an
     empty n.  An n of any other type, bool included, is refused.
     """
+    require_integer("n", n, least=0, arrays=True)
     many = isinstance(n, np.ndarray)
-    if not (np.issubdtype(n.dtype, np.integer) if many
-            else isinstance(n, numbers.Integral) and not isinstance(n, bool)):
-        raise InvalidParameterError("n must be an integer or an integer array")
     if many and n.size == 0:
         return np.empty(0)
-    low, top = (n.min(), n.max()) if many else (n, n)
-    if low < 0:
-        raise InvalidParameterError("n must be >= 0")
+    top = n.max() if many else n
     if top >= MAX_N:
         raise DomainError(f"Airy zeros are tabulated for n < {MAX_N}, got n={top}")
     zeros, _, _, slopes = ai_zeros(int(top) + 1)
@@ -55,10 +50,16 @@ def airy_zero(n: int | np.ndarray) -> float | np.ndarray:
     return lam if many else float(lam)
 
 
-def wkb_lambda(n: int) -> float:
-    """Semiclassical stand-in for the Airy zero: [3*pi/2*(n+3/4)]^(2/3)."""
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
+def wkb_lambda(n: int | np.ndarray) -> float | np.ndarray:
+    """Semiclassical stand-in for the Airy zero: [3*pi/2*(n+3/4)]^(2/3).
+
+    Integer arrays and refusals as in `airy_zero`.  An array is answered
+    element by element in Python floats, since numpy's power need not
+    round like Python's, so each value is bit for bit the scalar one.
+    """
+    require_integer("n", n, least=0, arrays=True)
+    if isinstance(n, np.ndarray):
+        return np.array([wkb_lambda(k) for k in n.ravel().tolist()], dtype=float).reshape(n.shape)
     return (1.5 * math.pi * (n + 0.75)) ** (2.0 / 3.0)
 
 
@@ -66,7 +67,7 @@ def linear_well_energy(n: int | np.ndarray, B: float,
                        exact: bool = True) -> float | np.ndarray:
     """Deep level B^(2/3)*lambda_n using the exact Airy zero (or WKB).
 
-    With `exact`, n may be an integer array, as in `airy_zero`.
+    n may be an integer array, as in `airy_zero`.
     """
     PotentialSpec(B)  # validates B before a zero is looked up
     lam = airy_zero(n) if exact else wkb_lambda(n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, RegimeError
+from .errors import InvalidParameterError, RegimeError, require_integer
 from .spectrum import EVEN, ODD, PotentialSpec, SpectrumResult, pairing_table, simpson
 
 REGIME_FACTOR = 10.0  # required separation on both sides of the 2x2 window
@@ -61,8 +61,7 @@ def tilt_sweep(basis: SpectrumResult, n: int,
     degenerate problem (V = 0 and zero splitting) has no preferred mixing;
     it is flagged with a warning and the even state is taken unchanged.
     """
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
+    require_integer("n", n, least=0)
     if basis.tilt != 0.0:
         raise InvalidParameterError("sweep needs an untilted basis")
     deltas = np.asarray(delta_thetas, dtype=float)

@@ -61,14 +61,13 @@ noise, and can be negative.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from ._scipy_ext import dgtsv, dstebz, dstein
-from .errors import DomainError, InvalidParameterError, ResolutionError
+from .errors import DomainError, InvalidParameterError, ResolutionError, require_integer
 
 HALF_PI = 0.5 * math.pi
 RESOLUTION_RTOL = 0.02  # largest trusted relative `drift`, over the finest doubling extrapolated
@@ -682,11 +681,8 @@ def solve_spectrum(
     direct integrator that steps the identical discrete Hamiltonian.
     """
     spec = PotentialSpec(B, tilt)  # validates B and tilt
-    for name, size in (("n_levels", n_levels), ("grid_n", grid_n)):
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
-            raise InvalidParameterError(f"{name} must be an integer, got {size!r}")
-    if n_levels < 1:
-        raise InvalidParameterError("n_levels must be >= 1")
+    require_integer("n_levels", n_levels, least=1)
+    require_integer("grid_n", grid_n)
     least = min_grid_n(n_levels)  # refuses first where no grid holds the levels
     if grid_n < least:
         raise InvalidParameterError(

@@ -24,6 +24,11 @@ gives the even/odd pair of phase corrections and `quadratic_action` the
 exact inner action.  The tests check the parity offset pi/4 that these
 build against the exact summit solutions, by ODE and by Bessel functions.
 
+`summit_quantize` bisects the 81-point window |epsilon| <= EPS_WINDOW
+for the cell that holds a level, about 15 phase evaluations in all with
+brentq's.  Only where the window's ends do not bracket the level, which
+happens once it reaches down to E <~ 0 (B <~ 215), does it scan all 81.
+
 The inner and outer regions are matched at xi = XI_MATCH, moved further
 out when the parabolic turning point approaches it.  The matching point
 is a numerical device, not a parameter of the rod, so it is a constant.
@@ -36,7 +41,7 @@ import warnings
 import numpy as np
 
 from ._scipy_ext import brentq, loggamma
-from .errors import DomainError, InvalidParameterError, RegimeError
+from .errors import DomainError, InvalidParameterError, RegimeError, require_integer
 from .spectrum import EVEN, HALF_PI, ODD
 from .wkb import phase_integral
 
@@ -189,16 +194,26 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     """Level n of the given parity from the summit quantization.
 
     Solves summit_phase(E) = (n + 3/4)*pi for E inside the window
-    |epsilon| <= EPS_WINDOW around the barrier top.  Raises RegimeError
-    when the requested level does not fall in that window, or when the
-    matching angle of the root reaches the wall at pi/2, where the summit
-    model has no outer region left (the scan of the window may cross the
-    wall; only the root is held to it).  A root whose matching angle
-    exceeds 0.6 rad is returned with a UserWarning that the quadratic
-    summit region is left.
+    |epsilon| <= EPS_WINDOW around the barrier top, sampled at 81 evenly
+    spaced epsilon.  When the residual is negative at the low end and
+    positive at the high end, bisecting the grid indices (at most 7
+    evaluations) finds the cell where it changes sign, which brentq
+    finishes; a grid point where it is exactly 0 is the root.  Wherever
+    the ends bracket, the phase rises through the whole window (checked
+    from B ~ 215 to 1e12, both parities), so this is the cell, and the
+    root, that a left-to-right scan finds.  Otherwise the window reaches
+    down to E <~ 0 (B <~ 215), where the phase need not be monotone, and
+    the first sign change of a scan of all 81 points is taken.
+
+    Raises InvalidParameterError unless n is an integer >= 0 (bool
+    refused).  Raises RegimeError when the requested level does not fall
+    in the window, or when the matching angle of the root reaches the
+    wall at pi/2, where the summit model has no outer region left (the
+    window may cross the wall; only the root is held to it).  A root
+    whose matching angle exceeds 0.6 rad is returned with a UserWarning
+    that the quadratic summit region is left.
     """
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
+    require_integer("n", n, least=0)
     s = summit_scale(B)  # validates B
     hw = math.sqrt(2.0 * B)
     target = (n + 0.75) * math.pi
@@ -208,15 +223,30 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
 
     eps_grid = np.linspace(-EPS_WINDOW, EPS_WINDOW, 81)
     energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
-    values = [residual(e) for e in energies]
+    low, high = residual(energies[0]), residual(energies[-1])
     root = None
-    for k in range(len(values) - 1):
-        if values[k] == 0.0:
-            root = energies[k]
-            break
-        if values[k] * values[k + 1] < 0.0:
-            root = brentq(residual, energies[k], energies[k + 1])
-            break
+    if low < 0.0 < high:  # the phase rises through the window: bisect for the cell
+        lo, hi = 0, len(energies) - 1
+        while hi - lo > 1 and root is None:
+            mid = (lo + hi) // 2
+            value = residual(energies[mid])
+            if value == 0.0:
+                root = energies[mid]
+            elif value < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if root is None:
+            root = brentq(residual, energies[lo], energies[hi])
+    else:  # below E ~ 0 the phase need not be monotone: take the first sign change
+        values = [low] + [residual(e) for e in energies[1:-1]] + [high]
+        for k in range(len(values) - 1):
+            if values[k] == 0.0:
+                root = energies[k]
+                break
+            if values[k] * values[k + 1] < 0.0:
+                root = brentq(residual, energies[k], energies[k + 1])
+                break
     if root is None:
         raise RegimeError(
             f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"

@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 from ._scipy_ext import brentq, ellipeinc, elliprd, elliprf
-from .errors import DomainError, InvalidParameterError, RegimeError
+from .errors import DomainError, InvalidParameterError, RegimeError, require_integer
 from .spectrum import HALF_PI, PotentialSpec
 
 DEEP_WELL = "deep-well"
@@ -211,12 +211,12 @@ def single_well_quantize(n: int, B: float) -> float:
 
     Verified for B <= 1e230, where the roots lie within 2e-14 of the
     deep-well limit; beyond it well_action's E/B^2 underflows, and B is
-    refused with InvalidParameterError.  Raises RegimeError when level n
-    does not fit under the barrier, in which case the summit or
-    high-energy conditions apply instead.
+    refused with InvalidParameterError, as is an n that is not an integer
+    or is negative.  Raises RegimeError when level n does not fit under
+    the barrier, in which case the summit or high-energy conditions apply
+    instead.
     """
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
+    require_integer("n", n, least=0)
     if not B <= 1e230:  # NaN fails too
         raise InvalidParameterError(f"single-well levels are verified for B <= 1e230, got {B}")
     if B <= 0.0:
@@ -249,9 +249,10 @@ def high_energy_quantize(n: int, B: float) -> float:
 
     Exact at B = 0 (E_n = n^2); for B > 0 a warning marks results that
     are not far above the barrier, where the summit treatment is better.
+    An n that is not an integer, or is below 1, is refused with
+    InvalidParameterError.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    require_integer("n", n, least=1)
     target = n * math.pi
     if target <= full_action(B, B):
         raise RegimeError(

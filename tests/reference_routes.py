@@ -7,13 +7,16 @@ which `test_properties` holds them to as it holds the library.
 """
 import math
 import sys
+import warnings
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
+from quantum_rod._scipy_ext import brentq
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
-from quantum_rod.spectrum import potential, simpson
-from quantum_rod.summit import _arctan_exp, _eps_log, half_arg_gamma_fit
+from quantum_rod.spectrum import HALF_PI, potential, simpson
+from quantum_rod.summit import (EPS_WINDOW, _arctan_exp, _eps_log, _matching_xi,
+                                half_arg_gamma_fit, summit_phase, summit_scale)
 from quantum_rod.wkb import period_integral, turning_point
 
 
@@ -151,3 +154,50 @@ def barrier_action_quad(energy: float, B: float) -> float:
     val, _ = quad(lambda t: math.sqrt(max(B * math.cos(t) - energy, 0.0)),
                   -theta0, theta0, limit=200)
     return val
+
+
+def summit_quantize_scan(n: int, B: float, parity: str) -> float:
+    """`summit.summit_quantize` by a left-to-right scan of the whole window.
+
+    Evaluates the residual at all 81 grid points of |epsilon| <=
+    EPS_WINDOW and hands the first cell whose sign changes to brentq (a
+    grid point where it is exactly 0 is the root), with the same wall
+    guard and warning.  `summit_quantize` bisects for that cell wherever
+    the two ends of the window bracket a root, and must agree with this
+    to the bit.
+    """
+    if n < 0:
+        raise InvalidParameterError("n must be >= 0")
+    s = summit_scale(B)
+    hw = math.sqrt(2.0 * B)
+    target = (n + 0.75) * math.pi
+
+    def residual(energy: float) -> float:
+        return summit_phase(energy, B, parity) - target
+
+    energies = (B + np.linspace(-EPS_WINDOW, EPS_WINDOW, 81) * hw).tolist()
+    values = [residual(e) for e in energies]
+    root = None
+    for k in range(len(values) - 1):
+        if values[k] == 0.0:
+            root = energies[k]
+            break
+        if values[k] * values[k + 1] < 0.0:
+            root = brentq(residual, energies[k], energies[k + 1])
+            break
+    if root is None:
+        raise RegimeError(
+            f"no {parity} level with n={n} within |epsilon| <= {EPS_WINDOW} of the summit"
+        )
+    delta_theta = _matching_xi((root - B) / hw) * s
+    if not delta_theta < HALF_PI:
+        raise RegimeError(
+            f"{parity} level n={n} at B={B:g}: matching angle {delta_theta:.3f} rad "
+            "reaches the wall at pi/2, so the summit model does not apply"
+        )
+    if delta_theta > 0.6:
+        warnings.warn(
+            f"matching angle {delta_theta:.3f} rad leaves the quadratic summit region",
+            stacklevel=2,
+        )
+    return root

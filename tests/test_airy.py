@@ -55,7 +55,7 @@ def test_airy_zero_guards():
         airy_zero(np.array([0, MAX_N]))
 
 
-@pytest.mark.parametrize("n", [
+NOT_INTEGERS = [
     pytest.param(2.0, id="float"),
     pytest.param(np.float64(2.0), id="numpy float"),
     pytest.param(True, id="bool"),
@@ -63,10 +63,22 @@ def test_airy_zero_guards():
     pytest.param(np.array([1.5]), id="float array"),
     pytest.param(np.array([True]), id="bool array"),
     pytest.param(np.array([], dtype=float), id="empty float array"),
-])
+]
+
+
+@pytest.mark.parametrize("n", NOT_INTEGERS)
 def test_airy_zero_refuses_what_is_not_an_integer(n):
     with pytest.raises(InvalidParameterError, match="integer"):
         airy_zero(n)
+
+
+@pytest.mark.parametrize("n", NOT_INTEGERS)
+def test_wkb_lambda_refuses_what_is_not_an_integer(n):
+    # 2.5 and True once gave 6.167 and 4.082.
+    with pytest.raises(InvalidParameterError, match="integer"):
+        wkb_lambda(n)
+    with pytest.raises(InvalidParameterError, match="integer"):
+        linear_well_energy(n, 100.0, exact=False)
 
 
 def test_airy_zero_of_an_empty_array_is_empty():
@@ -96,6 +108,21 @@ def test_zero_tables():
     for n in range(6):
         assert airy_zero(n) == pytest.approx(LAMBDA_EXACT[n], abs=5e-3)
         assert wkb_lambda(n) == pytest.approx(LAMBDA_WKB[n], abs=5e-3)
+
+
+def test_wkb_lambda_array_is_bit_for_bit_the_scalar():
+    # An integer array once ended in numpy's "truth value is ambiguous".
+    ns = np.array([[0, 1, 2], [777, 4242, MAX_N + 5]])
+    lams = wkb_lambda(ns)
+    energies = linear_well_energy(ns, 100.0, exact=False)
+    assert lams.shape == energies.shape == ns.shape
+    for k, n in np.ndenumerate(ns):
+        assert lams[k] == wkb_lambda(int(n))
+        assert energies[k] == linear_well_energy(int(n), 100.0, exact=False)
+    assert wkb_lambda(np.int64(3)) == wkb_lambda(3)
+    assert wkb_lambda(np.array([], dtype=int)).shape == (0,)
+    with pytest.raises(InvalidParameterError, match=">= 0"):
+        wkb_lambda(np.array([3, -1]))
 
 
 def test_wkb_underestimates_and_converges():

@@ -64,6 +64,15 @@ LIBRARY = {
 }
 
 
+# Level numbers that are not integers, which once gave a level (2.5, or
+# True as level 1) or a message that named n=True.
+NOT_INTEGER = [
+    (summit.summit_quantize, (24.5, 1e4, "even")), (summit.summit_quantize, (True, 1e4, "even")),
+    (wkb.single_well_quantize, (2.5, 1e4)), (wkb.single_well_quantize, (True, 1e4)),
+    (wkb.high_energy_quantize, (2.5, 0.0)), (wkb.high_energy_quantize, (True, 0.0)),
+    (wkb.doublet_prediction, (2.5, 1e4)),
+]
+
 # Inputs that once returned NaN or inf, or raised an untyped exception.
 REFUSED = [
     (summit.summit_scale, (math.nan,)), (summit.summit_scale, (math.inf,)),
@@ -81,13 +90,19 @@ REFUSED = [
     (summit.summit_phase, (1e300, 100.0, "even")), (asymptotic_action, (1.0, 1e-300)),
     (wkb.single_well_quantize, (0, 1e231)), (classical_frequency, (0.5e308, 1e308)),
     (wkb.well_action, (5e-324, 1e-320)),
-]
+] + NOT_INTEGER
 
 
 @pytest.mark.filterwarnings("ignore:matching angle")
 @pytest.mark.parametrize("func, args", REFUSED)
 def test_refused_input_raises_a_typed_error(func, args):
     with pytest.raises(TYPED):
+        func(*args)
+
+
+@pytest.mark.parametrize("func, args", NOT_INTEGER)
+def test_level_number_that_is_not_an_integer_is_invalid(func, args):
+    with pytest.raises(errors.InvalidParameterError, match="n must be an integer"):
         func(*args)
 
 

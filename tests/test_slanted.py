@@ -136,3 +136,12 @@ def test_tilt_sweep_guards(spectrum_b1e4):
     tilted = solve_spectrum(100.0, 4, grid_n=401, tilt=0.01)
     with pytest.raises(InvalidParameterError):
         tilt_sweep(tilted, 0, np.array([1e-3]))
+
+
+def test_tilt_sweep_takes_integer_doublets_only(spectrum_b1e4):
+    # 2.5 once raised an untyped TypeError and True was doublet 1.
+    for n in (2.5, 2.0, True):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            tilt_sweep(spectrum_b1e4, n, np.array([1e-3]))
+    assert tilt_sweep(spectrum_b1e4, np.int64(N_DEEP), np.array([1e-3])) == \
+        tilt_sweep(spectrum_b1e4, N_DEEP, np.array([1e-3]))

@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv, jvp
 
+from quantum_rod import summit
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.summit import (
+    EPS_WINDOW,
     FIT_GAMMA,
     half_arg_gamma_exact,
     half_arg_gamma_fit,
@@ -18,7 +20,8 @@ from quantum_rod.summit import (
     summit_scale,
     wavepacket_phase_derivative,
 )
-from reference_routes import asymptotic_action, summit_phase_difference, wavepacket_phase
+from reference_routes import (asymptotic_action, summit_phase_difference, summit_quantize_scan,
+                              wavepacket_phase)
 
 B = 1.0e4
 QUARTER_PI = 0.25 * math.pi
@@ -128,18 +131,66 @@ def test_summit_quantize_warns_on_wide_matching():
     assert len(caught) == 1
 
 
+# The six levels closest to the barrier top at B = 1e4.
+NEAR_SUMMIT = (("odd", 24), ("even", 25), ("odd", 25), ("even", 26), ("odd", 26), ("even", 27))
+
+
 def test_summit_quantize_against_spectrum(spectrum_b1e4):
-    # The six levels closest to the barrier top at B = 1e4.
-    for parity, n in (("odd", 24), ("even", 25), ("odd", 25),
-                      ("even", 26), ("odd", 26), ("even", 27)):
+    for parity, n in NEAR_SUMMIT:
         pred = summit_quantize(n, B, parity)
         ref = spectrum_b1e4.level(parity, n).energy
         assert pred == pytest.approx(ref, rel=1e-3)
 
 
+def test_summit_quantize_bisects_for_its_bracket(monkeypatch):
+    # Two window ends, at most 7 bisection steps and brentq's own
+    # evaluations; a scan of the 81-point window alone makes 81.
+    calls = []
+
+    def counted(energy, b, parity):
+        calls.append(energy)
+        return summit_phase(energy, b, parity)
+
+    monkeypatch.setattr(summit, "summit_phase", counted)
+    for parity, n in NEAR_SUMMIT:
+        calls.clear()
+        summit_quantize(n, B, parity)
+        assert len(calls) <= 20, (parity, n, len(calls))
+
+
+def _outcome(route, n, b, parity):
+    try:
+        return route(n, b, parity).hex()
+    except (ValueError, RuntimeError) as exc:  # the typed errors and brentq's
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("b", [1.0, 10.0, 100.0, 162.0, 215.0, 300.0, 1e3, 1e4, 1e6, 1e9])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_summit_quantize_is_the_scan_to_the_bit(b, parity):
+    # Every level the window brackets, the level on either side of them and
+    # n = 0, 1, 2: the same root, or the same exception and message, as the
+    # left-to-right scan of the whole window.
+    hw = math.sqrt(2.0 * b)
+    low, high = (summit_phase(b + sign * EPS_WINDOW * hw, b, parity) / math.pi - 0.75
+                 for sign in (-1.0, 1.0))
+    for n in sorted({0, 1, 2} | set(range(max(math.ceil(low) - 1, 0), math.floor(high) + 2))):
+        assert _outcome(summit_quantize, n, b, parity) == _outcome(summit_quantize_scan, n, b, parity)
+
+
 def test_summit_quantize_rejects_deep_levels():
     with pytest.raises(RegimeError):
         summit_quantize(0, B, "even")
+
+
+def test_summit_quantize_takes_integer_levels_only():
+    # Numpy integers are levels like any other; see test_properties for
+    # 24.5 and True.
+    assert summit_quantize(np.int64(25), B, "even") == summit_quantize(25, B, "even")
+    for n in (25.0, np.True_):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            summit_quantize(n, B, "even")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
