@@ -23,8 +23,9 @@ as one `warning: <message>` line on stderr, once per occurrence, whatever
 PYTHONWARNINGS says; `main` is the one place that sets the warning
 filters.  Two checks return their answer instead of warning:
 `slanted.TiltResponse.regime` the flags that `slant` prints as
-regime_upper and regime_lower, and `wkb.tunneling_splitting` the barrier
-action W, which falls below 1 near the summit, as `SplittingResult.action`.
+regime_upper and regime_lower, and `wkb.doublet_prediction` the barrier
+action W, which falls below 1 near the summit, as `WkbDoublet.action`,
+which `wkb-compare` prints as action_wkb.
 A negative value may be written -1e-3 as well as -0.001.
 
 The modules a subcommand needs beyond `spectrum` and `slanted` are
@@ -306,23 +307,16 @@ def run_wkb_compare(cfg: dict[str, Any]) -> Payload:
     doublets = pairing_table(result)
 
     header = ["n", "center", "center_wkb", "splitting", "splitting_wkb",
-              "regime"]
+              "regime", "log_splitting_wkb", "action_wkb"]
     rows = []
     for n in range(n_min, n_max + 1):
         d = doublets[n]
-        try:
-            pred = wkb.doublet_prediction(n, B)
-            center_wkb, split_wkb, regime = pred.center, pred.splitting, pred.regime
-        except RegimeError:
-            try:
-                lo = wkb.high_energy_quantize(2 * n + 1, B)
-                hi = wkb.high_energy_quantize(2 * n + 2, B)
-                center_wkb, split_wkb = 0.5 * (lo + hi), hi - lo
-                regime = wkb.ABOVE_BARRIER
-            except RegimeError:  # too high for one well, too low for the full domain
-                center_wkb = split_wkb = None  # the summit route is `summit`'s
-                regime = wkb.NEAR_SUMMIT
-        rows.append([n, d.center, center_wkb, d.splitting, split_wkb, regime])
+        pred = wkb.semiclassical_doublet(n, B)
+        if pred is None:  # the summit gap: the summit route is `summit`'s
+            rows.append([n, d.center, None, d.splitting, None, wkb.NEAR_SUMMIT, None, None])
+        else:
+            rows.append([n, d.center, pred.center, d.splitting, pred.splitting, pred.regime,
+                         pred.log_splitting, pred.action])
     return {"doublets": [dict(zip(header, r)) for r in rows]}, header, rows
 
 

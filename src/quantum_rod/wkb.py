@@ -18,6 +18,12 @@ Levels near the summit need the parabolic-cylinder treatment in
 `summit`, which degenerates to both conditions in the appropriate
 limits.
 
+A doublet is one `WkbDoublet`.  Below the barrier its splitting is
+(2/I) exp(-W), with the log ln(2/I) - W, which stays finite where
+exp(-W) underflows (from B ~ 2e5 at n = 0); above it, the difference of
+two ladder levels; in the summit gap between, `semiclassical_doublet`
+has none.
+
 Every phase integral is an elliptic integral, evaluated in closed form
 with Carlson's symmetric R_F and R_D (B. C. Carlson, Numer. Algorithms
 10, 13 (1995); DLMF 19.2, 19.29).  Measured from a turning point, the
@@ -174,32 +180,6 @@ def period_integral(energy: float, B: float) -> float:
     return 2.0 * scale * elliprf(B / (B + energy), B / (B - energy), 1.0)
 
 
-@dataclass(frozen=True)
-class SplittingResult:
-    """Tunneling splitting of a doublet, with its barrier action W."""
-
-    splitting: float      # E_minus - E_plus, units hbar^2/2J
-    action: float         # barrier action W
-    regime: str
-
-
-def tunneling_splitting(energy: float, B: float) -> SplittingResult:
-    """Splitting (hbar*omega/pi) * exp(-W) of the doublet centered at E.
-
-    In internal units hbar*omega = 2*pi / period_integral, so the
-    splitting reduces to (2/I) exp(-W), with I the `period_integral`.
-    Valid for W somewhat above 1: near the summit the exponent is small,
-    which `action` < 1 shows.  Needs 0 < E < B, where I is positive and
-    finite.
-    """
-    if not 0.0 < energy < B < math.inf:
-        raise DomainError(f"tunneling needs 0 < E < B < inf, got E={energy}, B={B}")
-    w = barrier_action(energy, B)
-    regime = regime_of(energy, B)
-    splitting = (2.0 / period_integral(energy, B)) * math.exp(-w)
-    return SplittingResult(splitting=splitting, action=w, regime=regime)
-
-
 def max_well_action(B: float) -> float:
     """Single-well action at the summit energy: sqrt(B)*(2*sqrt(2) - 2)."""
     PotentialSpec(B)  # validates B
@@ -272,24 +252,56 @@ def high_energy_quantize(n: int, B: float) -> float:
 
 @dataclass(frozen=True)
 class WkbDoublet:
-    """Semiclassical prediction for doublet n: center and splitting."""
+    """Semiclassical doublet n: center, splitting, its log and barrier action W.
+
+    `action` is None for a pair of the above-barrier ladder.
+    """
 
     n: int
     center: float
     splitting: float
-    action: float
+    log_splitting: float
+    action: float | None
     regime: str
 
 
 def doublet_prediction(n: int, B: float) -> WkbDoublet:
     """Center from the single-well condition, splitting from tunneling.
 
+    The splitting is (hbar*omega/pi) exp(-W) at the center E.  In internal
+    units hbar*omega = 2*pi / I, with I the `period_integral`, so it is
+    (2/I) exp(-W), and its log ln(2/I) - W.  Valid for W somewhat above
+    1: near the summit the exponent is small, which `action` < 1 shows.
     Works at any B up to `single_well_quantize`'s 1e230: for the 1 g,
     10 cm rod (B ~ 2.94e59) the centres sit on the deep-well limit
     B^(2/3) [3 pi/2 (n + 3/4)]^(2/3), the splitting exp(-W) underflows to
-    0.0, and `action` carries W ~ 1.3e30 instead.
+    0.0, and `action` carries W ~ 1.3e30 and `log_splitting` about -W.
     """
     center = single_well_quantize(n, B)
-    sp = tunneling_splitting(center, B)
-    return WkbDoublet(n=n, center=center, splitting=sp.splitting,
-                      action=sp.action, regime=sp.regime)
+    w = barrier_action(center, B)
+    prefactor = 2.0 / period_integral(center, B)
+    return WkbDoublet(n=n, center=center, splitting=prefactor * math.exp(-w),
+                      log_splitting=math.log(prefactor) - w, action=w,
+                      regime=regime_of(center, B))
+
+
+def semiclassical_doublet(n: int, B: float) -> WkbDoublet | None:
+    """Doublet n by the route its regime takes, or None in the summit gap.
+
+    Below the barrier it is `doublet_prediction`.  Above it the levels
+    2n + 1 and 2n + 2 of `high_energy_quantize` give the center (their
+    mean) and the splitting (their difference).  Where level n is too high
+    for one well and too low for the full domain, only `summit` has a
+    route.
+    """
+    try:
+        return doublet_prediction(n, B)
+    except RegimeError:
+        pass
+    try:
+        lo = high_energy_quantize(2 * n + 1, B)
+        hi = high_energy_quantize(2 * n + 2, B)
+    except RegimeError:
+        return None
+    return WkbDoublet(n=n, center=0.5 * (lo + hi), splitting=hi - lo,
+                      log_splitting=math.log(hi - lo), action=None, regime=ABOVE_BARRIER)

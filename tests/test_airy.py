@@ -96,12 +96,14 @@ def test_airy_zero_array_is_bit_for_bit_the_scalar():
         assert energies[k] == linear_well_energy(n, 1e4)
 
 
-@pytest.mark.parametrize("n", [12, 50, 200])
+@pytest.mark.parametrize("n", [*range(12), 12, 50, 200])
 def test_airy_zero_against_mpmath(n):
+    # The polished zeros are within 4.2e-16; `ai_zeros` alone is off by
+    # 6.5e-15, 2.2e-14 and 1.0e-12 at n = 2, 3 and 4.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         ref = -mp.airyaizero(n + 1)
-        assert abs(airy_zero(n) - ref) / ref < 1e-14
+        assert abs(airy_zero(n) - ref) / ref < 2e-15
 
 
 def test_zero_tables():

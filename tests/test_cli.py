@@ -797,8 +797,22 @@ def test_wkb_compare_free_and_barrier(capsys):
     for r in rows:
         assert 0.5 < r["splitting_wkb"] / r["splitting"] < 2.0
         assert abs(r["center_wkb"] - r["center"]) < 2.0   # ~1% of the spacing
+        assert r["log_splitting_wkb"] == pytest.approx(math.log(r["splitting_wkb"]), rel=1e-8)
+        assert 3.0 < r["action_wkb"] < 15.0
+    assert list(rows[0])[-2:] == ["log_splitting_wkb", "action_wkb"]
     assert rows[0]["regime"] == "deep-well"
     assert rows[2]["regime"] == "near-summit"
+
+
+def test_wkb_compare_log_splitting_where_the_splitting_underflows(capsys):
+    # At B = 2e5 both splitting columns print 0; the WKB log and W do not.
+    assert main(["wkb-compare", "--B", "2e5", "--n-max", "2", "--grid-n", "8001",
+                 "--format", "csv"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert header[-2:] == ["log_splitting_wkb", "action_wkb"]
+    assert [r[-2] for r in rows] == ["-1017.62188", "-983.036218", "-954.966977"]
+    for r in rows:
+        assert r[4] == "0" and float(r[-1]) > 900.0
 
 
 @pytest.mark.filterwarnings("ignore:E=.* is not far above the barrier")
@@ -811,13 +825,17 @@ def test_wkb_compare_rows_in_the_summit_gap(capsys, B, n_max, gap):
     argv = ["wkb-compare", "--B", B, "--n-min", "0", "--n-max", n_max, "--grid-n", "2001"]
     rows = run_json(capsys, argv)["results"]["doublets"]
     assert [r["n"] for r in rows] == list(range(int(n_max) + 1))
-    assert rows[gap]["center_wkb"] is None and rows[gap]["splitting_wkb"] is None
-    assert rows[gap]["regime"] == "near-summit"
+    gap_row = rows[gap]
+    assert [gap_row[k] for k in ("center_wkb", "splitting_wkb", "log_splitting_wkb",
+                                 "action_wkb")] == [None] * 4
+    assert gap_row["regime"] == "near-summit"
     for r in rows[gap + 1:]:  # the full-domain ladder above
         lo, hi = (wkb.high_energy_quantize(2 * r["n"] + k, float(B)) for k in (1, 2))
         assert r["center_wkb"] == pytest.approx(0.5 * (lo + hi), rel=1e-8)
         assert r["splitting_wkb"] == pytest.approx(hi - lo, rel=1e-8)
+        assert r["log_splitting_wkb"] == pytest.approx(math.log(hi - lo), rel=1e-8)
+        assert r["action_wkb"] is None
         assert r["regime"] == "above-barrier"
     assert main(argv + ["--format", "csv"]) == 0
     cells = capsys.readouterr().out.splitlines()[gap + 1].split(",")
-    assert cells[2] == cells[4] == "" and cells[5] == "near-summit"
+    assert cells[2] == cells[4] == cells[6] == cells[7] == "" and cells[5] == "near-summit"

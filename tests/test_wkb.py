@@ -1,5 +1,6 @@
 """Semiclassical actions, quantization conditions, and doublet predictions."""
 import math
+import sys
 
 import pytest
 
@@ -17,8 +18,8 @@ from quantum_rod.wkb import (
     period_integral,
     phase_integral,
     regime_of,
+    semiclassical_doublet,
     single_well_quantize,
-    tunneling_splitting,
     turning_point,
     well_action,
 )
@@ -149,15 +150,13 @@ def test_closed_form_edge_cases():
             phase_integral(B, B, bad, 1.0)
 
 
-def test_tunneling_splitting_computes_the_period_once(monkeypatch):
+def test_doublet_prediction_computes_the_period_and_action_once(monkeypatch):
     calls = []
-    real = wkb.period_integral
-    monkeypatch.setattr(wkb, "period_integral", lambda *a: calls.append(a) or real(*a))
-    tunneling_splitting(0.5 * B, B)
-    assert len(calls) == 1
-    for energy in (0.0, B):
-        with pytest.raises(DomainError):
-            tunneling_splitting(energy, B)
+    for name in ("period_integral", "barrier_action"):
+        real = getattr(wkb, name)
+        monkeypatch.setattr(wkb, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    doublet_prediction(10, B)
+    assert sorted(calls) == ["barrier_action", "period_integral"]
 
 
 def test_single_well_quantization_condition():
@@ -241,11 +240,10 @@ def test_low_energy_closed_form():
 
 
 def test_tunneling_splitting_growth_and_small_action():
-    splits = [tunneling_splitting(single_well_quantize(n, B), B).splitting
-              for n in (20, 22, 24)]
+    splits = [doublet_prediction(n, B).splitting for n in (20, 22, 24)]
     assert all(b > a for a, b in zip(splits, splits[1:]))
     # near the summit the formula is unreliable, which the action shows
-    assert tunneling_splitting(0.997 * B, B).action < 1.0   # W ~ 0.67 there
+    assert barrier_action(0.997 * B, B) < 1.0   # W ~ 0.67 there
 
 
 def test_doublet_predictions_against_spectrum(spectrum_b1e4):
@@ -264,6 +262,54 @@ def test_doublet_predictions_against_spectrum(spectrum_b1e4):
         assert abs(pred.center - table[n].center) < 0.01 * spacing
         checked += 1
     assert checked == 3
+
+
+def test_doublet_splitting_at_the_accuracy_of_the_route(spectrum_b1e4):
+    # ln(WKB/grid) is 0.0059, 0.0091 and 0.0172 at n = 22, 23 and 24 on
+    # the default 4001-point grid (8001 points agree to 1e-4); criterion
+    # 8 allows a factor of 2.
+    table = pairing_table(spectrum_b1e4)
+    for n in (22, 23, 24):
+        pred = doublet_prediction(n, B)
+        assert abs(pred.log_splitting - math.log(table[n].splitting)) < 0.03
+
+
+@pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e5])
+def test_log_splitting_is_the_log_of_the_splitting(b):
+    n_top = int(max_well_action(b) / math.pi - 0.75)
+    checked = 0
+    for n in range(n_top + 1):
+        pred = doublet_prediction(n, b)
+        if pred.splitting >= sys.float_info.min:  # a normal float
+            assert pred.log_splitting == pytest.approx(math.log(pred.splitting),
+                                                       rel=1e-12, abs=1e-12)
+            checked += 1
+    assert checked > 0
+
+
+def test_log_splitting_where_the_splitting_underflows():
+    # At B = 2e5 exp(-W) underflows even for the ground doublet; its log
+    # does not.
+    pred = doublet_prediction(0, 2e5)
+    assert pred.splitting == 0.0
+    assert math.isfinite(pred.log_splitting) and pred.log_splitting < -700.0
+    assert pred.log_splitting == pytest.approx(-1017.62188, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:E=.* is not far above the barrier")
+def test_semiclassical_doublet_takes_the_route_of_its_regime():
+    # At B = 100 doublets 0 and 1 fit in one well, 2 sits in the summit
+    # gap and 3 up are pairs of the above-barrier ladder.
+    b = 100.0
+    for n in (0, 1):
+        assert semiclassical_doublet(n, b) == doublet_prediction(n, b)
+    assert semiclassical_doublet(2, b) is None
+    for n in (3, 5):
+        lo, hi = high_energy_quantize(2 * n + 1, b), high_energy_quantize(2 * n + 2, b)
+        pred = semiclassical_doublet(n, b)
+        assert (pred.n, pred.center, pred.splitting, pred.action, pred.regime) == (
+            n, 0.5 * (lo + hi), hi - lo, None, "above-barrier")
+        assert pred.log_splitting == math.log(hi - lo)
 
 
 def test_high_energy_free_rotor_limit():
