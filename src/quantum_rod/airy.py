@@ -12,12 +12,16 @@ The zeros lambda_n come from scipy.special's `ai_zeros`, polished by one
 Newton step with its `airy` (both loaded by `_scipy_ext` without the
 scipy.special package): the fifth zero from `ai_zeros` alone is off by
 about 1e-12 relative, the polished ones by < 1e-16 against
-`mpmath.airyaizero` (sampled from n = 11 to 100000).  Nothing
-numerical bounds n: `airy_zero` takes n < MAX_N only because
-`ai_zeros(n + 1)` fills four arrays of n + 1 values on every call, so
-that one call stays under 2 ms.  An array of n is answered from one
-such call, bit for bit as n by n, so `airy --count 10000` takes well
-under a second (about 20 s with one call per row).
+`mpmath.airyaizero` (sampled from n = 11 to 100000).
+
+The module keeps one table of polished zeros.  It grows geometrically,
+to at least twice its length and at least to the n asked for, when an n
+beyond it is asked for, so each zero is computed once per process and a
+lookup inside the table costs no `ai_zeros` call.  The tables of
+`ai_zeros(N)` share their prefixes bit for bit, so every zero is the one
+a call of `ai_zeros(n + 1)` would give.  Nothing numerical bounds n:
+`airy_zero` takes n < MAX_N only to bound the table, whose largest
+`ai_zeros` call stays under 2 ms.
 """
 from __future__ import annotations
 
@@ -30,6 +34,21 @@ from .errors import DomainError, require_integer
 from .spectrum import PotentialSpec
 
 MAX_N = 10_000
+MIN_TABLE = 16  # length of the first table
+
+_zeros = np.empty(0)  # the polished lambda_n, n < len(_zeros); read-only
+
+
+def _zero_table(count: int) -> np.ndarray:
+    """The table of polished lambda_n, grown to hold at least `count` zeros."""
+    global _zeros
+    if count > len(_zeros):
+        size = min(MAX_N, max(count, 2 * len(_zeros), MIN_TABLE))
+        zeros, _, _, slopes = ai_zeros(size)
+        table = -(zeros - airy(zeros)[0] / slopes)
+        table.setflags(write=False)
+        _zeros = table
+    return _zeros
 
 
 def airy_zero(n: int | np.ndarray) -> float | np.ndarray:
@@ -45,8 +64,7 @@ def airy_zero(n: int | np.ndarray) -> float | np.ndarray:
     top = n.max() if many else n
     if top >= MAX_N:
         raise DomainError(f"Airy zeros are tabulated for n < {MAX_N}, got n={top}")
-    zeros, _, _, slopes = ai_zeros(int(top) + 1)
-    lam = -(zeros[n] - airy(zeros[n])[0] / slopes[n])
+    lam = _zero_table(int(top) + 1)[n]
     return lam if many else float(lam)
 
 

@@ -24,10 +24,13 @@ gives the even/odd pair of phase corrections and `quadratic_action` the
 exact inner action.  The tests check the parity offset pi/4 that these
 build against the exact summit solutions, by ODE and by Bessel functions.
 
-`summit_quantize` bisects the 81-point window |epsilon| <= EPS_WINDOW
-for the cell that holds a level, about 15 phase evaluations in all with
-brentq's.  Only where the window's ends do not bracket the level, which
-happens once it reaches down to E <~ 0 (B <~ 215), does it scan all 81.
+`summit_quantize` searches the 81-point window |epsilon| <= EPS_WINDOW
+for the cell that holds a level by guarded interpolation, and hands
+brentq the residuals at the cell's ends: 7 to 14 phase evaluations in
+all from B = 216 to 1e12, 9.5 on average, where bisecting for the cell
+took about 15.  Only where the window's ends do not bracket the level,
+which happens once it reaches down to E <~ 0 (B <~ 215), does it scan
+all 81.
 
 The inner and outer regions are matched at xi = XI_MATCH, moved further
 out when the parabolic turning point approaches it.  The matching point
@@ -43,7 +46,7 @@ import numpy as np
 from ._scipy_ext import brentq, loggamma
 from .errors import DomainError, InvalidParameterError, RegimeError, require_integer
 from .spectrum import EVEN, HALF_PI, ODD
-from .wkb import phase_integral
+from .wkb import known_ends, phase_integral
 
 FIT_GAMMA = 1.78107          # exp(Euler-Mascheroni) as used in the phase fit
 FIT_C = 1.0 / (4.0 * FIT_GAMMA)
@@ -196,14 +199,20 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     Solves summit_phase(E) = (n + 3/4)*pi for E inside the window
     |epsilon| <= EPS_WINDOW around the barrier top, sampled at 81 evenly
     spaced epsilon.  When the residual is negative at the low end and
-    positive at the high end, bisecting the grid indices (at most 7
-    evaluations) finds the cell where it changes sign, which brentq
-    finishes; a grid point where it is exactly 0 is the root.  Wherever
-    the ends bracket, the phase rises through the whole window (checked
-    from B ~ 215 to 1e12, both parities), so this is the cell, and the
-    root, that a left-to-right scan finds.  Otherwise the window reaches
-    down to E <~ 0 (B <~ 215), where the phase need not be monotone, and
-    the first sign change of a scan of all 81 points is taken.
+    positive at the high end, a search on the grid indices finds the cell
+    where it changes sign, which brentq finishes from the residuals
+    already known at its ends; a grid point where it is exactly 0 is the
+    root.  Each probe interpolates linearly between the current cell's
+    ends, nudged toward the cell's middle by 1/32 of its width, and is
+    held strictly inside the cell and close enough to both ends that
+    bisection could still finish in the probes left: the search takes at
+    most bisection's 7 probes, and 3.5 on average from B = 216 to 1e12.
+    Wherever the ends bracket, the phase rises through the whole window
+    (checked from B ~ 215 to 1e12, both parities), so this is the cell,
+    and the root, that a left-to-right scan finds.  Otherwise the window
+    reaches down to E <~ 0 (B <~ 215), where the phase need not be
+    monotone, and the first sign change of a scan of all 81 points is
+    taken.
 
     Raises InvalidParameterError unless n is an integer >= 0 (bool
     refused).  Raises RegimeError when the requested level does not fall
@@ -225,19 +234,26 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
     low, high = residual(energies[0]), residual(energies[-1])
     root = None
-    if low < 0.0 < high:  # the phase rises through the window: bisect for the cell
+    if low < 0.0 < high:  # the phase rises through the window: search for the cell
         lo, hi = 0, len(energies) - 1
+        budget = (hi - lo - 1).bit_length()  # bisection's 7 probes: hi - lo <= 2**budget
         while hi - lo > 1 and root is None:
-            mid = (lo + hi) // 2
+            guess = lo + (hi - lo) * low / (low - high)
+            nudge = (hi - lo) / 32  # toward the middle: the root tends to fall in the smaller part
+            guess += nudge if guess < 0.5 * (lo + hi) else -nudge
+            budget -= 1
+            reach = 1 << budget  # a probe within reach of both ends keeps hi - lo <= 2**budget
+            mid = min(max(round(guess), lo + 1, hi - reach), hi - 1, lo + reach)
             value = residual(energies[mid])
             if value == 0.0:
                 root = energies[mid]
             elif value < 0.0:
-                lo = mid
+                lo, low = mid, value
             else:
-                hi = mid
+                hi, high = mid, value
         if root is None:
-            root = brentq(residual, energies[lo], energies[hi])
+            root = brentq(known_ends(residual, energies[lo], low, energies[hi], high),
+                          energies[lo], energies[hi])
     else:  # below E ~ 0 the phase need not be monotone: take the first sign change
         values = [low] + [residual(e) for e in energies[1:-1]] + [high]
         for k in range(len(values) - 1):
@@ -245,7 +261,9 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
                 root = energies[k]
                 break
             if values[k] * values[k + 1] < 0.0:
-                root = brentq(residual, energies[k], energies[k + 1])
+                root = brentq(known_ends(residual, energies[k], values[k],
+                                         energies[k + 1], values[k + 1]),
+                              energies[k], energies[k + 1])
                 break
     if root is None:
         raise RegimeError(

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from ._scipy_ext import brentq, ellipeinc, elliprd, elliprf
 from .errors import DomainError, InvalidParameterError, RegimeError, require_integer
@@ -52,6 +53,9 @@ from .spectrum import HALF_PI, PotentialSpec
 DEEP_WELL = "deep-well"
 NEAR_SUMMIT = "near-summit"
 ABOVE_BARRIER = "above-barrier"
+# Relative widening of the closed-form level bounds, far above their
+# floating-point error, so that each still brackets its level
+BRACKET_MARGIN = 1e-9
 
 
 def regime_of(energy: float, B: float) -> str:
@@ -186,15 +190,34 @@ def max_well_action(B: float) -> float:
     return math.sqrt(B) * (2.0 * math.sqrt(2.0) - 2.0)
 
 
+def known_ends(f: Callable[[float], float], a: float, fa: float,
+               b: float, fb: float) -> Callable[[float], float]:
+    """f, answering with fa at a and fb at b instead of calling it there.
+
+    brentq evaluates its bracket's two ends first; a quantizer that has
+    evaluated them already hands them over through this.
+    """
+    return lambda x: fa if x == a else fb if x == b else f(x)
+
+
 def single_well_quantize(n: int, B: float) -> float:
     """Below-barrier level: root of well_action(E) = (n + 3/4)*pi.
+
+    The bracket runs from E = 0, where well_action is exactly 0, so it
+    reaches the deepest level at any B (the 1 g rod's E_0 ~ 1e40 sits 20
+    decades below B ~ 3e59), up to the linear-well root E_lin =
+    (3/2 (n + 3/4) pi B)^(2/3), widened by BRACKET_MARGIN and capped at
+    B.  E_lin bounds the level from above: cos t <= pi/2 - t on
+    [0, pi/2], so well_action(E) >= (2/3) E^(3/2) / B.  Should that
+    bound fail in floating point, the bracket is the whole well [0, B].
 
     Verified for B <= 1e230, where the roots lie within 2e-14 of the
     deep-well limit; beyond it well_action's E/B^2 underflows, and B is
     refused with InvalidParameterError, as is an n that is not an integer
     or is negative.  Raises RegimeError when level n does not fit under
     the barrier, in which case the summit or high-energy conditions apply
-    instead.
+    instead, and when the root is B itself, the summit, where the period
+    diverges.
     """
     require_integer("n", n, least=0)
     if not B <= 1e230:  # NaN fails too
@@ -202,15 +225,28 @@ def single_well_quantize(n: int, B: float) -> float:
     if B <= 0.0:
         raise RegimeError("no well below the barrier for B = 0")
     target = (n + 0.75) * math.pi
-    if target >= max_well_action(B):
+    top = max_well_action(B)
+    if target >= top:
         raise RegimeError(
             f"level n={n} lies at or above the summit for B={B}; "
             "use the summit or high-energy quantization"
         )
-    # well_action(0) is exactly 0, so the bracket reaches the deepest level
-    # at any B (the 1 g rod's E_0 ~ 1e40 sits 20 decades below B ~ 3e59);
-    # bisecting down that far takes up to 372 steps at B = 1e230
-    return brentq(lambda e: well_action(e, B) - target, 0.0, B * (1.0 - 1e-12), maxiter=500)
+
+    def residual(energy: float) -> float:
+        return well_action(energy, B) - target
+
+    # each factor to the power apart: 1.5 * target * B overflows from B ~ 3e205 on
+    hi = min((1.5 * target) ** (2.0 / 3.0) * B ** (2.0 / 3.0) * (1.0 + BRACKET_MARGIN), B)
+    f_hi = residual(hi)
+    if not f_hi >= 0.0:  # the bound failed in floating point: the whole well
+        hi, f_hi = B, top - target
+    energy = brentq(known_ends(residual, 0.0, -target, hi, f_hi), 0.0, hi)
+    if energy == B:
+        raise RegimeError(
+            f"level n={n} for B={B} converges onto the summit E = B, where the period "
+            "diverges; use the summit quantization"
+        )
+    return energy
 
 
 def full_action(energy: float, B: float) -> float:
@@ -229,18 +265,39 @@ def high_energy_quantize(n: int, B: float) -> float:
 
     Exact at B = 0 (E_n = n^2); for B > 0 a warning marks results that
     are not far above the barrier, where the summit treatment is better.
-    An n that is not an integer, or is below 1, is refused with
-    InvalidParameterError.
+    The bracket is [max(B, n^2 + 2B/pi), n^2 + B], widened by
+    BRACKET_MARGIN: pi sqrt(E - B) <= full_action(E) <= pi sqrt(E -
+    2B/pi), the mean of cos over the domain being 2/pi and the upper
+    bound Jensen's.  Should a bound fail in floating point, the bracket is
+    [B, (n + 1)^2 + 2B].  An n that is not an integer, or is below 1, is
+    refused with InvalidParameterError, and one whose n^2 overflows with
+    DomainError.
     """
     require_integer("n", n, least=1)
+    try:
+        square = float(n) ** 2
+    except OverflowError as exc:
+        raise DomainError(f"level n={n} lies beyond the float range") from exc
     target = n * math.pi
-    if target <= full_action(B, B):
+    floor = full_action(B, B)
+    if target <= floor:
         raise RegimeError(
             f"level n={n} sits below the barrier summit for B={B}; "
             "use the single-well quantization"
         )
-    hi = (n + 1.0) ** 2 + 2.0 * B
-    energy = brentq(lambda e: full_action(e, B) - target, B, hi)
+
+    def residual(energy: float) -> float:
+        return full_action(energy, B) - target
+
+    lo = max(B, (square + 2.0 * B / math.pi) * (1.0 - BRACKET_MARGIN))
+    hi = (square + B) * (1.0 + BRACKET_MARGIN)
+    f_lo = floor - target if lo == B else residual(lo)
+    f_hi = residual(hi)
+    if not f_lo <= 0.0 <= f_hi:  # a bound failed in floating point
+        lo, f_lo = B, floor - target
+        hi = square + 2.0 * (n + B) + 1.0
+        f_hi = residual(hi)
+    energy = brentq(known_ends(residual, lo, f_lo, hi, f_hi), lo, hi)
     if B > 0.0 and energy < 5.0 * B:
         warnings.warn(
             f"E={energy:.4g} is not far above the barrier B={B:.4g}; "

@@ -17,7 +17,7 @@ from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.spectrum import HALF_PI, potential, simpson
 from quantum_rod.summit import (EPS_WINDOW, _arctan_exp, _eps_log, _matching_xi,
                                 half_arg_gamma_fit, summit_phase, summit_scale)
-from quantum_rod.wkb import period_integral, turning_point
+from quantum_rod.wkb import full_action, max_well_action, period_integral, turning_point, well_action
 
 
 def summit_phase_difference() -> float:
@@ -201,3 +201,29 @@ def summit_quantize_scan(n: int, B: float, parity: str) -> float:
             stacklevel=2,
         )
     return root
+
+
+def single_well_quantize_full(n: int, B: float) -> float:
+    """`wkb.single_well_quantize` by brentq over the whole well [0, B].
+
+    The full bracket that the linear-well bound narrows; from E = 0 it
+    bisects down to the level, up to 372 steps at B = 1e230.  It ended at
+    B(1 - 1e-12) before, below the highest levels of a barrier above
+    B ~ 1e20.
+    """
+    target = (n + 0.75) * math.pi
+    if target >= max_well_action(B):
+        raise RegimeError(f"level n={n} lies at or above the summit for B={B}")
+    return brentq(lambda e: well_action(e, B) - target, 0.0, B, maxiter=500)
+
+
+def high_energy_quantize_full(n: int, B: float) -> float:
+    """`wkb.high_energy_quantize` by brentq over [B, (n + 1)^2 + 2B].
+
+    The bracket that the bounds pi sqrt(E - B) <= full_action(E) <=
+    pi sqrt(E - 2B/pi) narrow.
+    """
+    target = n * math.pi
+    if target <= full_action(B, B):
+        raise RegimeError(f"level n={n} sits below the barrier summit for B={B}")
+    return brentq(lambda e: full_action(e, B) - target, B, (n + 1.0) ** 2 + 2.0 * B)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from quantum_rod import _scipy_ext
-from quantum_rod.airy import MAX_N, airy_zero, linear_well_energy, wkb_lambda
+from quantum_rod import _scipy_ext, airy
+from quantum_rod.airy import MAX_N, MIN_TABLE, airy_zero, linear_well_energy, wkb_lambda
 from quantum_rod.errors import DomainError, InvalidParameterError
 from quantum_rod.spectrum import solve_spectrum
 
@@ -40,7 +40,7 @@ def test_loader_ai_zeros_is_scipys():
 
 def test_airy_zero_guards():
     # Index 12, once refused, is an ordinary zero; the bound only caps the
-    # tables ai_zeros(n + 1) allocates.
+    # table of zeros.
     with pytest.raises(InvalidParameterError):
         airy_zero(-1)
     assert airy_zero(12) > airy_zero(11)
@@ -94,6 +94,48 @@ def test_airy_zero_array_is_bit_for_bit_the_scalar():
     for k, n in enumerate(ns.tolist()):
         assert lams[k] == airy_zero(n)
         assert energies[k] == linear_well_energy(n, 1e4)
+
+
+def _per_call(n):
+    """lambda_n from one call of ai_zeros(n + 1) and one Newton step, as
+    airy_zero computed it on every call before it kept a table."""
+    zeros, _, _, slopes = sp.ai_zeros(n + 1)
+    return float(-(zeros[n] - sp.airy(zeros[n])[0] / slopes[n]))
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The ai_zeros sizes airy_zero asks for, from an empty table on."""
+    calls = []
+    real = airy.ai_zeros
+    monkeypatch.setattr(airy, "ai_zeros", lambda nt: calls.append(nt) or real(nt))
+    monkeypatch.setattr(airy, "_zeros", np.empty(0))
+    return calls
+
+
+def test_airy_zero_table_is_the_per_call_zero_to_the_bit(fresh_table):
+    # The ai_zeros(N) tables share their prefixes bit for bit, so a zero
+    # read from a table of any size is the one ai_zeros(n + 1) gives.
+    for n in [0, 5, 11, 15, 16, 17, 31, 32, 100, 1000, 4095, 4096, MAX_N - 1]:
+        assert airy_zero(n) == _per_call(n), n
+    assert fresh_table == [16, 32, 64, 128, 1001, 4096, 8192, MAX_N]
+
+
+def test_airy_zero_calls_ai_zeros_once_within_its_table(fresh_table):
+    # Each call once computed ai_zeros(n + 1) anew.
+    for _ in range(3):
+        for n in range(12):
+            airy_zero(n)
+        airy_zero(np.arange(12))
+        linear_well_energy(5, 1e4)
+    assert fresh_table == [MIN_TABLE]
+    lam = airy_zero(np.arange(3))
+    lam[0] = 0.0  # a copy: the table itself is read-only
+    assert airy_zero(0) == _per_call(0) and not airy._zeros.flags.writeable
+    # Growing one n at a time doubles the table, up to MAX_N.
+    for n in range(MAX_N):
+        airy_zero(n)
+    assert fresh_table == [MIN_TABLE * 2**k for k in range(10)] + [MAX_N]
 
 
 @pytest.mark.parametrize("n", [*range(12), 12, 50, 200])

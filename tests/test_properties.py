@@ -90,7 +90,9 @@ REFUSED = [
     (summit.summit_phase, (1e300, 100.0, "even")), (asymptotic_action, (1.0, 1e-300)),
     (wkb.single_well_quantize, (0, 1e231)), (classical_frequency, (0.5e308, 1e308)),
     (wkb.well_action, (5e-324, 1e-320)),
-] + NOT_INTEGER
+] + NOT_INTEGER + [
+    (wkb.high_energy_quantize, (2 * 10**154, 1e4)), (wkb.semiclassical_doublet, (10**200, 1e4)),
+]
 
 
 @pytest.mark.filterwarnings("ignore:matching angle")

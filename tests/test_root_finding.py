@@ -44,8 +44,8 @@ def test_loader_brentq_is_not_scipys_wrapper():
 
 @pytest.mark.parametrize("b", [1e2, 1e4, 1e8, 1e59, 1e230])
 def test_single_well_roots_match_scipy(roots, b):
-    # At B = 1e230 the roots take more than brentq's default 100 steps
-    # (maxiter=500).  At B = 1e2 only n = 0 and 1 lie under the barrier.
+    # At B = 1e230 the roots of the bracket [0, B] took more than brentq's
+    # default 100 steps.  At B = 1e2 only n = 0 and 1 lie under the barrier.
     levels = [n for n in range(6) if (n + 0.75) * math.pi < wkb.max_well_action(b)]
     for n in levels:
         wkb.single_well_quantize(n, b)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from quantum_rod._scipy_ext import RTOL, XTOL
 from quantum_rod.airy import linear_well_energy
 from quantum_rod.errors import DomainError, InvalidParameterError, RegimeError
 from quantum_rod.spectrum import pairing_table
@@ -23,7 +24,8 @@ from quantum_rod.wkb import (
     turning_point,
     well_action,
 )
-from reference_routes import barrier_action_quad, classical_frequency
+from reference_routes import (barrier_action_quad, classical_frequency, high_energy_quantize_full,
+                              single_well_quantize_full)
 
 B = 1.0e4
 
@@ -217,12 +219,134 @@ def test_doublet_prediction_reference_rod_deep_limit():
 
 @pytest.mark.parametrize("b", [1e108, 1e150, 1e230])
 def test_single_well_quantize_converges_up_to_1e230(b):
-    # From B ~ 1e108 the root takes more than brentq's default 100 steps.
+    # Bisecting down from B once took more than brentq's default 100 steps
+    # from B ~ 1e108 on; the linear-well bracket ends next to these roots.
     for n in (0, 1, 10):
         assert single_well_quantize(n, b) == pytest.approx(
             linear_well_energy(n, b, exact=False), rel=2e-14)
     with pytest.raises(InvalidParameterError, match="1e230"):
         single_well_quantize(0, 1.01e230)
+
+
+LEVEL_BARRIERS = [10.0 ** k for k in range(2, 231, 12)]
+HIGH_ENERGY_CASES = [(n, b) for b in (0.0, 1.0, 100.0, 237.137, 1e4, 1e6)
+                     for n in (1, 2, 5, 11, 40, 200, 1000, 10**5)
+                     if n * math.pi > full_action(b, b)]
+
+
+def _single_well_levels(b):
+    """n = 0, 1 and three levels up to 9/10 of the way to the summit, and
+    the two highest up to B = 1e20; above it those converge onto B."""
+    top = int(max_well_action(b) / math.pi - 0.75)
+    near_top = {top - 1, top} if b <= 1e20 else set()
+    return sorted({0, 1, top // 10, top // 2, 9 * top // 10} | near_top)
+
+
+def _counted(monkeypatch, name):
+    """Replace wkb's `name` by itself with a call counter; return the counter."""
+    calls = []
+    real = getattr(wkb, name)
+    monkeypatch.setattr(wkb, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _within_two_tolerances(ours, ref):
+    # Each brentq root lies within XTOL + RTOL |E| of the true one.
+    return abs(ours - ref) <= 2.0 * (XTOL + RTOL * abs(ref))
+
+
+def test_single_well_quantize_brackets_with_the_linear_well_root(monkeypatch):
+    # The bracket [0, B] took 8-16 evaluations per level up to B ~ 1e62 and
+    # then ever more for the deep ones, up to 373 at B = 1e230.  From
+    # B ~ 1e210 brentq's interpolation products leave the float range
+    # (|residual| * E > 1e308) and it bisects, as it did before.
+    calls = _counted(monkeypatch, "well_action")
+    for b in LEVEL_BARRIERS:
+        counts = []
+        for n in _single_well_levels(b):
+            calls.clear()
+            single_well_quantize(n, b)
+            counts.append(len(calls))
+        assert max(counts) <= (9 if b < 1e210 else 55), (b, counts)
+        assert b < 1e14 or counts[0] <= 4, (b, counts)  # the deepest level, next to E_lin
+
+
+@pytest.mark.parametrize("b", LEVEL_BARRIERS)
+def test_single_well_quantize_is_the_full_bracket_root(b):
+    for n in _single_well_levels(b):
+        ours, ref = single_well_quantize(n, b), single_well_quantize_full(n, b)
+        assert _within_two_tolerances(ours, ref), (n, ours, ref)
+
+
+def test_single_well_quantize_admits_the_levels_up_to_the_summit():
+    # The bracket once ended at B(1 - 1e-12), so the second-highest level
+    # raised brentq's untyped ValueError for 39 of these 400 barriers.
+    # Now it is a level, or refused with RegimeError where no float below
+    # B resolves it.
+    for i in range(400):
+        b = 10.0 ** (20.0 + 210.0 * i / 399)
+        n = int(max_well_action(b) / math.pi - 0.75) - 1
+        try:
+            assert 0.0 < doublet_prediction(n, b).center < b
+        except RegimeError:
+            pass
+
+
+def test_single_well_quantize_refuses_a_root_on_the_summit():
+    # At B = 1e30 the highest level converges onto E = B itself, where the
+    # period diverges and log(2/I) would raise; below it a level is a level.
+    b, n = 1e30, 263696543789524
+    for route in (single_well_quantize, doublet_prediction):
+        with pytest.raises(RegimeError, match="converges onto the summit"):
+            route(n, b)
+    assert semiclassical_doublet(n, b) is None
+    assert doublet_prediction(n - 1, b).center < b
+
+
+@pytest.mark.filterwarnings("ignore:E=.* is not far above the barrier")
+def test_a_bound_that_fails_falls_back_to_the_full_bracket(monkeypatch):
+    # A negative margin moves each closed-form bound past its level (and,
+    # for n^2 < B, the upper end of the high-energy bracket below B).
+    monkeypatch.setattr(wkb, "BRACKET_MARGIN", -0.5)
+    for b in (1e2, 1e4, 1e30):
+        for n in _single_well_levels(b):
+            assert _within_two_tolerances(single_well_quantize(n, b),
+                                          single_well_quantize_full(n, b))
+    for n, b in HIGH_ENERGY_CASES:
+        if n * n >= b:
+            assert _within_two_tolerances(high_energy_quantize(n, b),
+                                          high_energy_quantize_full(n, b))
+
+
+@pytest.mark.filterwarnings("ignore:E=.* is not far above the barrier")
+def test_high_energy_quantize_brackets_between_its_bounds(monkeypatch):
+    # The bracket [B, (n + 1)^2 + 2B] took 5-12 evaluations, 7.4 on average
+    # over these cases, 5 or 6 at B = 0.
+    calls = _counted(monkeypatch, "full_action")
+    counts = {}
+    for n, b in HIGH_ENERGY_CASES:
+        calls.clear()
+        high_energy_quantize(n, b)
+        counts[n, b] = len(calls)
+    assert max(counts.values()) <= 11, counts
+    assert sum(counts.values()) <= 6.0 * len(counts), counts
+    assert all(count == 4 for (n, b), count in counts.items() if b == 0.0), counts
+
+
+@pytest.mark.filterwarnings("ignore:E=.* is not far above the barrier")
+def test_high_energy_quantize_is_the_full_bracket_root():
+    for n, b in HIGH_ENERGY_CASES:
+        ours, ref = high_energy_quantize(n, b), high_energy_quantize_full(n, b)
+        assert _within_two_tolerances(ours, ref), (n, b, ours, ref)
+
+
+def test_high_energy_quantize_refuses_a_level_beyond_the_float_range():
+    # (n + 1.0) ** 2 once raised an untyped OverflowError.
+    for n in (2 * 10**154, 10**400):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            high_energy_quantize(n, B)
+    with pytest.raises(DomainError):
+        semiclassical_doublet(10**200, B)
 
 
 def test_low_energy_closed_form():

@@ -36,8 +36,20 @@ MUTANTS = [
      "target = (n + 0.76) * math.pi", ["test_wkb.py"]),
     ("high-energy-target", "wkb.py", "target = n * math.pi",
      "target = (n + 0.01) * math.pi", ["test_wkb.py"]),
-    ("airy-newton-step", "airy.py", "lam = -(zeros[n] - airy(zeros[n])[0] / slopes[n])",
-     "lam = -zeros[n]", ["test_airy.py"]),
+    ("airy-newton-step", "airy.py", "table = -(zeros - airy(zeros)[0] / slopes)",
+     "table = -zeros", ["test_airy.py"]),
+    ("airy-table-regrown", "airy.py", "if count > len(_zeros):", "if count > 0:",
+     ["test_airy.py"]),
+    ("single-well-linear-bound", "wkb.py", "(1.5 * target) ** (2.0 / 3.0)",
+     "(1.4 * target) ** (2.0 / 3.0)", ["test_wkb.py"]),
+    ("high-energy-lower-bound", "wkb.py", "(square + 2.0 * B / math.pi) * (1.0 - BRACKET_MARGIN)",
+     "(square + 0.7 * B) * (1.0 - BRACKET_MARGIN)", ["test_wkb.py"]),
+    ("high-energy-upper-bound", "wkb.py", "hi = (square + B) * (1.0 + BRACKET_MARGIN)",
+     "hi = (square + 0.9 * B) * (1.0 + BRACKET_MARGIN)", ["test_wkb.py"]),
+    ("summit-neighbour-cell", "summit.py", "energies[lo], energies[hi])",
+     "energies[lo + 1], energies[hi + 1])", ["test_summit.py"]),
+    ("summit-probe-unguarded", "summit.py", "max(round(guess), lo + 1, hi - reach), hi - 1, lo + reach)",
+     "max(round(guess), lo + 1), hi - 1)", ["test_summit.py"]),
     ("fit-gamma", "summit.py", "FIT_GAMMA = 1.78107", "FIT_GAMMA = 1.80",
      ["test_summit.py"]),
     ("summit-arctan-1.04", "summit.py", "wave = 0.5 * _arctan_exp(",
