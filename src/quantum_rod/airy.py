@@ -20,8 +20,10 @@ beyond it is asked for, so each zero is computed once per process and a
 lookup inside the table costs no `ai_zeros` call.  The tables of
 `ai_zeros(N)` share their prefixes bit for bit, so every zero is the one
 a call of `ai_zeros(n + 1)` would give.  Nothing numerical bounds n:
-`airy_zero` takes n < MAX_N only to bound the table, whose largest
-`ai_zeros` call stays under 2 ms.
+`airy_zero` takes n < MAX_N only to bound the table.  The table starts
+small because the full one is dear: `ai_zeros(MAX_N)` and the polish of
+its zeros take about 40 ms, the first MIN_TABLE zeros about 0.2 ms, and
+a process that runs a few levels asks only for those.
 """
 from __future__ import annotations
 

@@ -24,11 +24,10 @@ gives the even/odd pair of phase corrections and `quadratic_action` the
 exact inner action.  The tests check the parity offset pi/4 that these
 build against the exact summit solutions, by ODE and by Bessel functions.
 
-`summit_quantize` searches the 81-point window |epsilon| <= EPS_WINDOW
-for the cell that holds a level by guarded interpolation, and hands
-brentq the residuals at the cell's ends: 7 to 14 phase evaluations in
-all from B = 216 to 1e12, 9.5 on average, where bisecting for the cell
-took about 15.  Only where the window's ends do not bracket the level,
+`summit_quantize` bisects the 81-point window |epsilon| <= EPS_WINDOW
+for the cell that holds a level and hands brentq the residuals it has at
+the cell's ends: 11 to 15 phase evaluations in all from B = 216 to 1e12,
+12.4 on average.  Only where the window's ends do not bracket the level,
 which happens once it reaches down to E <~ 0 (B <~ 215), does it scan
 all 81.
 
@@ -199,20 +198,15 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     Solves summit_phase(E) = (n + 3/4)*pi for E inside the window
     |epsilon| <= EPS_WINDOW around the barrier top, sampled at 81 evenly
     spaced epsilon.  When the residual is negative at the low end and
-    positive at the high end, a search on the grid indices finds the cell
-    where it changes sign, which brentq finishes from the residuals
-    already known at its ends; a grid point where it is exactly 0 is the
-    root.  Each probe interpolates linearly between the current cell's
-    ends, nudged toward the cell's middle by 1/32 of its width, and is
-    held strictly inside the cell and close enough to both ends that
-    bisection could still finish in the probes left: the search takes at
-    most bisection's 7 probes, and 3.5 on average from B = 216 to 1e12.
-    Wherever the ends bracket, the phase rises through the whole window
-    (checked from B ~ 215 to 1e12, both parities), so this is the cell,
-    and the root, that a left-to-right scan finds.  Otherwise the window
-    reaches down to E <~ 0 (B <~ 215), where the phase need not be
-    monotone, and the first sign change of a scan of all 81 points is
-    taken.
+    positive at the high end, bisecting the grid indices (at most 7
+    evaluations) finds the cell where it changes sign, which brentq
+    finishes from the residuals already known at its ends; a grid point
+    where it is exactly 0 is the root.  Wherever the ends bracket, the
+    phase rises through the whole window (checked from B ~ 215 to 1e12,
+    both parities), so this is the cell, and the root, that a
+    left-to-right scan finds.  Otherwise the window reaches down to
+    E <~ 0 (B <~ 215), where the phase need not be monotone, and the
+    first sign change of a scan of all 81 points is taken.
 
     Raises InvalidParameterError unless n is an integer >= 0 (bool
     refused).  Raises RegimeError when the requested level does not fall
@@ -234,16 +228,10 @@ def summit_quantize(n: int, B: float, parity: str) -> float:
     energies = (B + eps_grid * hw).tolist()  # floats: numpy scalars slow the scan
     low, high = residual(energies[0]), residual(energies[-1])
     root = None
-    if low < 0.0 < high:  # the phase rises through the window: search for the cell
+    if low < 0.0 < high:  # the phase rises through the window: bisect for the cell
         lo, hi = 0, len(energies) - 1
-        budget = (hi - lo - 1).bit_length()  # bisection's 7 probes: hi - lo <= 2**budget
         while hi - lo > 1 and root is None:
-            guess = lo + (hi - lo) * low / (low - high)
-            nudge = (hi - lo) / 32  # toward the middle: the root tends to fall in the smaller part
-            guess += nudge if guess < 0.5 * (lo + hi) else -nudge
-            budget -= 1
-            reach = 1 << budget  # a probe within reach of both ends keeps hi - lo <= 2**budget
-            mid = min(max(round(guess), lo + 1, hi - reach), hi - 1, lo + reach)
+            mid = (lo + hi) // 2
             value = residual(energies[mid])
             if value == 0.0:
                 root = energies[mid]

@@ -208,8 +208,8 @@ def single_well_quantize(n: int, B: float) -> float:
     decades below B ~ 3e59), up to the linear-well root E_lin =
     (3/2 (n + 3/4) pi B)^(2/3), widened by BRACKET_MARGIN and capped at
     B.  E_lin bounds the level from above: cos t <= pi/2 - t on
-    [0, pi/2], so well_action(E) >= (2/3) E^(3/2) / B.  Should that
-    bound fail in floating point, the bracket is the whole well [0, B].
+    [0, pi/2], so well_action(E) >= (2/3) E^(3/2) / B; at B it is
+    max_well_action(B), above every admitted level.
 
     Verified for B <= 1e230, where the roots lie within 2e-14 of the
     deep-well limit; beyond it well_action's E/B^2 underflows, and B is
@@ -225,8 +225,7 @@ def single_well_quantize(n: int, B: float) -> float:
     if B <= 0.0:
         raise RegimeError("no well below the barrier for B = 0")
     target = (n + 0.75) * math.pi
-    top = max_well_action(B)
-    if target >= top:
+    if target >= max_well_action(B):
         raise RegimeError(
             f"level n={n} lies at or above the summit for B={B}; "
             "use the summit or high-energy quantization"
@@ -237,10 +236,7 @@ def single_well_quantize(n: int, B: float) -> float:
 
     # each factor to the power apart: 1.5 * target * B overflows from B ~ 3e205 on
     hi = min((1.5 * target) ** (2.0 / 3.0) * B ** (2.0 / 3.0) * (1.0 + BRACKET_MARGIN), B)
-    f_hi = residual(hi)
-    if not f_hi >= 0.0:  # the bound failed in floating point: the whole well
-        hi, f_hi = B, top - target
-    energy = brentq(known_ends(residual, 0.0, -target, hi, f_hi), 0.0, hi)
+    energy = brentq(known_ends(residual, 0.0, -target, hi, residual(hi)), 0.0, hi)
     if energy == B:
         raise RegimeError(
             f"level n={n} for B={B} converges onto the summit E = B, where the period "
@@ -268,8 +264,7 @@ def high_energy_quantize(n: int, B: float) -> float:
     The bracket is [max(B, n^2 + 2B/pi), n^2 + B], widened by
     BRACKET_MARGIN: pi sqrt(E - B) <= full_action(E) <= pi sqrt(E -
     2B/pi), the mean of cos over the domain being 2/pi and the upper
-    bound Jensen's.  Should a bound fail in floating point, the bracket is
-    [B, (n + 1)^2 + 2B].  An n that is not an integer, or is below 1, is
+    bound Jensen's.  An n that is not an integer, or is below 1, is
     refused with InvalidParameterError, and one whose n^2 overflows with
     DomainError.
     """
@@ -292,12 +287,7 @@ def high_energy_quantize(n: int, B: float) -> float:
     lo = max(B, (square + 2.0 * B / math.pi) * (1.0 - BRACKET_MARGIN))
     hi = (square + B) * (1.0 + BRACKET_MARGIN)
     f_lo = floor - target if lo == B else residual(lo)
-    f_hi = residual(hi)
-    if not f_lo <= 0.0 <= f_hi:  # a bound failed in floating point
-        lo, f_lo = B, floor - target
-        hi = square + 2.0 * (n + B) + 1.0
-        f_hi = residual(hi)
-    energy = brentq(known_ends(residual, lo, f_lo, hi, f_hi), lo, hi)
+    energy = brentq(known_ends(residual, lo, f_lo, hi, residual(hi)), lo, hi)
     if B > 0.0 and energy < 5.0 * B:
         warnings.warn(
             f"E={energy:.4g} is not far above the barrier B={B:.4g}; "

@@ -142,8 +142,11 @@ def test_summit_quantize_against_spectrum(spectrum_b1e4):
         assert pred == pytest.approx(ref, rel=1e-3)
 
 
-def _counted_phase(monkeypatch):
-    """Count summit_phase's calls from summit_quantize; return the list of energies."""
+def test_summit_quantize_bisects_for_its_bracket(monkeypatch):
+    # Two window ends, at most 7 bisection steps and brentq's evaluations
+    # inside the cell, whose ends it is handed: 12-14.  A scan of the
+    # 81-point window alone makes 81, and brentq evaluating the cell's
+    # ends anew 14-16.
     calls = []
 
     def counted(energy, b, parity):
@@ -151,63 +154,10 @@ def _counted_phase(monkeypatch):
         return summit_phase(energy, b, parity)
 
     monkeypatch.setattr(summit, "summit_phase", counted)
-    return calls
-
-
-def test_summit_quantize_bisects_for_its_bracket(monkeypatch):
-    # Two window ends, the probes for the cell and brentq's evaluations
-    # inside it: 10-13.  A scan of the 81-point window alone makes 81, and
-    # bisecting for the cell, with brentq evaluating its ends anew, 14-16.
-    calls = _counted_phase(monkeypatch)
     for parity, n in NEAR_SUMMIT:
         calls.clear()
         summit_quantize(n, B, parity)
-        assert len(calls) <= 13, (parity, n, len(calls))
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_summit_cell_search_takes_at_most_bisections_probes(monkeypatch):
-    # Between the two window ends and brentq, the guard holds the search
-    # to bisection's 7 probes of the 80 cells; interpolation takes 3.5 on
-    # average over every level these windows bracket.
-    calls = _counted_phase(monkeypatch)
-    probes = []
-    monkeypatch.setattr(summit, "brentq", lambda f, a, b, real=summit.brentq: (
-        probes.append(len(calls) - 2) or real(f, a, b)))
-    for b in (216.0, 300.0, 1e3, 1e4, 1e6, 1e9, 1e12):
-        hw = math.sqrt(2.0 * b)
-        for parity in ("even", "odd"):
-            low, high = (summit_phase(b + sign * EPS_WINDOW * hw, b, parity) / math.pi - 0.75
-                         for sign in (-1.0, 1.0))
-            for n in range(math.ceil(low), math.floor(high) + 1):
-                calls.clear()
-                try:
-                    summit_quantize(n, b, parity)
-                except RegimeError:  # the root's matching angle reaches the wall
-                    pass
-    assert len(probes) == 282 and max(probes) <= 7
-    assert sum(probes) <= 4.0 * len(probes)
-
-
-def test_summit_cell_search_keeps_its_guard_on_a_convex_phase(monkeypatch):
-    # A phase that rises like exp(2 eps) leaves linear interpolation
-    # crawling up from the low end of the window, 25-40 probes unguarded;
-    # the guard still ends the search within 7.
-    calls = []
-    probes = []
-
-    def convex(energy, b, parity):
-        calls.append(energy)
-        return math.pi * (0.75 + math.exp(2.0 * (energy - b) / math.sqrt(2.0 * b)))
-
-    monkeypatch.setattr(summit, "summit_phase", convex)
-    monkeypatch.setattr(summit, "brentq", lambda f, a, b, real=summit.brentq: (
-        probes.append(len(calls) - 2) or real(f, a, b)))
-    for n in (2, 3, 30, 300, 3000):
-        calls.clear()
-        root = summit_quantize(n, B, "even")
-        assert root == pytest.approx(B + 0.5 * math.log(n) * math.sqrt(2.0 * B), rel=1e-12)
-    assert len(probes) == 5 and max(probes) <= 7, probes
+        assert len(calls) <= 14, (parity, n, len(calls))
 
 
 def _outcome(route, n, b, parity):
