@@ -44,7 +44,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import sys
 from typing import Callable
 
@@ -113,24 +112,22 @@ def zeros_brentq(package) -> tuple[Callable]:
     """(`brentq`,) on the `_brentq` core of `package`'s `_zeros`, probed with one root of x - 1."""
     core = importlib.import_module("._zeros", package.__name__)._brentq
 
-    def brentq(f: Callable[[float], float], a: float, b: float, maxiter: int = MAXITER) -> float:
-        """scipy.optimize.brentq(f, a, b, maxiter=maxiter), at scipy's default XTOL and RTOL.
+    def brentq(f: Callable[[float], float], a: float, b: float) -> float:
+        """scipy.optimize.brentq(f, a, b), at scipy's defaults XTOL, RTOL and MAXITER.
 
         It keeps every check of scipy's public wrapper that these
         arguments can reach: ValueError for a NaN value of `f`; and, as
         with disp=True there, the core raises ValueError for a bracket
-        whose ends have one sign and RuntimeError when `maxiter` steps do
+        whose ends have one sign and RuntimeError when MAXITER steps do
         not converge.
         """
-        maxiter = operator.index(maxiter)
-
         def f_raise(x: float) -> float:
             fx = f(x)
             if math.isnan(fx):
                 raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
             return fx
 
-        return core(f_raise, a, b, XTOL, RTOL, maxiter, (), False, True)
+        return core(f_raise, a, b, XTOL, RTOL, MAXITER, (), False, True)
 
     brentq(lambda x: x - 1.0, 0.0, 2.0)  # the probe: another core raises here
     return (brentq,)

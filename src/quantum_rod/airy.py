@@ -33,7 +33,7 @@ import numpy as np
 
 from ._scipy_ext import ai_zeros, airy
 from .errors import DomainError, require_integer
-from .spectrum import PotentialSpec
+from .spectrum import require_potential
 
 MAX_N = 10_000
 MIN_TABLE = 16  # length of the first table
@@ -53,42 +53,28 @@ def _zero_table(count: int) -> np.ndarray:
     return _zeros
 
 
-def airy_zero(n: int | np.ndarray) -> float | np.ndarray:
+def airy_zero(n: int) -> float:
     """Magnitude lambda_n of the (n+1)-th negative zero of Ai, n = 0, 1, ...
 
-    A numpy integer array n gives the array of its lambda_n, empty for an
-    empty n.  An n of any other type, bool included, is refused.
+    An n that is not an integer, a bool or an array included, is refused.
     """
-    require_integer("n", n, least=0, arrays=True)
-    many = isinstance(n, np.ndarray)
-    if many and n.size == 0:
-        return np.empty(0)
-    top = n.max() if many else n
-    if top >= MAX_N:
-        raise DomainError(f"Airy zeros are tabulated for n < {MAX_N}, got n={top}")
-    lam = _zero_table(int(top) + 1)[n]
-    return lam if many else float(lam)
+    require_integer("n", n, least=0)
+    if n >= MAX_N:
+        raise DomainError(f"Airy zeros are tabulated for n < {MAX_N}, got n={n}")
+    return float(_zero_table(int(n) + 1)[n])
 
 
-def wkb_lambda(n: int | np.ndarray) -> float | np.ndarray:
+def wkb_lambda(n: int) -> float:
     """Semiclassical stand-in for the Airy zero: [3*pi/2*(n+3/4)]^(2/3).
 
-    Integer arrays and refusals as in `airy_zero`.  An array is answered
-    element by element in Python floats, since numpy's power need not
-    round like Python's, so each value is bit for bit the scalar one.
+    Refusals as in `airy_zero`.
     """
-    require_integer("n", n, least=0, arrays=True)
-    if isinstance(n, np.ndarray):
-        return np.array([wkb_lambda(k) for k in n.ravel().tolist()], dtype=float).reshape(n.shape)
+    require_integer("n", n, least=0)
     return (1.5 * math.pi * (n + 0.75)) ** (2.0 / 3.0)
 
 
-def linear_well_energy(n: int | np.ndarray, B: float,
-                       exact: bool = True) -> float | np.ndarray:
-    """Deep level B^(2/3)*lambda_n using the exact Airy zero (or WKB).
-
-    n may be an integer array, as in `airy_zero`.
-    """
-    PotentialSpec(B)  # validates B before a zero is looked up
+def linear_well_energy(n: int, B: float, exact: bool = True) -> float:
+    """Deep level B^(2/3)*lambda_n using the exact Airy zero (or WKB)."""
+    require_potential(B)  # validates B before a zero is looked up
     lam = airy_zero(n) if exact else wkb_lambda(n)
     return B ** (2.0 / 3.0) * lam

@@ -63,8 +63,8 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .spectrum import (DEFAULT_GRID_N, MAX_GRID_N, MAX_MODE_VALUES, PotentialSpec, make_grid,
-                       min_grid_n, pairing_table, simpson, solve_spectrum)
+from .spectrum import (DEFAULT_GRID_N, MAX_GRID_N, MAX_MODE_VALUES, make_grid,
+                       min_grid_n, pairing_table, require_potential, simpson, solve_spectrum)
 from .units import RodParams, derive_scales
 
 _CONFIG_ERRORS = (InvalidParameterError, DomainError)
@@ -230,7 +230,8 @@ def _resolve_barrier(cfg: dict[str, Any]) -> float:
         B = derive_scales(_rod_params(cfg)).B
     else:
         raise InvalidParameterError("need --B or --mass and --length")
-    return PotentialSpec(B).B  # validates B
+    require_potential(B)
+    return B
 
 
 def _rod_params(cfg: dict[str, Any]) -> RodParams:
@@ -355,16 +356,11 @@ def run_airy(cfg: dict[str, Any]) -> Payload:
     header = ["n", "lambda_wkb", "lambda"]
     if B is not None:
         header += ["energy_wkb", "energy"]
-    # the exact columns from one ai_zeros call each; the WKB columns stay
-    # per row, as numpy's power need not round like Python's
-    ns = np.arange(count)
-    lams = airy.airy_zero(ns).tolist()
-    energies = airy.linear_well_energy(ns, B).tolist() if B is not None else None
     rows = []
     for n in range(count):
-        row = [n, airy.wkb_lambda(n), lams[n]]
+        row = [n, airy.wkb_lambda(n), airy.airy_zero(n)]
         if B is not None:
-            row += [airy.linear_well_energy(n, B, exact=False), energies[n]]
+            row += [airy.linear_well_energy(n, B, exact=False), airy.linear_well_energy(n, B)]
         rows.append(row)
     return {"levels": [dict(zip(header, r)) for r in rows]}, header, rows
 

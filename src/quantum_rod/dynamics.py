@@ -266,7 +266,7 @@ def evolve_direct(
     followed by one subtraction.  The grid must have an odd number of
     points, at least 9, and be exactly mirror-symmetric, as
     `spectrum.make_grid` makes it.  A grid that is not, a `B` that
-    `PotentialSpec` refuses (checked by `potential`), non-finite `dt`,
+    `require_potential` refuses (checked by `potential`), non-finite `dt`,
     `times`, state or initial energy, an all-zero state and times that
     could take more than MAX_CN_STEPS steps raise InvalidParameterError.
     Crank-Nicolson conserves sum |psi|^2; a relative drift of it beyond

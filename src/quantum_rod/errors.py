@@ -28,17 +28,13 @@ class StepSizeError(RuntimeError):
     """Time integration became inaccurate at the chosen step size."""
 
 
-def require_integer(name: str, value, least: int | None = None, arrays: bool = False) -> None:
+def require_integer(name: str, value, least: int | None = None) -> None:
     """Raise InvalidParameterError unless `value` is an integer, at least `least` if given.
 
-    Python and numpy integers pass, bools of either kind do not.  With
-    `arrays`, a numpy array of an integer dtype passes too, empty or
-    not, and `least` bounds each of its elements.
+    Python and numpy integers pass; bools of either kind and numpy
+    arrays do not.
     """
-    many = arrays and isinstance(value, np.ndarray)
-    if not (np.issubdtype(value.dtype, np.integer) if many
-            else isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
-        kind = "an integer or an integer array" if arrays else "an integer"
-        raise InvalidParameterError(f"{name} must be {kind}, got {value!r}")
-    if least is not None and (value.min(initial=least) if many else value) < least:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
         raise InvalidParameterError(f"{name} must be >= {least}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, RegimeError, require_integer
-from .spectrum import EVEN, ODD, PotentialSpec, SpectrumResult, pairing_table, simpson
+from .spectrum import EVEN, ODD, SpectrumResult, pairing_table, require_potential, simpson
 
 REGIME_FACTOR = 10.0  # required separation on both sides of the 2x2 window
 
@@ -66,7 +66,7 @@ def tilt_sweep(basis: SpectrumResult, n: int,
         raise InvalidParameterError("sweep needs an untilted basis")
     deltas = np.asarray(delta_thetas, dtype=float)
     for delta in deltas:
-        PotentialSpec(basis.B, float(delta))  # the solver's rule: finite, |tilt| < 0.1
+        require_potential(basis.B, float(delta))  # the solver's rule: finite, |tilt| < 0.1
     doublets = pairing_table(basis)
     if n >= len(doublets):
         raise RegimeError(f"doublet {n} not present in the basis")

@@ -86,32 +86,25 @@ EVEN: Parity = "even"
 ODD: Parity = "odd"
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Dimensionless potential parameters: barrier height B and table tilt."""
-
-    B: float
-    tilt: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.B) and self.B >= 0.0):
-            raise InvalidParameterError(f"B must be finite and non-negative, got {self.B}")
-        if not abs(self.tilt) < 0.1:
-            raise InvalidParameterError(f"|tilt| must be < 0.1 rad, got {self.tilt}")
+def require_potential(B: float, tilt: float = 0.0) -> None:
+    """Raise InvalidParameterError unless B is finite and >= 0 and |tilt| < 0.1 rad."""
+    if not (math.isfinite(B) and B >= 0.0):
+        raise InvalidParameterError(f"B must be finite and non-negative, got {B}")
+    if not abs(tilt) < 0.1:
+        raise InvalidParameterError(f"|tilt| must be < 0.1 rad, got {tilt}")
 
 
-def potential(theta, B: float, tilt: float = 0.0):
-    """Potential B*(cos(theta) + tilt*sin(theta)) in units of hbar^2/2J.
+def potential(theta, B: float, tilt: float = 0.0) -> np.ndarray:
+    """Potential B*(cos(theta) + tilt*sin(theta)) in units of hbar^2/2J, at each theta.
 
     Raises DomainError outside the physical domain |theta| <= pi/2 (NaN
-    included), and InvalidParameterError where `PotentialSpec` does.
+    included), and InvalidParameterError where `require_potential` does.
     """
-    PotentialSpec(B, tilt)  # validates B and tilt
+    require_potential(B, tilt)
     th = np.asarray(theta, dtype=float)
     if not np.all(np.abs(th) <= HALF_PI + 1e-12):
         raise DomainError("theta outside [-pi/2, pi/2]")
-    v = B * (np.cos(th) + tilt * np.sin(th))
-    return float(v) if np.isscalar(theta) else v
+    return B * (np.cos(th) + tilt * np.sin(th))
 
 
 def simpson(y, x: np.ndarray):
@@ -680,7 +673,7 @@ def solve_spectrum(
     on the same grid, e.g. comparing eigenbasis propagation against a
     direct integrator that steps the identical discrete Hamiltonian.
     """
-    spec = PotentialSpec(B, tilt)  # validates B and tilt
+    require_potential(B, tilt)
     require_integer("n_levels", n_levels, least=1)
     require_integer("grid_n", grid_n)
     least = min_grid_n(n_levels)  # refuses first where no grid holds the levels
@@ -728,7 +721,7 @@ def solve_spectrum(
                                   energy=float(refined[k]), drift=float(drift[k])))
         wavefunctions.append(Wavefunction(grid=theta, values=row))
 
-    return SpectrumResult(B=spec.B, tilt=spec.tilt, levels=levels, wavefunctions=wavefunctions,
+    return SpectrumResult(B=B, tilt=tilt, levels=levels, wavefunctions=wavefunctions,
                           grid=theta, modes=modes)
 
 

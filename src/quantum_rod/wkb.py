@@ -48,7 +48,7 @@ from typing import Callable
 
 from ._scipy_ext import brentq, ellipeinc, elliprd, elliprf
 from .errors import DomainError, InvalidParameterError, RegimeError, require_integer
-from .spectrum import HALF_PI, PotentialSpec
+from .spectrum import HALF_PI, require_potential
 
 DEEP_WELL = "deep-well"
 NEAR_SUMMIT = "near-summit"
@@ -186,7 +186,7 @@ def period_integral(energy: float, B: float) -> float:
 
 def max_well_action(B: float) -> float:
     """Single-well action at the summit energy: sqrt(B)*(2*sqrt(2) - 2)."""
-    PotentialSpec(B)  # validates B
+    require_potential(B)
     return math.sqrt(B) * (2.0 * math.sqrt(2.0) - 2.0)
 
 
@@ -265,8 +265,8 @@ def high_energy_quantize(n: int, B: float) -> float:
     BRACKET_MARGIN: pi sqrt(E - B) <= full_action(E) <= pi sqrt(E -
     2B/pi), the mean of cos over the domain being 2/pi and the upper
     bound Jensen's.  An n that is not an integer, or is below 1, is
-    refused with InvalidParameterError, and one whose n^2 overflows with
-    DomainError.
+    refused with InvalidParameterError, and one whose n^2 or bracket end
+    overflows with DomainError.
     """
     require_integer("n", n, least=1)
     try:
@@ -286,6 +286,8 @@ def high_energy_quantize(n: int, B: float) -> float:
 
     lo = max(B, (square + 2.0 * B / math.pi) * (1.0 - BRACKET_MARGIN))
     hi = (square + B) * (1.0 + BRACKET_MARGIN)
+    if hi == math.inf:
+        raise DomainError(f"level n={n} lies beyond the float range")
     f_lo = floor - target if lo == B else residual(lo)
     energy = brentq(known_ends(residual, lo, f_lo, hi, residual(hi)), lo, hi)
     if B > 0.0 and energy < 5.0 * B:

@@ -10,6 +10,7 @@ import sys
 import warnings
 
 import numpy as np
+import scipy.optimize
 from scipy.integrate import quad, solve_ivp
 
 from quantum_rod._scipy_ext import brentq
@@ -214,7 +215,7 @@ def single_well_quantize_full(n: int, B: float) -> float:
     target = (n + 0.75) * math.pi
     if target >= max_well_action(B):
         raise RegimeError(f"level n={n} lies at or above the summit for B={B}")
-    return brentq(lambda e: well_action(e, B) - target, 0.0, B, maxiter=500)
+    return scipy.optimize.brentq(lambda e: well_action(e, B) - target, 0.0, B, maxiter=500)
 
 
 def high_energy_quantize_full(n: int, B: float) -> float:

@@ -47,12 +47,11 @@ def test_airy_zero_guards():
     with pytest.raises(DomainError, match=f"n < {MAX_N}"):
         airy_zero(MAX_N)
     assert airy_zero(MAX_N - 1) > airy_zero(12)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=">= 0"):
         wkb_lambda(-1)
-    with pytest.raises(InvalidParameterError):
-        airy_zero(np.array([3, -1]))
-    with pytest.raises(DomainError, match=f"got n={MAX_N}"):
-        airy_zero(np.array([0, MAX_N]))
+    assert wkb_lambda(np.int64(3)) == wkb_lambda(3)
+    with pytest.raises(DomainError, match=f"got n={MAX_N + 1}"):
+        airy_zero(np.int64(MAX_N + 1))
 
 
 NOT_INTEGERS = [
@@ -63,6 +62,7 @@ NOT_INTEGERS = [
     pytest.param(np.array([1.5]), id="float array"),
     pytest.param(np.array([True]), id="bool array"),
     pytest.param(np.array([], dtype=float), id="empty float array"),
+    pytest.param(np.array([3]), id="integer array"),
 ]
 
 
@@ -79,21 +79,6 @@ def test_wkb_lambda_refuses_what_is_not_an_integer(n):
         wkb_lambda(n)
     with pytest.raises(InvalidParameterError, match="integer"):
         linear_well_energy(n, 100.0, exact=False)
-
-
-def test_airy_zero_of_an_empty_array_is_empty():
-    lam = airy_zero(np.array([], dtype=int))
-    assert lam.shape == (0,) and lam.dtype == np.float64
-
-
-def test_airy_zero_array_is_bit_for_bit_the_scalar():
-    # `airy --count` takes its exact columns from the array form.
-    ns = np.array(list(range(60)) + [777, 4242, MAX_N - 1])
-    lams = airy_zero(ns)
-    energies = linear_well_energy(ns, 1e4)
-    for k, n in enumerate(ns.tolist()):
-        assert lams[k] == airy_zero(n)
-        assert energies[k] == linear_well_energy(n, 1e4)
 
 
 def _per_call(n):
@@ -126,11 +111,8 @@ def test_airy_zero_calls_ai_zeros_once_within_its_table(fresh_table):
     for _ in range(3):
         for n in range(12):
             airy_zero(n)
-        airy_zero(np.arange(12))
         linear_well_energy(5, 1e4)
     assert fresh_table == [MIN_TABLE]
-    lam = airy_zero(np.arange(3))
-    lam[0] = 0.0  # a copy: the table itself is read-only
     assert airy_zero(0) == _per_call(0) and not airy._zeros.flags.writeable
     # Growing one n at a time doubles the table, up to MAX_N.
     for n in range(MAX_N):
@@ -152,21 +134,6 @@ def test_zero_tables():
     for n in range(6):
         assert airy_zero(n) == pytest.approx(LAMBDA_EXACT[n], abs=5e-3)
         assert wkb_lambda(n) == pytest.approx(LAMBDA_WKB[n], abs=5e-3)
-
-
-def test_wkb_lambda_array_is_bit_for_bit_the_scalar():
-    # An integer array once ended in numpy's "truth value is ambiguous".
-    ns = np.array([[0, 1, 2], [777, 4242, MAX_N + 5]])
-    lams = wkb_lambda(ns)
-    energies = linear_well_energy(ns, 100.0, exact=False)
-    assert lams.shape == energies.shape == ns.shape
-    for k, n in np.ndenumerate(ns):
-        assert lams[k] == wkb_lambda(int(n))
-        assert energies[k] == linear_well_energy(int(n), 100.0, exact=False)
-    assert wkb_lambda(np.int64(3)) == wkb_lambda(3)
-    assert wkb_lambda(np.array([], dtype=int)).shape == (0,)
-    with pytest.raises(InvalidParameterError, match=">= 0"):
-        wkb_lambda(np.array([3, -1]))
 
 
 def test_wkb_underestimates_and_converges():

@@ -10,10 +10,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Public, with no caller in the package: the exact arg Gamma(1/2 + i eps),
 # which the planned uniform quantization through the summit needs.
 KEPT = {("summit", "half_arg_gamma_exact")}
+# Defaulted parameters that no program passes: the time unit and the fall
+# angle of the two propagators, kept as verification routes.
+KEPT_PARAMETERS = {("dynamics", function, parameter)
+                   for function in ("evolve_eigen", "evolve_direct")
+                   for parameter in ("times_unit", "theta_fall")}
 
 
 def _trees(folder):
     return {path: ast.parse(path.read_text()) for path in sorted(folder.glob("*.py"))}
+
+
+def _package():
+    """The trees of `src/` but `__init__`, whose re-exports are no use."""
+    return {path: tree for path, tree in _trees(SRC).items() if path.name != "__init__.py"}
 
 
 def test_no_module_imports_scipy_integrate():
@@ -62,7 +72,7 @@ def test_every_public_definition_has_a_caller():
     # A public module-level function or class of `src/` is used by the
     # package itself or by perfbench; what only tests use lives in tests/.
     # A re-export from __init__ is not a use.
-    package = {path: tree for path, tree in _trees(SRC).items() if path.name != "__init__.py"}
+    package = _package()
     used = Counter()
     for tree in [*package.values(), *_trees(PERFBENCH).values()]:
         for node in ast.walk(tree):
@@ -72,3 +82,29 @@ def test_every_public_definition_has_a_caller():
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_") and not used[node.name]}
     assert uncalled == KEPT
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default of a public module-level function of `src/` that no call in
+    # the package or perfbench overrides, by keyword or by position, is a
+    # constant: the entry point has one calling form.
+    package = _package()
+    passed = set()
+    for tree in [*package.values(), *_trees(PERFBENCH).values()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed |= {(name, keyword.arg) for keyword in node.keywords}
+                passed |= {(name, index) for index in range(len(node.args))}
+    unpassed = set()
+    for path, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                defaulted = [*enumerate(positional)][len(positional) - len(args.defaults):]
+                defaulted += [(None, arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                unpassed |= {(path.stem, node.name, arg.arg) for index, arg in defaulted
+                             if not {(node.name, arg.arg), (node.name, index)} & passed}
+    assert unpassed == KEPT_PARAMETERS

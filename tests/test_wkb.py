@@ -330,8 +330,10 @@ def test_high_energy_quantize_is_the_full_bracket_root():
 
 
 def test_high_energy_quantize_refuses_a_level_beyond_the_float_range():
-    # (n + 1.0) ** 2 once raised an untyped OverflowError.
-    for n in (2 * 10**154, 10**400):
+    # (n + 1.0) ** 2 once raised an untyped OverflowError, and the last n,
+    # whose n^2 is a float but whose bracket end is not, full_action's
+    # DomainError for an energy E = inf that the caller never gave.
+    for n in (2 * 10**154, 10**400, 13407807929942596 * 10**138):
         with pytest.raises(DomainError, match="beyond the float range"):
             high_energy_quantize(n, B)
     with pytest.raises(DomainError):
