@@ -10,34 +10,52 @@ more than the package calls:
   about 105 ms more, for one root finder, `brentq`;
 * `import scipy.special` loads scipy's array-API layer
   (`_support_alternative_backends`, `scipy._lib._array_api` and
-  `array_api_compat`): about 90 ms more, for five ufuncs and `ai_zeros`.
+  `array_api_compat`): about 90 ms more, for four scalar kernels, one
+  ufunc and `ai_zeros`.
 
 Each lives in extensions that import nothing from their package's
 `__init__`: `scipy/linalg/_flapack.*.so`, `scipy/optimize/_zeros.*.so`
-and `scipy/special/_ufuncs.*.so` with `_specfun.*.so`.  One rule loads
-all three groups (`GROUPS`).  `load` registers a bare stand-in for the
-package, a module with the package's `__path__` whose `__init__` never
-runs, and `take` imports the group's extensions through it (`_ufuncs`
-also imports its sibling extensions, `_ufuncs_cxx` and others under
-scipy 1.17); the stand-in is removed again whatever happens.  The
-extensions stay registered under their own names, so that a later
-import of the package reuses them: the LAPACK routines are then
-`scipy.linalg.lapack`'s by identity, `brentq` here runs the C core that
-`scipy.optimize.brentq` runs, and the ufuncs are `scipy.special`'s by
-identity.  (That later import leaves the package without the extension
+and `scipy/special/cython_special.*.so` with `_ufuncs.*.so` and
+`_specfun.*.so`.  One rule loads all three groups (`GROUPS`).  `load`
+registers a bare stand-in for the package, a module with the package's
+`__path__` whose `__init__` never runs, and `take` imports the group's
+extensions through it (`cython_special` imports `_ufuncs`, which imports
+its sibling extensions, `_ufuncs_cxx` and others under scipy 1.17); the
+stand-in is removed again whatever happens.  The extensions stay
+registered under their own names, so that a later import of the package
+reuses them: the LAPACK routines are then `scipy.linalg.lapack`'s by
+identity, `brentq` here runs the C core that `scipy.optimize.brentq`
+runs, and the special functions are `scipy.special.cython_special`'s and
+`scipy.special`'s by identity.  (That later import leaves the package without the extension
 as an attribute; scipy itself reaches it only by import.)
 
 So no subcommand loads any of the three packages.  A group loads on the
 first use of one of its names, by the module `__getattr__`, so importing
-this module loads no scipy module, and `spectrum`, `evolve` and `slant`
-load only the LAPACK group.
+this module loads no scipy module.  `spectrum` and `dynamics` read their
+LAPACK routines from here when a solve or a Crank-Nicolson run starts,
+not when they are imported, so `airy`, `fall-time` and the semiclassical
+routes never load `_flapack` (about 3 ms and 2.6 MB of RSS).
+
+The special group's `SCALARS` are `cython_special`'s scalar entry
+points, not the ufuncs of the same names: the same C and C++ kernels, so
+the same results to the bit, at about 0.3 us a call with real arguments
+where the ufunc's dispatch takes 1.0 us, and a Python float or complex
+back, not a numpy scalar.  A pass of the semiclassical routes makes about
+a thousand such calls.  `cython_special` adds about 1 MB of RSS and 1 ms
+to the group's load, which takes about 15 ms.  Unlike the ufuncs they take no
+array, the fused ones (all but `ellipeinc`) refuse an int or float32
+first argument with TypeError (every caller passes floats), and they
+return NaN where a ufunc could warn under `scipy.special.seterr`, which
+the package never enables.  `airy` stays the ufunc: the Airy-zero table
+polishes an array with it.
 
 This relies on scipy's private file layout.  If an extension is missing
 or fails to load, or the `_zeros` core or `_specfun.airyzo` fails one
 probe call (one with another argument list raises TypeError or
 RuntimeError), or the package was imported first, the group comes from
-`scipy.linalg.lapack`, `scipy.optimize` or `scipy.special` instead, so
-another layout costs only the import time and behaves the same.
+`scipy.linalg.lapack`, `scipy.optimize` or `scipy.special` with its
+`cython_special` instead: the same objects, so another layout costs only
+the import time and behaves the same.
 """
 from __future__ import annotations
 
@@ -50,8 +68,8 @@ from typing import Callable
 import numpy as np
 
 ROUTINES = ("dgtsv", "dstebz", "dstein", "zgttrf", "zgttrs")
-UFUNCS = ("ellipeinc", "elliprd", "elliprf", "loggamma", "airy")
-SPECIAL_FUNCTIONS = (*UFUNCS, "ai_zeros")
+SCALARS = ("ellipeinc", "elliprd", "elliprf", "loggamma")
+SPECIAL_FUNCTIONS = (*SCALARS, "airy", "ai_zeros")
 
 # scipy.optimize.brentq's defaults
 XTOL = 2e-12
@@ -134,8 +152,13 @@ def zeros_brentq(package) -> tuple[Callable]:
 
 
 def special_functions(package) -> tuple:
-    """`SPECIAL_FUNCTIONS` from the `_ufuncs` and `_specfun` extensions of `package`."""
-    ufuncs = importlib.import_module("._ufuncs", package.__name__)
+    """`SPECIAL_FUNCTIONS` from the extensions of `package`.
+
+    `SCALARS` from `cython_special`, `airy` from `_ufuncs` and `ai_zeros`
+    on `_specfun.airyzo`.
+    """
+    scalars = importlib.import_module(".cython_special", package.__name__)
+    airy = importlib.import_module("._ufuncs", package.__name__).airy
     airyzo = importlib.import_module("._specfun", package.__name__).airyzo
 
     def ai_zeros(nt: int) -> tuple:
@@ -148,20 +171,21 @@ def special_functions(package) -> tuple:
         return airyzo(nt, 1)
 
     ai_zeros(1)  # the probe: another airyzo raises here
-    return (*(getattr(ufuncs, name) for name in UFUNCS), ai_zeros)
+    return (*(getattr(scalars, name) for name in SCALARS), airy, ai_zeros)
 
 
-def public(module: str, names: tuple[str, ...]) -> Callable[[], tuple]:
-    """The fallback that imports scipy's public `module` and returns its `names`."""
-    return lambda: tuple(getattr(importlib.import_module(module), name) for name in names)
+def public(*modules: tuple[str, tuple[str, ...]]) -> Callable[[], tuple]:
+    """The fallback that imports each of scipy's public (module, names) and returns the names."""
+    return lambda: tuple(getattr(importlib.import_module(module), name)
+                         for module, names in modules for name in names)
 
 
 # (names, package, take, fallback) of each group
 GROUPS = (
-    (ROUTINES, "scipy.linalg", lapack_routines, public("scipy.linalg.lapack", ROUTINES)),
-    (("brentq",), "scipy.optimize", zeros_brentq, public("scipy.optimize", ("brentq",))),
+    (ROUTINES, "scipy.linalg", lapack_routines, public(("scipy.linalg.lapack", ROUTINES))),
+    (("brentq",), "scipy.optimize", zeros_brentq, public(("scipy.optimize", ("brentq",)))),
     (SPECIAL_FUNCTIONS, "scipy.special", special_functions,
-     public("scipy.special", SPECIAL_FUNCTIONS)),
+     public(("scipy.special.cython_special", SCALARS), ("scipy.special", ("airy", "ai_zeros")))),
 )
 
 

@@ -33,10 +33,14 @@ imported by its handler, so that, for example, `spectrum` never loads
 scipy.special's extensions.  No subcommand loads the `scipy.linalg`,
 `scipy.special` or `scipy.optimize` package: `_scipy_ext` loads the
 extensions that hold what the package calls, one group on the first use
-of any of its names.  So `spectrum`, `evolve` and `slant` load only the
-LAPACK routines; `airy` adds scipy.special's ufuncs and `ai_zeros`; and
-`fall-time`, `summit` and `wkb-compare`, which import `summit` or `wkb`,
-add the root finder as well, `_scipy_ext.brentq`.
+of any of its names, and `spectrum` and `dynamics` take the LAPACK
+routines only when they solve or step.  So `spectrum`, `evolve` and
+`slant` load only the LAPACK routines; `airy` only scipy.special's
+extensions (cython_special's scalar kernels, the `airy` ufunc and
+`ai_zeros`); `fall-time` those and the root finder that `summit` and
+`wkb` use, `_scipy_ext.brentq`, but no LAPACK; and `summit` and
+`wkb-compare`, whose rows are checked against a grid spectrum, all three
+groups.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

@@ -21,7 +21,8 @@ half-size blocks of `spectrum.parity_blocks`; a part that is exactly
 zero (the odd part of the even Gaussian) is never stepped.  With
 A = i dtau/2 H, one step (1 + A)^-1 (1 - A) psi is written as
 2 (1 + A)^-1 psi - psi: each block's (1 + A)/2 is LU-factored once per
-step size (LAPACK `gttrf`, loaded by `_scipy_ext` with `gttrs`), and a
+step size (LAPACK `gttrf`, read from `_scipy_ext` with `gttrs` when a
+run starts, so that importing this module loads no LAPACK), and a
 step is one `gttrs` back-substitution with the stored factors and one
 subtraction, with no explicit right-hand side.
 
@@ -35,7 +36,7 @@ to the internal energy unit.
 The fall-time functions import `summit` when first called (`_lazy`), and
 `classical_fall_time` takes `_scipy_ext.elliprf`, which loads
 scipy.special's extensions on its first use, so a propagation run loads
-neither.
+neither, and a fall-time run no LAPACK.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _scipy_ext
-from ._scipy_ext import zgttrf, zgttrs
 from .errors import (
     DomainError,
     InsufficientBasisError,
@@ -302,6 +302,7 @@ def evolve_direct(
         # CN conserves the plain sum h * sum |psi|^2, not the Simpson norm,
         # which drifts on a coarse grid for any dt: guard the former.
         sum0 = float(np.sum(state.values**2))
+        zgttrf, zgttrs = _scipy_ext.zgttrf, _scipy_ext.zgttrs
         # The blocks do not couple, so a part that is zero stays zero.
         parts = {parity: psi for parity, psi
                  in fold_parity(state.values[1:-1].astype(complex)).items() if np.any(psi)}
@@ -367,7 +368,7 @@ def classical_fall_time(delta_theta: float) -> ClassicalFallTime:
         raise DomainError("need 1.5e-154 < delta_theta < pi/2")
     s, c = math.sin(0.5 * delta_theta), math.cos(0.5 * delta_theta)
     exact = (math.sqrt(math.cos(delta_theta) / s) / c
-             * float(_scipy_ext.elliprf(s / c**2, 2.0 * s, 1.0 / s)))
+             * _scipy_ext.elliprf(s / c**2, 2.0 * s, 1.0 / s))
     asym = math.log(8.0 * (math.sqrt(2.0) - 1.0)) - math.log(delta_theta)
     return ClassicalFallTime(delta_theta=delta_theta, exact=exact, asymptotic=asym)
 

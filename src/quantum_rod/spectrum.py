@@ -8,7 +8,8 @@ with hard walls (Dirichlet conditions) at theta = +/- pi/2 where the rod
 hits the table.  The solver uses second-order central finite differences
 on a uniform grid from wall to wall; the symmetric tridiagonal matrix
 `grid_hamiltonian`, which `dynamics` steps too, is diagonalized with
-LAPACK (`stebz`, `stein` and `gtsv`, loaded by `_scipy_ext`).  Eigenvalues
+LAPACK (`stebz`, `stein` and `gtsv`, read from `_scipy_ext` when a solve
+runs, so that importing this module loads no LAPACK).  Eigenvalues
 are Romberg-extrapolated from the finest three grids of the solve (see
 `solve_spectrum`), which removes the O(h^2) and O(h^4) discretization
 errors: at B = 1e4 the 72 lowest levels from the default 4001 points are
@@ -66,7 +67,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._scipy_ext import dgtsv, dstebz, dstein
+from . import _scipy_ext
 from .errors import DomainError, InvalidParameterError, ResolutionError, require_integer
 
 HALF_PI = 0.5 * math.pi
@@ -346,7 +347,7 @@ def _rayleigh_ritz(d, e, x, tol):
         if solve == MAX_RQI_SOLVES:
             return None
         for shift in (np.mean(theta), np.mean(theta) + tol):
-            *_, x, info = dgtsv(e, d - shift, e, y)
+            *_, x, info = _scipy_ext.dgtsv(e, d - shift, e, y)
             if info == 0:
                 break
         else:
@@ -408,8 +409,8 @@ def _rayleigh_quotient_iteration(d, e, starts, count, tol, keep=None):
             for shift in (rho[j], rho[j] + tol):
                 np.subtract(d, shift, out=work)
                 lower[:], upper[:] = e, e
-                *_, x, info = dgtsv(lower, work, upper, x, overwrite_dl=1, overwrite_d=1,
-                                    overwrite_du=1, overwrite_b=1)
+                *_, x, info = _scipy_ext.dgtsv(lower, work, upper, x, overwrite_dl=1,
+                                               overwrite_d=1, overwrite_du=1, overwrite_b=1)
                 if info == 0:
                     break
                 x[:] = tx
@@ -465,7 +466,7 @@ def _continue_levels(d: np.ndarray, e: np.ndarray, starts, count: int,
     vl = np.min(d) - scale  # below every eigenvalue (Gershgorin)
     top = np.flatnonzero(np.append(True, ~joined))[-1]  # the first level of the top run
     vu = rho[top] - radius[top]
-    found, *_, info = dstebz(d, e, 1, vl, vu, 1, 1, vu - vl, b"E")  # range 1: (vl, vu]
+    found, *_, info = _scipy_ext.dstebz(d, e, 1, vl, vu, 1, 1, vu - vl, b"E")  # range 1: (vl, vu]
     return rho if info == 0 and found == top else None
 
 
@@ -478,11 +479,12 @@ def _bisect(d: np.ndarray, e: np.ndarray, count: int, width: float, vectors: boo
     Vectors take stebz's block order, sorted here only if the matrix splits
     (|d| ~ 1e16/h^2).  Returns (values, rows), or None when LAPACK fails.
     """
-    m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, count, width, b"B" if vectors else b"E")
+    m, w, block, split, info = _scipy_ext.dstebz(d, e, 2, 0.0, 0.0, 1, count, width,
+                                                 b"B" if vectors else b"E")
     w = w[:m]
     if info:
         return None
-    z, info = dstein(d, e, w, block, split) if vectors else (np.empty((len(d), 0)), 0)
+    z, info = _scipy_ext.dstein(d, e, w, block, split) if vectors else (np.empty((len(d), 0)), 0)
     order = slice(None) if np.all(w[:-1] <= w[1:]) else np.argsort(w)
     return None if info else (w[order], z.T[order])
 

@@ -8,8 +8,9 @@ even/odd solutions to WKB waves on both sides replaces the familiar
 turning-point pi/4 by an epsilon-dependent phase correction built from
 arg Gamma(1/2 + i*epsilon).
 
-The exact arg Gamma, `half_arg_gamma_exact`, comes from scipy.special's
-`loggamma` (loaded by `_scipy_ext`); the smooth fit `half_arg_gamma_fit`
+The exact arg Gamma, `half_arg_gamma_exact`, comes from the scalar
+`loggamma` of scipy.special.cython_special (loaded by `_scipy_ext`),
+which returns a Python complex; the smooth fit `half_arg_gamma_fit`
 used throughout the quantization is
 
     (1/2) arg Gamma(1/2 + i*eps) ~ (eps/2) * ln sqrt((eps/e)^2 + (1/4g)^2)
@@ -55,7 +56,7 @@ XI_MATCH = 3.0     # matching point of the parabolic region, in xi
 
 def half_arg_gamma_exact(epsilon: float) -> float:
     """(1/2) arg Gamma(1/2 + i*epsilon), continuous through epsilon = 0."""
-    return 0.5 * float(loggamma(complex(0.5, epsilon)).imag)
+    return 0.5 * loggamma(complex(0.5, epsilon)).imag
 
 
 def half_arg_gamma_fit(epsilon: float) -> float:

@@ -26,18 +26,22 @@ has none.
 
 Every phase integral is an elliptic integral, evaluated in closed form
 with Carlson's symmetric R_F and R_D (B. C. Carlson, Numer. Algorithms
-10, 13 (1995); DLMF 19.2, 19.29).  Measured from a turning point, the
-substitution v = sqrt(E - B cos theta), or w = sqrt(B cos theta - E)
-under the barrier, turns each integral into one symmetric integral with
-positive arguments, so nothing cancels as E/B -> 0:
+10, 13 (1995); DLMF 19.2, 19.29), scipy's `elliprf` and `elliprd`.
+Measured from a turning point, the substitution v = sqrt(E - B cos
+theta), or w = sqrt(B cos theta - E) under the barrier, turns each
+integral into one symmetric integral with positive arguments, so nothing
+cancels as E/B -> 0:
 
     well_action     (2/3) E^(3/2) R_D(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2)
     period_integral 2 sqrt(E) R_F(B/(B+E), B/(B-E), 1) / sqrt(B^2 - E^2)
     barrier_action  (4/3) (B - E) R_D(0, 2B/(B+E), 1) / sqrt(B + E)
 
 Above the barrier theta = pi - 2 phi turns `phase_integral` and
-`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1.  No
-phase integral here is a quadrature.
+`full_action` into Legendre's E(phi|m) with m = 2B/(E + B) <= 1,
+scipy's `ellipeinc`.  No phase integral here is a quadrature.  The three
+are the scalar kernels of scipy.special.cython_special, loaded by
+`_scipy_ext`: the ufuncs' own code without NumPy's per-call dispatch,
+and each returns a Python float, so every phase integral does.
 """
 from __future__ import annotations
 

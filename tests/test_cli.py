@@ -481,29 +481,31 @@ def test_summit_refuses_a_row_past_the_wall(capsys):
 
 
 # What importing the package and its loader loads of scipy, then the
-# README examples and what each group may load.  The first group runs
-# first, so that nothing else has loaded scipy.special yet.
+# README examples and what each group may load.  The groups named on the
+# command line run in their order, so that no earlier group has loaded
+# what a later one is checked for.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 import quantum_rod, quantum_rod._scipy_ext
 package = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 from quantum_rod.cli import main
 watch = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.constants",
-         "scipy._lib._array_api", "scipy.optimize._zeros")
+         "scipy._lib._array_api", "scipy.optimize._zeros", "scipy.linalg._flapack")
 def watched():
     return [m for m in sys.modules if m in watch or m.startswith("scipy.special.")]
 loaded = {"package": package, "import": watched()}
-for group, runs in (("no-special", [
+groups = {"no-special": [
         "spectrum --B 1e4 --n-levels 72",
         "evolve --B 100 --sigma 0.1 --method both --t-max 0.5",
-        "slant --B 1e4 --n 18 --tilts 1e-4 1e-3"]),
-        ("lean", [
+        "slant --B 1e4 --n 18 --tilts 1e-4 1e-3"],
+        "lean": [
         "airy --count 6 --B 100",
-        "fall-time --mass 1e-3 --length 0.1 --delta-theta 0.1 --alpha 10"]),
-        ("root-finding", [
+        "fall-time --mass 1e-3 --length 0.1 --delta-theta 0.1 --alpha 10"],
+        "root-finding": [
         "summit --B 1e4",
-        "wkb-compare --B 1e4 --n-min 22 --n-max 24"])):
-    for run in runs:
+        "wkb-compare --B 1e4 --n-min 22 --n-max 24"]}
+for group in sys.argv[1:]:
+    for run in groups[group]:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(run.split()) == 0, run
     loaded[group] = watched()
@@ -511,33 +513,43 @@ print(json.dumps(loaded))
 """
 
 
-def _run_fresh(code):
-    """stdout of `code` run in a fresh interpreter that imports this package."""
+def _run_fresh(code, *args):
+    """stdout of `code`, given `args`, run in a fresh interpreter that imports this package."""
     src = str(Path(quantum_rod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True).stdout
 
 
 def test_import_footprint():
-    # One fresh process.  The package root holds only __version__, and
-    # _scipy_ext loads each group of routines on the first use of one of
-    # its names, so importing the two loads no scipy module.  spectrum,
-    # evolve and slant load neither the scipy.linalg package, nor any
-    # module of scipy.special, nor _zeros, and no subcommand loads the
-    # scipy.special package, scipy's array-API layer, scipy.integrate or
-    # scipy.optimize: airy and fall-time take scipy.special's extensions
-    # from _scipy_ext, and fall-time, summit and wkb-compare find their
-    # roots with _scipy_ext.brentq, on the _zeros core alone.  Which
-    # extensions _ufuncs pulls in, and whether it loads scipy.linalg,
-    # depends on the scipy version, so the groups after no-special are
-    # not checked for those.
-    loaded = json.loads(_run_fresh(_FOOTPRINT))
-    assert loaded["package"] == loaded["import"] == loaded["no-special"] == []
-    for group in ("lean", "root-finding"):
-        assert "scipy.special._ufuncs" in loaded[group]
-        assert [m for m in loaded[group] if m not in ("scipy.linalg", "scipy.optimize._zeros")
-                and not m.startswith("scipy.special.")] == []
+    # Two fresh processes, the second for the lean group alone.  The
+    # package root holds only __version__, and _scipy_ext loads each group
+    # of routines on the first use of one of its names, so importing the
+    # two loads no scipy module.  spectrum, evolve and slant load only
+    # LAPACK's _flapack: neither the scipy.linalg package, nor any module
+    # of scipy.special, nor _zeros.  No subcommand loads the scipy.special
+    # package, scipy's array-API layer, scipy.integrate or scipy.optimize:
+    # airy and fall-time take scipy.special's extensions from _scipy_ext,
+    # and fall-time, summit and wkb-compare find their roots with
+    # _scipy_ext.brentq, on the _zeros core alone.  Which extensions
+    # _ufuncs pulls in, and whether it loads scipy.linalg, depends on the
+    # scipy version, so the groups after no-special are not checked for
+    # those.  airy and fall-time solve nothing, so run first they load no
+    # _flapack, unless the scipy.linalg package came with scipy.special's
+    # extensions.
+    for order in (("no-special", "lean", "root-finding"), ("lean",)):
+        loaded = json.loads(_run_fresh(_FOOTPRINT, *order))
+        assert loaded["package"] == loaded["import"] == []
+        for group in order:
+            if group == "no-special":
+                assert loaded[group] == ["scipy.linalg._flapack"]
+                continue
+            assert "scipy.special._ufuncs" in loaded[group]
+            assert "scipy.special.cython_special" in loaded[group]
+            assert [m for m in loaded[group] if m not in ("scipy.linalg", "scipy.optimize._zeros",
+                                                          "scipy.linalg._flapack")
+                    and not m.startswith("scipy.special.")] == []
+    assert "scipy.linalg._flapack" not in loaded["lean"] or "scipy.linalg" in loaded["lean"]
 
 
 _IDENTITY = """
@@ -572,12 +584,14 @@ def test_loaded_routines_are_scipy_lapack_objects(first, second):
 
 
 _SPECIAL_ORDER = """
-import json, sys
+import importlib, json, sys
 import numpy as np
 {first}
 {second}
+scalars = importlib.import_module("scipy.special.cython_special")
 ours = [getattr(_scipy_ext, name) for name in _scipy_ext.SPECIAL_FUNCTIONS]
-theirs = [getattr(scipy.special, name) for name in _scipy_ext.SPECIAL_FUNCTIONS]
+theirs = [getattr(scalars if name in _scipy_ext.SCALARS else scipy.special, name)
+          for name in _scipy_ext.SPECIAL_FUNCTIONS]
 zeros = zip(ours[-1](50), theirs[-1](50))
 print(json.dumps({{"stand-in gone": gone,
                   "identical": [a is b for a, b in zip(ours, theirs)],
@@ -599,8 +613,9 @@ gone = "scipy.special" not in sys.modules and "special" not in vars(scipy)
 ])
 def test_special_functions_are_scipys_in_either_import_order(first, second, identical):
     # The loader leaves no stand-in behind, and a later real import of
-    # scipy.special runs its __init__ and reuses the loaded _ufuncs, so the
-    # five ufuncs are scipy's own objects.  ai_zeros is the loader's copy of
+    # scipy.special runs its __init__ and reuses the loaded extensions, so
+    # the four scalars are scipy.special.cython_special's own objects and
+    # airy is scipy.special's ufunc.  ai_zeros is the loader's copy of
     # scipy's check in front of the same _specfun.airyzo, or, with
     # scipy.special imported first, scipy's own function.
     found = json.loads(_run_fresh(_SPECIAL_ORDER.format(first=first, second=second)))
@@ -645,8 +660,10 @@ loader.exec_module = exec_module
 spec = _scipy_ext.find_spec(package)
 spec.submodule_search_locations[:] = [{empty!r}]
 objects = _scipy_ext.load(spec, take, fallback)
-public = importlib.import_module({public!r})
-found["public objects"] = [ours is getattr(public, name) for ours, name in zip(objects, names)]
+def home(name):  # the public module that holds `name`
+    scalar = name in _scipy_ext.SCALARS
+    return importlib.import_module({public!r} + (".cython_special" if scalar else ""))
+found["public objects"] = [ours is getattr(home(name), name) for ours, name in zip(objects, names)]
 print(json.dumps(found))
 """
 # A _zeros whose core raises TypeError, and one that calls scipy's own core
@@ -724,7 +741,8 @@ def test_lapack_loader_falls_back_to_scipy_linalg(tmp_path, package, public, mod
 def test_special_loader_falls_back_and_leaves_no_stand_in(tmp_path, mode, probe):
     # Each way the scipy.special extensions can fail to serve calls the
     # fallback, leaves no scipy.special module or attribute behind, and
-    # leaves scipy.special's public functions.
+    # leaves scipy's public functions: the four scalars of
+    # scipy.special.cython_special, and scipy.special's airy and ai_zeros.
     _check_fallback(tmp_path, "scipy.special", "scipy.special", mode, probe)
 
 

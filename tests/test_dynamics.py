@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from quantum_rod import dynamics
+from quantum_rod import _scipy_ext, dynamics
 from quantum_rod.errors import (
     DomainError,
     InsufficientBasisError,
@@ -457,13 +457,13 @@ def test_evolve_direct_steps_occupied_parity_blocks(monkeypatch, shape, blocks, 
         state = dynamics.InitialState(sigma=0.3, grid=grid, values=values,
                                       renormalized=False)
     calls = []
-    real_zgttrf = dynamics.zgttrf
+    real_zgttrf = _scipy_ext.zgttrf
 
     def counting(*args):
         calls.append(len(args[1]))
         return real_zgttrf(*args)
 
-    monkeypatch.setattr(dynamics, "zgttrf", counting)
+    monkeypatch.setattr(_scipy_ext, "zgttrf", counting)
     times = np.array([0.0, 0.035, 0.05])
     dt = 0.006
     res = dynamics.evolve_direct(state, B, dt, times, times_unit="natural",
@@ -481,12 +481,12 @@ def test_evolve_direct_typed_failures(monkeypatch):
     grid = make_grid(41)
     state = dynamics.prepare_gaussian(0.3, grid)
     times = np.array([0.0, 0.05])
-    real_zgttrf = dynamics.zgttrf
+    real_zgttrf = _scipy_ext.zgttrf
 
     def singular(*args):
         return (*real_zgttrf(*args)[:5], 3)
 
-    monkeypatch.setattr(dynamics, "zgttrf", singular)
+    monkeypatch.setattr(_scipy_ext, "zgttrf", singular)
     with pytest.raises(StepSizeError, match="singular"):
         dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
     monkeypatch.undo()
@@ -494,18 +494,18 @@ def test_evolve_direct_typed_failures(monkeypatch):
     def nan_solve(*args, **kwargs):
         return np.full_like(args[5], np.nan), 0
 
-    monkeypatch.setattr(dynamics, "zgttrs", nan_solve)
+    monkeypatch.setattr(_scipy_ext, "zgttrs", nan_solve)
     with pytest.raises(StepSizeError, match="norm drifted"):
         dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
     monkeypatch.undo()
 
-    real_zgttrs = dynamics.zgttrs
+    real_zgttrs = _scipy_ext.zgttrs
 
     def lossy_solve(*args, **kwargs):  # a step that is no longer unitary
         x, info = real_zgttrs(*args, **kwargs)
         return x * (1.0 + 1e-6), info
 
-    monkeypatch.setattr(dynamics, "zgttrs", lossy_solve)
+    monkeypatch.setattr(_scipy_ext, "zgttrs", lossy_solve)
     with pytest.raises(StepSizeError, match=r"norm drifted by \d\.\d\de-0[45]"):
         dynamics.evolve_direct(state, 20.0, 0.005, times, times_unit="natural")
 

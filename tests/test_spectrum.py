@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
-from quantum_rod import spectrum
+from quantum_rod import _scipy_ext, spectrum
 from quantum_rod.cli import main
 from quantum_rod.errors import DomainError, InvalidParameterError, ResolutionError
 from quantum_rod.spectrum import (
@@ -720,7 +720,7 @@ def test_exactly_singular_shift_is_moved(monkeypatch, tilt):
     bisected = _bisected(monkeypatch, lambda: spectrum._interior_eigensolve(
         B, tilt, grid_n, n_levels))
     solves = _record_solves(monkeypatch)
-    monkeypatch.setattr(spectrum, "dgtsv", _singular_first(spectrum.dgtsv))
+    monkeypatch.setattr(_scipy_ext, "dgtsv", _singular_first(_scipy_ext.dgtsv))
     calls = _count_bisections(monkeypatch)
     solve_spectrum(B, n_levels, grid_n=grid_n, tilt=tilt, refine=False)
     energies = solves[grid_n]
@@ -766,7 +766,8 @@ def test_failed_continuation_falls_back_to_bisection(monkeypatch, name, wrap, ti
         return solve_spectrum(1e4, 16, grid_n=2001, tilt=tilt)
 
     bisected = _bisected(monkeypatch, solve)
-    monkeypatch.setattr(spectrum, name, wrap(getattr(spectrum, name)))
+    owner = _scipy_ext if name in _scipy_ext.ROUTINES else spectrum
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     calls = _count_bisections(monkeypatch)
     energies = solve().energies
     grids = spectrum._grids(1e4, tilt, 2001, 16, refine=True)  # 251 -> 501 -> 1001 -> 2001
